@@ -125,7 +125,10 @@ def _vstr(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, int):
-        return str(v)
+        try:
+            return str(v)
+        except ValueError:  # past the interpreter's int-to-str digit limit
+            return hex(v)
     if isinstance(v, OPtr):
         if 0 <= v.offset < len(v.block.cells):
             return "&" + v.block.cells[v.offset].name
@@ -826,11 +829,6 @@ class DiffResult:
     index: int = -1          # position in the visible subsequences
     left: list = field(default_factory=list)    # context around divergence
     right: list = field(default_factory=list)
-
-    def summary(self) -> dict:
-        return {"ok": self.ok, "message": self.message, "index": self.index,
-                "left": [e.to_json() for e in self.left],
-                "right": [e.to_json() for e in self.right]}
 
 
 def _key(e: tr.TraceEvent):

@@ -1,10 +1,12 @@
 """Reactive-cell engine: registration lists, before/after change actions,
-the global constraint dependency graph, and the object suspend/resume
-protocol.  Phase ordering follows the contract module."""
+constraint dependency edges kept on their constraining cells, and the object
+suspend/resume protocol.  Phase ordering follows the contract module."""
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from . import trace as tr
 from .contract import Wave, top_entry
@@ -45,6 +47,7 @@ class Cell:
     monitors: list[Entry] = field(default_factory=list)
     preconditions: list[Entry] = field(default_factory=list)
     constraints: list[ConstraintEntry] = field(default_factory=list)
+    dependencies: list[DepEdge] = field(default_factory=list)  # by DepEdge.order
     update_hooks: list = field(default_factory=list)  # object-update notifications
     monitors_enabled: bool = True
     block: object = None           # owning Block for array elements / scalars
@@ -72,33 +75,40 @@ class DepEdge:
     from_cell: Cell
     entry: ConstraintEntry
     lv_ordinal: int
+    live: bool = True              # cleared when the edge is removed
+    order: tuple[int, int] = field(init=False)
+
+    def __post_init__(self):
+        self.order = (self.entry.seq, self.lv_ordinal)
+
+
+_order = attrgetter("order")
 
 
 class DependencyGraph:
-    """Constraining-cell -> constraint edges; firing order is instantiation
-    order (entry seq, then constraining l-value ordinal)."""
+    """Constraining-cell -> constraint edges.  Each edge lives on its
+    constraining cell (`Cell.dependencies`), kept in firing order: instantiation
+    order (entry seq, then constraining l-value ordinal).  `edges` indexes the
+    live edges by that order for add/remove checks and whole-program views."""
 
     def __init__(self):
-        self.edges: dict[tuple, DepEdge] = {}
-
-    def key(self, entry, lv_ordinal):
-        return (entry.seq, lv_ordinal)
+        self.edges: dict[tuple[int, int], DepEdge] = {}
 
     def add(self, from_cell: Cell, entry: ConstraintEntry, lv_ordinal: int):
-        k = self.key(entry, lv_ordinal)
-        if k in self.edges:
+        edge = DepEdge(from_cell, entry, lv_ordinal)
+        if edge.order in self.edges:
             raise RuntimeFault(f"dependency edge registered twice ({entry.fn})")
-        self.edges[k] = DepEdge(from_cell, entry, lv_ordinal)
+        self.edges[edge.order] = edge
+        # a reinstall keeps its seq, so the edge may belong mid-list
+        insort(from_cell.dependencies, edge, key=_order)
 
     def remove(self, from_cell: Cell, entry: ConstraintEntry, lv_ordinal: int):
-        k = self.key(entry, lv_ordinal)
-        edge = self.edges.pop(k, None)
+        edge = self.edges.pop((entry.seq, lv_ordinal), None)
         if edge is None:
             raise RuntimeFault(f"cancel of unregistered dependency ({entry.fn})")
-
-    def outgoing(self, cell: Cell):
-        return [(k, e) for k, e in sorted(self.edges.items())
-                if e.from_cell is cell]
+        edge.live = False
+        deps = edge.from_cell.dependencies
+        del deps[bisect_left(deps, edge.order, key=_order)]
 
     def __len__(self):
         return len(self.edges)
@@ -175,10 +185,9 @@ class Engine:
             p.invoke()
 
     def resolve(self, changed: Cell):
-        for key, edge in self.deps.outgoing(changed):
-            if self.deps.edges.get(key) is not edge or edge.from_cell is not changed:
-                continue  # rebound by an earlier firing in this wave
-            self.fire(edge.entry, via_resolution=True)
+        for edge in list(changed.dependencies):
+            if edge.live:  # else cancelled by an earlier firing in this wave
+                self.fire(edge.entry, via_resolution=True)
 
     def fire(self, entry: ConstraintEntry, via_resolution: bool):
         """Attempt one constraint application (used by resolution and by

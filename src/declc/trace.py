@@ -73,12 +73,3 @@ class TraceSink:
 
 def filtered(events, kinds=ORACLE_VISIBLE) -> list[TraceEvent]:
     return [e for e in events if e.kind in kinds]
-
-
-def write_jsonl(events, stream):
-    for e in events:
-        stream.write(e.to_json() + "\n")
-
-
-def read_jsonl(stream) -> list[TraceEvent]:
-    return [TraceEvent.from_json(line) for line in stream if line.strip()]

@@ -105,7 +105,10 @@ def value_str(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, int):
-        return str(v)
+        try:
+            return str(v)
+        except ValueError:  # past the interpreter's int-to-str digit limit
+            return hex(v)
     if isinstance(v, CellPtr):
         try:
             return "&" + v.deref().name
@@ -141,6 +144,10 @@ class Machine:
         self.instances: list[Instance] = []
         self.dormant: set[tuple] = set()
         self._entries: dict[tuple, Entry] = {}
+        self._decls: dict[tuple, ast.FuncDecl] = {
+            (None, f.name): f for f in self.unit.functions}
+        self._decls.update({(c.name, f.name): f for c in self.unit.classes
+                            for f in c.methods})
         self._seq = 0
         self._call_seq = 0
         self.loaded = False
@@ -279,9 +286,6 @@ class Machine:
             self.engine.wave.exit()
 
     # ------------------------------------------------------------ evaluation
-
-    def frame(self) -> Frame:
-        return self.frames[-1] if self.frames else Frame("<global>")
 
     def _lookup(self, binding, fr: Frame):
         kind = binding[0]
@@ -513,17 +517,10 @@ class Machine:
         raise RuntimeFault("call of a non-function value", e.pos)
 
     def _func_decl(self, name: str, cls: str | None) -> ast.FuncDecl:
-        if cls is None:
-            for f in self.unit.functions:
-                if f.name == name:
-                    return f
-        else:
-            for c in self.unit.classes:
-                if c.name == cls:
-                    for f in c.methods:
-                        if f.name == name:
-                            return f
-        raise RuntimeFault(f"undefined function '{name}'")
+        decl = self._decls.get((cls, name))
+        if decl is None:
+            raise RuntimeFault(f"undefined function '{name}'")
+        return decl
 
     def _run_body(self, decl: ast.FuncDecl, args, owner):
         self._call_seq += 1

@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -107,6 +110,21 @@ def test_check_agreement(capsys):
     code, out, _ = run_cli(capsys, "check", "--seed", "0", "--count", "5")
     assert code == 0
     assert "5/5 seeds agree" in out
+
+
+@pytest.mark.parametrize("seed", [1500452, 10500791, 30601386, 40701388])
+def test_check_huge_int_seeds_agree(seed):
+    """These generated programs grow an integer past the interpreter's
+    int-to-str digit limit; check renders it in hex and still agrees."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "declc.cli", "check", "--seed", str(seed),
+         "--count", "1"], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "1/1 seeds agree" in proc.stdout
 
 
 def test_check_verbose(capsys):

@@ -107,28 +107,155 @@ def test_stack_against_list_model():
 # ------------------------------------------------------------- dependencies
 
 def test_dependency_graph_orders_by_instantiation():
+    """Edges live on their constraining cell in (seq, l-value ordinal) order,
+    whatever order they were added in."""
     g = DependencyGraph()
     c1, c2 = Cell("a"), Cell("a2")
     e1 = ConstraintEntry("f1", None, seq=2)
     e2 = ConstraintEntry("f2", None, seq=1)
     g.add(c1, e1, 0)
-    g.add(c1, e2, 0)
     g.add(c1, e2, 1)
-    assert [e.entry.fn for _, e in g.outgoing(c1)] == ["f2", "f2", "f1"]
-    assert g.outgoing(c2) == []
+    g.add(c1, e2, 0)
+    assert [(d.entry.fn, d.lv_ordinal) for d in c1.dependencies] == \
+        [("f2", 0), ("f2", 1), ("f1", 0)]
+    assert c2.dependencies == []
+    assert len(g) == 3
 
 
 def test_dependency_double_add_and_missing_remove_fault():
     g = DependencyGraph()
-    c = Cell("a")
+    c, other = Cell("a"), Cell("b")
     e = ConstraintEntry("f", None, seq=0)
     g.add(c, e, 0)
     with pytest.raises(RuntimeFault):
         g.add(c, e, 0)
+    with pytest.raises(RuntimeFault):
+        g.add(other, e, 0)        # one edge per (constraint, ordinal) overall
     g.remove(c, e, 0)
     with pytest.raises(RuntimeFault):
         g.remove(c, e, 0)
     assert len(g) == 0
+    assert c.dependencies == [] and other.dependencies == []
+
+
+def test_dependency_reinstall_mid_list_keeps_order():
+    """A reinstall keeps its constraint's seq, so a cancelled-then-reinstalled
+    edge goes back to its place in the middle of the list, not the end."""
+    g = DependencyGraph()
+    c = Cell("a")
+    entries = [ConstraintEntry(f"f{k}", None, seq=k) for k in range(5)]
+    for en in entries:
+        g.add(c, en, 0)
+        g.add(c, en, 1)
+    old = c.dependencies[5]
+    g.remove(c, entries[2], 1)
+    g.remove(c, entries[2], 0)
+    assert old.live is False
+    g.add(c, entries[2], 1)
+    g.add(c, entries[2], 0)
+    assert [d.order for d in c.dependencies] == \
+        [(k, j) for k in range(5) for j in (0, 1)]
+    assert c.dependencies[5] is not old and c.dependencies[5].live
+
+
+def test_dependency_lists_against_sorted_model():
+    """Random add/remove sequences over several cells keep each cell's list
+    equal to the sorted set of its live (seq, ordinal) pairs."""
+    rng = random.Random(7)
+    g = DependencyGraph()
+    cells = [Cell(f"c{k}") for k in range(3)]
+    entries = [ConstraintEntry(f"f{k}", None, seq=k) for k in range(8)]
+    model: dict[tuple, Cell] = {}
+    for _ in range(400):
+        en, j = rng.choice(entries), rng.randrange(2)
+        key = (en.seq, j)
+        if key in model:
+            g.remove(model.pop(key), en, j)
+        else:
+            model[key] = rng.choice(cells)
+            g.add(model[key], en, j)
+        for c in cells:
+            assert [d.order for d in c.dependencies] == \
+                sorted(k for k, mc in model.items() if mc is c)
+    assert len(g) == len(model)
+
+
+def _dep_constraint(e, name, seq, fired, effect=None):
+    """A constraint on a fresh cell `name` whose application records its
+    name and then runs `effect`."""
+    dst = Cell(name, 0)
+
+    def apply():
+        fired.append(name)
+        if effect is not None:
+            effect()
+
+    en = ConstraintEntry(f"assign_{name}", None, seq=seq, target=lambda: dst,
+                         apply=apply)
+    e.handle_constraint(dst, en, True)
+    return en
+
+
+def test_resolve_skips_edges_cancelled_earlier_in_the_wave():
+    """An edge cancelled, or cancelled and reinstalled, by an earlier firing
+    of the same resolve does not fire; neither does an edge added by it."""
+    e = engine()
+    src = Cell("src", 0)
+    fired = []
+    gone = _dep_constraint(e, "gone", 1, fired)
+    moved = _dep_constraint(e, "moved", 2, fired)
+    kept = _dep_constraint(e, "kept", 3, fired)
+    late = _dep_constraint(e, "late", 4, fired)
+
+    def rebind():
+        if fired.count("first") > 1:
+            return                 # only the first wave rebinds
+        e.handle_dependency(src, gone, 0, False)
+        e.handle_dependency(src, moved, 0, False)
+        e.handle_dependency(src, moved, 0, True)
+        e.handle_dependency(src, late, 0, True)
+
+    first = _dep_constraint(e, "first", 0, fired, effect=rebind)
+    for en in (first, gone, moved, kept):
+        e.handle_dependency(src, en, 0, True)
+    e.wave.enter()
+    e.resolve(src)
+    e.wave.exit()
+    assert fired == ["first", "kept"]
+    assert [d.entry.fn for d in src.dependencies] == \
+        ["assign_first", "assign_moved", "assign_kept", "assign_late"]
+    e.wave.enter()
+    e.resolve(src)             # a later wave fires the rebound edges
+    e.wave.exit()
+    assert fired == ["first", "kept", "first", "moved", "kept", "late"]
+
+
+def test_resolve_fires_only_the_written_cells_edges():
+    """Resolution walks the written cell's own edges: with 1000 edges on
+    other cells, a write fires exactly the written cell's edges, in order."""
+    e = engine()
+    src, elsewhere = Cell("src", 0), [Cell(f"o{k}", 0) for k in range(10)]
+    fired = []
+    for k in range(1000):
+        en = _dep_constraint(e, f"x{k}", 10 + k, fired)
+        e.handle_dependency(elsewhere[k % 10], en, 0, True)
+    own = [_dep_constraint(e, f"own{k}", 2000 - k, fired) for k in range(3)]
+    for en in own:
+        e.handle_dependency(src, en, 0, True)
+    calls = []
+    real_fire = e.fire
+
+    def counting_fire(en, via_resolution):
+        calls.append(en.fn)
+        real_fire(en, via_resolution)
+
+    e.fire = counting_fire
+    e.wave.enter()
+    e.resolve(src)
+    e.wave.exit()
+    assert calls == ["assign_own2", "assign_own1", "assign_own0"]
+    assert fired == ["own2", "own1", "own0"]
+    assert len(e.deps) == 1003
 
 
 # -------------------------------------------------------------------- waves

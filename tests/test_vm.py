@@ -253,6 +253,35 @@ def test_missing_main_faults():
         run("int x;")
 
 
+def test_undefined_function_or_method_faults():
+    m = machine("""
+class C { public: int get() { return 1; } };
+C c;
+int f() { return 2; }
+void main() { }
+""")
+    assert m.call_function("f", []) == 2
+    assert m.call_method(m.globals["c"], "get", []) == 1
+    with pytest.raises(RuntimeFault, match="undefined function 'g'"):
+        m.call_function("g", [])
+    with pytest.raises(RuntimeFault, match="undefined function 'f'"):
+        m.call_method(m.globals["c"], "f", [])   # a function is not a method
+    with pytest.raises(RuntimeFault, match="undefined function 'get'"):
+        m.call_function("get", [])               # nor a method a function
+
+
+def test_huge_ints_render_in_hex():
+    """Values past the interpreter's int-to-str digit limit print as hex
+    instead of raising, in the vm and the oracle alike."""
+    from declc.oracle import _vstr
+    from declc.vm import value_str
+
+    huge = 7 ** 20000
+    assert value_str(huge) == _vstr(huge) == hex(huge)
+    assert value_str(-huge) == hex(-huge)
+    assert value_str(12345) == _vstr(12345) == "12345"
+
+
 # ---------------------------------------------------------------- conservation
 
 def test_teardown_conserves_registrations(good_programs):

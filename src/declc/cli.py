@@ -105,13 +105,23 @@ def cmd_run(args) -> int:
         machine.run()
         for name, value in sorted(machine.memory_snapshot().items()):
             print(f"{name} = {value}")
+        _print_warnings(sink, args.file)
         return EXIT_OK
     except RuntimeFault as f:
+        _print_warnings(sink, args.file)
         print(f"{args.file}: runtime fault: {f}", file=sys.stderr)
         return EXIT_RUNTIME_FAULT
     finally:
         if close is not None:
             close.close()
+
+
+def _print_warnings(sink: tr.TraceSink, filename: str):
+    """Warnings (cycle skips, unresolvable constrained l-values) are shown
+    whether or not a trace is written."""
+    for e in tr.filtered(sink.events, (tr.WARNING,)):
+        where = e.lvalue if e.cell in ("", e.lvalue) else f"{e.lvalue} ({e.cell})"
+        print(f"{filename}: warning: {where}: {e.detail}", file=sys.stderr)
 
 
 def cmd_check(args) -> int:

@@ -376,10 +376,10 @@ class Oracle:
     def store(self, cell: OCell, value):
         self.wave.enter()
         try:
-            self.emit(tr.BEFORE_CHANGE, "", cell.name,
-                      f"old:{_vstr(cell.value)}")
+            # rendered when the event is built; stored values never change
+            self.emit(tr.BEFORE_CHANGE, "", cell.name, ("old:", _vstr, cell.value))
             cell.value = value
-            self.emit(tr.AFTER_CHANGE, "", cell.name, f"new:{_vstr(value)}")
+            self.emit(tr.AFTER_CHANGE, "", cell.name, ("new:", _vstr, value))
             self.react(cell)
         finally:
             self.wave.exit()

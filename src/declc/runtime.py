@@ -24,6 +24,10 @@ class Entry:
     invoke: object = None          # callable; signature depends on the list
     lvalue: str = ""
     construct: int = -1
+    detail: str = field(init=False, repr=False)  # of its MonitorFired/ConstraintApplied
+
+    def __post_init__(self):
+        self.detail = f"construct:{self.construct}"
 
     def matches(self, other: "Entry") -> bool:
         return self.fn == other.fn and self.owner is other.owner
@@ -34,7 +38,7 @@ class ConstraintEntry(Entry):
     seq: int = -1                  # instantiation order, fixed at first install
     target: object = None          # () -> Cell, evaluated lazily at fire time
     guard: object = None           # () -> bool, or None when unguarded
-    apply: object = None           # () -> None, runs the assignment via store
+    apply: object = None           # (Cell) -> None, stores the right side there
 
 
 # --------------------------------------------------------------------- cells
@@ -171,8 +175,7 @@ class Engine:
             m = top_entry(cell.monitors)
             cell.monitors_enabled = False
             try:
-                self.trace.emit(tr.MONITOR_FIRED, m.lvalue, cell.name,
-                                f"construct:{m.construct}")
+                self.trace.emit(tr.MONITOR_FIRED, m.lvalue, cell.name, m.detail)
                 m.invoke()
             finally:
                 cell.monitors_enabled = True
@@ -204,27 +207,29 @@ class Engine:
             return
         if top_entry(target.constraints) is not entry:
             return
-        if entry.guard is not None:
-            ok = entry.guard()
-            if not ok:
-                return
+        guarded = entry.guard is not None
+        if guarded and not entry.guard():
+            return
         if via_resolution:
             self.wave.mark(target)
         self.trace.emit(tr.CONSTRAINT_APPLIED, entry.lvalue, target.name,
-                        f"construct:{entry.construct}")
-        entry.apply()
+                        entry.detail)
+        if guarded:
+            # the guard is user code: it may have rebound the constrained side
+            target = entry.target()
+        entry.apply(target)
 
     # --- object protocol --------------------------------------------------
 
     def suspend(self, header: ObjectHeader, obj_cell: Cell):
         header.n += 1
-        self.trace.emit(tr.SUSPEND, "", obj_cell.name, f"n:{header.n}")
+        self.trace.emit(tr.SUSPEND, "", obj_cell.name, ("n:", str, header.n))
 
     def resume(self, header: ObjectHeader, obj_cell: Cell):
         if header.n == 0:
             raise RuntimeFault(f"resume of non-suspended object {obj_cell.name}")
         header.n -= 1
-        self.trace.emit(tr.RESUME, "", obj_cell.name, f"n:{header.n}")
+        self.trace.emit(tr.RESUME, "", obj_cell.name, ("n:", str, header.n))
         if header.n == 0 and header.updated:
             header.updated = False
             self.trace.emit(tr.AFTER_CHANGE, "", obj_cell.name, "object-update")

@@ -7,7 +7,7 @@ Events serialize as JSON-lines with stable field order
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 BEFORE_CHANGE = "BeforeChange"
 AFTER_CHANGE = "AfterChange"
@@ -51,24 +51,46 @@ class TraceEvent:
                           d.get("cell", ""), d.get("detail", ""))
 
 
-@dataclass
 class TraceSink:
-    events: list[TraceEvent] = field(default_factory=list)
-    stream: object = None       # optional text stream for JSON-lines output
-    buffer_size: int = 0        # flush granularity when streaming; 0 = every event
+    """Collects the events of one run.
 
-    _pending: int = 0
+    `emit` only records its arguments; `events` builds the `TraceEvent`s
+    (numbered in emit order) the first time it is read after an emit, so a
+    run whose trace nobody reads pays for no formatting.  A `detail` is a
+    string, or a `(prefix, render, value)` triple that becomes
+    `prefix + render(value)` when the event is built; `value` must not change
+    how it renders after the emit.  With a `stream` attached each event is
+    built and written as it is emitted."""
+
+    def __init__(self, stream=None, buffer_size: int = 0):
+        self.stream = stream            # optional text stream for JSON-lines output
+        self.buffer_size = buffer_size  # flush granularity when streaming; 0 = every event
+        self._pending = 0
+        self._built: list[TraceEvent] = []
+        self._recorded: list[tuple] = []  # emit arguments not built yet
+
+    @property
+    def events(self) -> list[TraceEvent]:
+        if self._recorded:
+            built = self._built
+            seq = len(built)
+            for kind, lvalue, cell, detail in self._recorded:
+                if detail.__class__ is tuple:
+                    prefix, render, value = detail
+                    detail = prefix + render(value)
+                built.append(TraceEvent(seq, kind, lvalue, cell, detail))
+                seq += 1
+            self._recorded = []
+        return self._built
 
     def emit(self, kind, lvalue="", cell="", detail=""):
-        ev = TraceEvent(len(self.events), kind, lvalue, cell, detail)
-        self.events.append(ev)
+        self._recorded.append((kind, lvalue, cell, detail))
         if self.stream is not None:
-            self.stream.write(ev.to_json() + "\n")
+            self.stream.write(self.events[-1].to_json() + "\n")
             self._pending += 1
             if self._pending >= max(self.buffer_size, 1) or self.buffer_size == 0:
                 self.stream.flush()
                 self._pending = 0
-        return ev
 
 
 def filtered(events, kinds=ORACLE_VISIBLE) -> list[TraceEvent]:

@@ -121,6 +121,18 @@ def value_str(v) -> str:
     return repr(v)
 
 
+def _eval_details(ordinal) -> dict[bool, str]:
+    """The GuardEval/PrecondEval details of one construct, by outcome."""
+    return {v: f"construct:{ordinal}:{value_str(v)}" for v in (False, True)}
+
+
+_REG_LABELS = {
+    RegRedefinition: "redefinition", RegConstraint: "constraint",
+    RegDependency: "dependency", RegMonitor: "monitor",
+    RegPrecondition: "precondition",
+}
+
+
 def default_value(t):
     if t == BOOL:
         return False
@@ -148,6 +160,11 @@ class Machine:
             (None, f.name): f for f in self.unit.functions}
         self._decls.update({(c.name, f.name): f for c in self.unit.classes
                             for f in c.methods})
+        # the Install/Cancel detail of each registration instruction
+        self._reg_details: dict[tuple[str, int], str] = {
+            (fn.name, idx): f"{_REG_LABELS[type(ins)]}:construct:{fn.construct}"
+            for fn in gen.functions.values()
+            for idx, ins in enumerate(fn.instrs) if type(ins) in _REG_LABELS}
         self._seq = 0
         self._call_seq = 0
         self.loaded = False
@@ -275,12 +292,14 @@ class Machine:
     def store(self, cell: Cell, value):
         self.engine.wave.enter()
         try:
+            # rendered when the event is built: a stored value (int, bool,
+            # None, CellPtr, ObjPtr) never renders differently later
             self.trace.emit(tr.BEFORE_CHANGE, "", cell.name,
-                            f"old:{value_str(cell.value)}")
+                            ("old:", value_str, cell.value))
             self.engine.actions_before_change(cell)
             cell.value = value
             self.trace.emit(tr.AFTER_CHANGE, "", cell.name,
-                            f"new:{value_str(value)}")
+                            ("new:", value_str, value))
             self.engine.actions_after_change(cell)
         finally:
             self.engine.wave.exit()
@@ -609,12 +628,9 @@ class Machine:
 
     # -------------------------------------------------- generated functions
 
-    def gen_frame(self, owner) -> Frame:
-        return Frame("<gen>", owner=owner)
-
     def run_genfn(self, name: str, owner, b: bool):
         fn = self.gen.functions[name]
-        fr = self.gen_frame(owner)
+        fr = Frame("<gen>", owner=owner)
         for idx, ins in enumerate(fn.instrs):
             if isinstance(ins, CallGen):
                 self.run_genfn(ins.fn, owner, b)
@@ -642,34 +658,25 @@ class Machine:
                 return
             raise
         self.dormant.discard(key)
-        kind = tr.INSTALL if b else tr.CANCEL
         if isinstance(ins, RegRedefinition):
             entry = self.redef_entry(ins.fn, owner, lv.str, fn.construct)
             self.engine.handle_redefinition(cell, entry, b)
-            self.trace.emit(kind, lv.str, cell.name,
-                            f"redefinition:construct:{fn.construct}")
         elif isinstance(ins, RegConstraint):
             entry = self.constraint_entry(fn.construct, owner)
             self.engine.handle_constraint(cell, entry, b)
-            self.trace.emit(kind, lv.str, cell.name,
-                            f"constraint:construct:{fn.construct}")
         elif isinstance(ins, RegDependency):
             entry = self.constraint_entry(fn.construct, owner)
             self.engine.handle_dependency(cell, entry, ins.lv_ordinal, b)
-            self.trace.emit(kind, lv.str, cell.name,
-                            f"dependency:construct:{fn.construct}")
         elif isinstance(ins, RegMonitor):
             entry = self.monitor_entry(fn.construct, owner)
             self.engine.handle_monitor(cell, entry, b)
-            self.trace.emit(kind, lv.str, cell.name,
-                            f"monitor:construct:{fn.construct}")
         elif isinstance(ins, RegPrecondition):
             entry = self.precond_entry(fn.construct, owner)
             self.engine.handle_precondition(cell, entry, b)
-            self.trace.emit(kind, lv.str, cell.name,
-                            f"precondition:construct:{fn.construct}")
         else:
             raise RuntimeFault(f"unknown generated instruction {ins!r}")
+        self.trace.emit(tr.INSTALL if b else tr.CANCEL, lv.str, cell.name,
+                        self._reg_details[fn.name, idx])
 
     # ------------------------------------------------------ runtime entries
 
@@ -688,20 +695,21 @@ class Machine:
             plan = self.gen.plans[ordinal]
             c = self._construct_decl(ordinal)
             self._seq += 1
+            # evaluating an expression adds nothing to its frame (a call gets
+            # its own), so target, guard and apply can share one
+            fr = Frame("<gen>", owner=owner)
+            guard_details = _eval_details(ordinal)
 
             def target():
-                return self.lv_cell(plan.lhs.expr, self.gen_frame(owner))
+                return self.lv_cell(plan.lhs.expr, fr)
 
             def guard():
-                v = bool(self.eval(c.guard, self.gen_frame(owner)))
-                self.trace.emit(tr.GUARD_EVAL, plan.lhs.str, "",
-                                f"construct:{ordinal}:{value_str(v)}")
+                v = bool(self.eval(c.guard, fr))
+                self.trace.emit(tr.GUARD_EVAL, plan.lhs.str, "", guard_details[v])
                 return v
 
-            def apply():
-                frg = self.gen_frame(owner)
-                cell = self.lv_cell(plan.lhs.expr, frg)
-                self.store(cell, self.eval(c.rhs, frg))
+            def apply(cell):
+                self.store(cell, self.eval(c.rhs, fr))
 
             self._entries[key] = ConstraintEntry(
                 plan.assign_fn, owner, lvalue=plan.lhs.str, construct=ordinal,
@@ -735,12 +743,12 @@ class Machine:
             plan = self.gen.plans[ordinal]
             c = self._construct_decl(ordinal)
             condstr = canonical_str(c.cond, c.scope)
+            details = _eval_details(ordinal)
 
             def invoke():
                 frame = Frame(plan.tester_fn, owner=owner)
                 v = bool(self.eval(c.cond, frame))
-                self.trace.emit(tr.PRECOND_EVAL, condstr, "",
-                                f"construct:{ordinal}:{value_str(v)}")
+                self.trace.emit(tr.PRECOND_EVAL, condstr, "", details[v])
                 if v:
                     self.frames.append(frame)
                     try:

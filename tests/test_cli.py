@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import PROGRAMS
+from conftest import GOLDEN, PROGRAMS
 from declc.cli import main
 
 
@@ -96,6 +96,38 @@ def test_run_trace_to_stdout(capsys):
     code, out, _ = run_cli(capsys, "run", prog("watchers.hc"),
                            "--trace", "-")
     assert code == 0 and '"kind": "MonitorFired"' in out
+
+
+@pytest.mark.parametrize("name", sorted(
+    p.stem for p in PROGRAMS.glob("*.hc") if not p.name.startswith("bad_")))
+def test_run_trace_stdout_matches_golden(name, capsys):
+    """The streamed trace and the final memory, byte for byte."""
+    code, out, _ = run_cli(capsys, "run", prog(f"{name}.hc"), "--trace", "-")
+    assert code == 0
+    assert out == (GOLDEN / f"{name}_trace.jsonl").read_text(encoding="utf-8")
+
+
+def test_run_prints_warnings_to_stderr(tmp_path, capsys):
+    cyclic = tmp_path / "cyclic.hc"
+    cyclic.write_text("int a; int b;\na := b + 1;\nb := a + 1;\n"
+                      "void main() { a = 5; }")
+    code, out, err = run_cli(capsys, "run", str(cyclic))
+    assert code == 0
+    assert out == "a = 7\nb = 6\n"
+    assert err == (f"{cyclic}: warning: b: "
+                   "skipped: already resolved in this wave\n")
+
+
+def test_run_prints_warnings_when_the_run_faults(tmp_path, capsys):
+    bad = tmp_path / "fault.hc"
+    bad.write_text("int *p; int x; int **q;\n**q := x;\n"
+                   "void main() { x = *p; }")
+    code, out, err = run_cli(capsys, "run", str(bad))
+    assert code == 2 and out == ""
+    warning, fault = err.splitlines()
+    assert warning == (f"{bad}: warning: **q: "
+                       "constrained l-value unresolvable: null pointer dereference")
+    assert fault.startswith(f"{bad}: runtime fault:")
 
 
 def test_trace_buffer_env(tmp_path, capsys, monkeypatch):

@@ -135,3 +135,25 @@ void main() { g = f(1) + f(2); }
     m, o = both(src)
     assert diff_traces(m.trace.events, o.trace.events).ok
     assert diff_memory(m.memory_snapshot(), o.memory_snapshot()).ok
+
+
+def test_guard_that_rebinds_the_target_matches_oracle():
+    """A guard may call a function that rebinds the constrained l-value; the
+    assignment then goes to the cell denoted after the guard ran."""
+    src = """
+int a; int b; int x = 5; int moves;
+int *p;
+bool retarget() {
+    if (p == &a) { p = &b; moves = moves + 1; }
+    return true;
+}
+*p := x given retarget();
+void main() { p = &a; x = 6; }
+"""
+    m, o = both(src)
+    assert diff_traces(m.trace.events, o.trace.events).ok
+    assert diff_memory(m.memory_snapshot(), o.memory_snapshot()).ok
+    snap = m.memory_snapshot()
+    assert (snap["a"], snap["b"], snap["moves"]) == ("0", "6", "1")
+    applied = [e for e in m.trace.events if e.kind == tr.CONSTRAINT_APPLIED]
+    assert [e.cell for e in applied] == ["b", "a", "b"]

@@ -185,7 +185,7 @@ def _dep_constraint(e, name, seq, fired, effect=None):
     name and then runs `effect`."""
     dst = Cell(name, 0)
 
-    def apply():
+    def apply(cell):
         fired.append(name)
         if effect is not None:
             effect()
@@ -283,7 +283,7 @@ def test_resolution_applies_once_per_wave():
     fired = []
     en = ConstraintEntry("assign_0", None, seq=0,
                          target=lambda: dst,
-                         apply=lambda: fired.append("hit"))
+                         apply=lambda cell: fired.append("hit"))
     dst.constraints.append(en)
     e.deps.add(src, en, 0)
     e.wave.enter()
@@ -298,9 +298,9 @@ def test_fire_respects_top_constraint():
     dst = Cell("dst", 0)
     fired = []
     older = ConstraintEntry("assign_0", None, seq=0, target=lambda: dst,
-                            apply=lambda: fired.append("old"))
+                            apply=lambda cell: fired.append("old"))
     newer = ConstraintEntry("assign_1", None, seq=1, target=lambda: dst,
-                            apply=lambda: fired.append("new"))
+                            apply=lambda cell: fired.append("new"))
     dst.constraints += [older, newer]
     e.wave.enter()
     e.fire(older, via_resolution=True)
@@ -326,10 +326,37 @@ def test_false_guard_blocks_application():
     fired = []
     en = ConstraintEntry("assign_0", None, seq=0, target=lambda: dst,
                          guard=lambda: False,
-                         apply=lambda: fired.append("hit"))
+                         apply=lambda cell: fired.append("hit"))
     dst.constraints.append(en)
     e.fire(en, via_resolution=False)
     assert fired == []
+
+
+def test_fire_hands_apply_the_resolved_target():
+    """An unguarded constraint resolves its target once and applies there; a
+    guarded one resolves it again after the guard, which may rebind it."""
+    e = engine()
+    first, second = Cell("first", 0), Cell("second", 0)
+    denoted = [first]
+    resolved, applied = [], []
+
+    def target():
+        resolved.append(denoted[0].name)
+        return denoted[0]
+
+    def rebinding_guard():
+        denoted[0] = second
+        return True
+
+    for guard in (None, rebinding_guard):
+        denoted[0] = first
+        resolved.clear()
+        en = ConstraintEntry("assign_0", None, seq=0, target=target,
+                             guard=guard, apply=applied.append)
+        first.constraints[:] = [en]
+        e.fire(en, via_resolution=False)
+        assert resolved == (["first"] if guard is None else ["first", "second"])
+    assert applied == [first, second]
 
 
 # ----------------------------------------------------------- change protocol

@@ -1,6 +1,6 @@
 """Syntax tree for HybridC: expressions, statements, declarations, constructs.
 
-L-value expression forms (Name, Deref, Index, Dot, Arrow, DotStar, ArrowStar)
+L-value expression forms (Name, Deref, Index, Dot, Arrow)
 correspond one-to-one with the l-value grammar productions used to build
 redefinition graphs.
 """
@@ -91,19 +91,7 @@ class Arrow(Expr):
     member: str
 
 
-@dataclass
-class DotStar(Expr):
-    obj: Expr
-    ptr: Expr
-
-
-@dataclass
-class ArrowStar(Expr):
-    obj: Expr
-    ptr: Expr
-
-
-LVALUE_FORMS = (Name, Deref, Index, Dot, Arrow, DotStar, ArrowStar)
+LVALUE_FORMS = (Name, Deref, Index, Dot, Arrow)
 
 
 def is_lvalue_form(e: Expr) -> bool:

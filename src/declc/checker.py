@@ -292,15 +292,6 @@ class Checker:
             return self.member_access(e, e.obj, e.member, arrow=False)
         if isinstance(e, ast.Arrow):
             return self.member_access(e, e.obj, e.member, arrow=True)
-        if isinstance(e, (ast.DotStar, ast.ArrowStar)):
-            # Parsed and graphed, never executed; typed loosely as int.
-            ot = self.expr(e.obj)
-            self.expr(e.ptr)
-            want_ptr = isinstance(e, ast.ArrowStar)
-            ok = isinstance(ot, Ptr if want_ptr else ClassType) if ot else True
-            if not ok:
-                self.error(e.pos, f"member-pointer access on non-object '{ot}'")
-            return INT
         raise TypeError(f"unknown expression {type(e).__name__}")
 
     def binary(self, e: ast.Binary) -> Type | None:

@@ -105,10 +105,7 @@ class ConstructPlan:
 @dataclass
 class ClassPlan:
     name: str
-    members: list[str]
-    member_classes: dict[str, str]  # member name -> class name, for class-typed members
     unit_init: str
-    construct_ordinals: list[int]
 
 
 @dataclass
@@ -137,8 +134,6 @@ def mangle_expr(e: ast.Expr) -> str:
         return mangle_expr(e.base) + "_arr_" + mangle_expr(e.index)
     if isinstance(e, (ast.Dot, ast.Arrow)):
         return mangle_expr(e.obj) + "_mem_" + e.member
-    if isinstance(e, (ast.DotStar, ast.ArrowStar)):
-        return mangle_expr(e.obj) + "_memptr_" + mangle_expr(e.ptr)
     if isinstance(e, ast.Binary):
         return mangle_expr(e.left) + "_" + mangle_expr(e.right)
     if isinstance(e, ast.Call):
@@ -305,12 +300,7 @@ class Emitter:
 
     def emit_class(self, cls: ast.ClassDecl) -> ClassPlan:
         unit_init = self.emit_scope_init(cls.name, f"init_0_{cls.name}")
-        member_classes = {}
-        for m in cls.members:
-            if m.base_type not in ("int", "bool") and m.ptr_depth == 0:
-                member_classes[m.name] = m.base_type
-        return ClassPlan(cls.name, [m.name for m in cls.members], member_classes,
-                         unit_init.name, [c.ordinal for c in cls.constructs])
+        return ClassPlan(cls.name, unit_init.name)
 
 
 def lower(unit: ast.Unit, graph: RedefGraph) -> GenUnit:

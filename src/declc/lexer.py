@@ -9,9 +9,9 @@ KEYWORDS = {
     "if", "else", "while", "return", "true", "false", "null", "given",
 }
 
-# Longest-match first. "::=" before ":=", "->*" before "->", etc.
+# Longest-match first. "::=" before ":=", "->" before "-", etc.
 OPERATORS = [
-    "::=", "->*", ":=", "??", "->", ".*", "==", "!=", "<=", ">=", "&&", "||",
+    "::=", ":=", "??", "->", "==", "!=", "<=", ">=", "&&", "||",
     "=", "<", ">", "+", "-", "*", "/", "%", "!", "&", ".",
 ]
 

@@ -148,18 +148,6 @@ class Analyzer:
             tokens = t + ["->", e.member]
             node = self.graph.intern(self.node_scope(tokens), tokens, e, lvs)
             return tokens, [node]
-        if isinstance(e, ast.DotStar):
-            t1, l1 = self.analyze(e.obj)
-            t2, l2 = self.analyze(e.ptr)
-            tokens = t1 + [".*"] + t2
-            node = self.graph.intern(self.node_scope(tokens), tokens, e, merge(l1, l2))
-            return tokens, [node]
-        if isinstance(e, ast.ArrowStar):
-            t1, l1 = self.analyze(e.obj)
-            t2, l2 = self.analyze(e.ptr)
-            tokens = t1 + ["->*"] + t2
-            node = self.graph.intern(self.node_scope(tokens), tokens, e, merge(l1, l2))
-            return tokens, [node]
         # non-l-value expression forms
         if isinstance(e, ast.IntLit):
             return [str(e.value)], []

@@ -157,10 +157,6 @@ def lv_tokens(e: ast.Expr) -> list[str]:
         return lv_tokens(e.obj) + [".", e.member]
     if isinstance(e, ast.Arrow):
         return lv_tokens(e.obj) + ["->", e.member]
-    if isinstance(e, ast.DotStar):
-        return lv_tokens(e.obj) + [".*"] + lv_tokens(e.ptr)
-    if isinstance(e, ast.ArrowStar):
-        return lv_tokens(e.obj) + ["->*"] + lv_tokens(e.ptr)
     if isinstance(e, ast.IntLit):
         return [str(e.value)]
     if isinstance(e, ast.BoolLit):
@@ -214,8 +210,6 @@ def _children(e: ast.Expr):
         return [e.base, e.index]
     if isinstance(e, (ast.Dot, ast.Arrow)):
         return [e.obj]
-    if isinstance(e, (ast.DotStar, ast.ArrowStar)):
-        return [e.obj, e.ptr]
     if isinstance(e, ast.Binary):
         return [e.left, e.right]
     if isinstance(e, ast.Call):
@@ -586,9 +580,6 @@ class Oracle:
             if not isinstance(v, OObjPtr):
                 raise RuntimeFault("'->' on a non-object pointer", e.pos)
             return self._member_cell(v.instance, e.member, e.pos)
-        if isinstance(e, (ast.DotStar, ast.ArrowStar)):
-            raise RuntimeFault("unsupported construct: pointer-to-member access",
-                               e.pos)
         raise RuntimeFault(f"not an l-value: {type(e).__name__}", e.pos)
 
     def _at(self, p: OPtr, pos) -> OCell:
@@ -677,9 +668,6 @@ class Oracle:
                     raise RuntimeFault("null pointer dereference", e.pos)
                 return OBound(v.instance, e.member)
             return self.lv_cell(e, fr).value
-        if isinstance(e, (ast.DotStar, ast.ArrowStar)):
-            raise RuntimeFault("unsupported construct: pointer-to-member access",
-                               e.pos)
         raise RuntimeFault(f"cannot evaluate {type(e).__name__}", e.pos)
 
     def _binary(self, e: ast.Binary, fr: OFrame):

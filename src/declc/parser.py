@@ -1,8 +1,8 @@
 """Recursive-descent parser for HybridC."""
 
 from .ast import (
-    AddrOf, Arrow, ArrowStar, Assign, Binary, Block, BoolLit, Call, ClassDecl,
-    Constraint, Deref, Dot, DotStar, ExprStmt, FuncDecl, If, Index, IntLit,
+    AddrOf, Arrow, Assign, Binary, Block, BoolLit, Call, ClassDecl,
+    Constraint, Deref, Dot, ExprStmt, FuncDecl, If, Index, IntLit,
     Monitor, Name, NullLit, Param, Precond, Return, Unary, Unit, VarDecl, While,
 )
 from .errors import ParseError
@@ -265,16 +265,7 @@ class Parser:
             return Unary("-", self.parse_unary(), pos=pos)
         if self.accept("op", "!"):
             return Unary("!", self.parse_unary(), pos=pos)
-        return self.parse_ptm()
-
-    def parse_ptm(self):
-        e = self.parse_postfix()
-        while self.tok.kind == "op" and self.tok.text in (".*", "->*"):
-            op = self.expect("op").text
-            right = self.parse_postfix()
-            cls = DotStar if op == ".*" else ArrowStar
-            e = cls(e, right, pos=e.pos)
-        return e
+        return self.parse_postfix()
 
     def parse_postfix(self):
         e = self.parse_primary()

@@ -13,7 +13,6 @@ _PREC = {
 }
 _UNARY_PREC = 7
 _POSTFIX_PREC = 9
-_PTM_PREC = 8
 
 
 def expr_str(e, parent_prec=0) -> str:
@@ -50,10 +49,6 @@ def _expr(e):
         return f"{expr_str(e.obj, _POSTFIX_PREC)}.{e.member}", _POSTFIX_PREC
     if isinstance(e, ast.Arrow):
         return f"{expr_str(e.obj, _POSTFIX_PREC)}->{e.member}", _POSTFIX_PREC
-    if isinstance(e, ast.DotStar):
-        return f"{expr_str(e.obj, _PTM_PREC)}.*{expr_str(e.ptr, _PTM_PREC)}", _PTM_PREC
-    if isinstance(e, ast.ArrowStar):
-        return f"{expr_str(e.obj, _PTM_PREC)}->*{expr_str(e.ptr, _PTM_PREC)}", _PTM_PREC
     raise TypeError(f"unknown expression node {type(e).__name__}")
 
 

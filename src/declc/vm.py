@@ -1,8 +1,10 @@
-"""Tree-walking executor for lowered programs.
+"""Executor for lowered programs.
 
 Every user-visible store routes through the cell write protocol
-(before-actions, write, after-actions); generated init/redef functions are
-interpreted over the GenUnit, binding l-values to cells at call time.
+(before-actions, write, after-actions).  Statements and expressions are
+walked as trees; each generated init/redef function is lowered once per
+machine into a flat tuple of steps, and each l-value into a resolver that
+binds it to a cell at call time.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .contract import c_div, c_mod
 from .errors import RuntimeFault
 from .lvgraph import canonical_str
 from .runtime import Cell, ConstraintEntry, Engine, Entry, ObjectHeader
-from .types import BOOL, Array, ClassType, FuncType, Ptr, make_type
+from .types import BOOL, Array, ClassType, FuncType, Ptr, is_assignable_storage, make_type
 
 
 # -------------------------------------------------------------------- values
@@ -94,6 +96,15 @@ class Frame:
     instances: list = field(default_factory=list)
 
 
+@dataclass(eq=False)
+class GenFrame(Frame):
+    """The frame an owner's generated functions and constraint entries share
+    (evaluating adds nothing to it), with its entries and dormant steps."""
+
+    entries: dict = field(default_factory=dict)
+    dormant: set = field(default_factory=set)
+
+
 class ReturnSignal(Exception):
     def __init__(self, value):
         self.value = value
@@ -126,19 +137,39 @@ def _eval_details(ordinal) -> dict[bool, str]:
     return {v: f"construct:{ordinal}:{value_str(v)}" for v in (False, True)}
 
 
-_REG_LABELS = {
-    RegRedefinition: "redefinition", RegConstraint: "constraint",
-    RegDependency: "dependency", RegMonitor: "monitor",
-    RegPrecondition: "precondition",
-}
-
-
 def default_value(t):
     if t == BOOL:
         return False
     if isinstance(t, Ptr):
         return None
     return 0
+
+
+def _array(name: str, size: int, value) -> Block:
+    block = Block(name, [])
+    block.cells = [Cell(f"{name}[{k}]", value, block=block, index=k)
+                   for k in range(size)]
+    return block
+
+
+def _scalar(name: str, value) -> Cell:
+    """A storage cell in a block of its own."""
+    block = Block(name, [])
+    block.cells = [Cell(name, value, block=block, index=0)]
+    return block.cells[0]
+
+
+def _cells(v, objects: bool):
+    """The cells a stored value holds, with each object's own with `objects`."""
+    if isinstance(v, Cell):
+        yield v
+    elif isinstance(v, Block):
+        yield from v.cells
+    elif isinstance(v, Instance):
+        if objects:
+            yield v.obj_cell
+        for m in v.members.values():
+            yield from _cells(m, objects)
 
 
 # ------------------------------------------------------------------- machine
@@ -154,17 +185,13 @@ class Machine:
         self.func_cells: dict[str, Cell] = {}
         self.frames: list[Frame] = []
         self.instances: list[Instance] = []
-        self.dormant: set[tuple] = set()
-        self._entries: dict[tuple, Entry] = {}
+        self._gen_frames: dict[int, GenFrame] = {}  # by id(owner), while it lives
+        self._steps: dict[str, tuple] = {}      # lowered generated functions
+        self._resolvers: dict[int, object] = {}  # id(l-value expr) -> resolver
         self._decls: dict[tuple, ast.FuncDecl] = {
             (None, f.name): f for f in self.unit.functions}
         self._decls.update({(c.name, f.name): f for c in self.unit.classes
                             for f in c.methods})
-        # the Install/Cancel detail of each registration instruction
-        self._reg_details: dict[tuple[str, int], str] = {
-            (fn.name, idx): f"{_REG_LABELS[type(ins)]}:construct:{fn.construct}"
-            for fn in gen.functions.values()
-            for idx, ins in enumerate(fn.instrs) if type(ins) in _REG_LABELS}
         self._seq = 0
         self._call_seq = 0
         self.loaded = False
@@ -172,23 +199,13 @@ class Machine:
     # ----------------------------------------------------------- allocation
 
     def _alloc_global(self, d: ast.VarDecl):
+        t = self.info.globals[d.name]
         if d.array_size is not None:
-            block = Block(d.name, [])
-            block.cells = [Cell(f"{d.name}[{k}]",
-                                default_value(self.info.globals[d.name].elem),
-                                block=None, index=k)
-                           for k in range(d.array_size)]
-            for c in block.cells:
-                c.block = block
-            self.globals[d.name] = block
-        elif isinstance(self.info.globals[d.name], ClassType):
+            self.globals[d.name] = _array(d.name, d.array_size, default_value(t.elem))
+        elif isinstance(t, ClassType):
             self.globals[d.name] = self._alloc_instance(d.base_type, d.name)
         else:
-            block = Block(d.name, [])
-            cell = Cell(d.name, default_value(self.info.globals[d.name]),
-                        block=block, index=0)
-            block.cells = [cell]
-            self.globals[d.name] = cell
+            self.globals[d.name] = _scalar(d.name, default_value(t))
 
     def _alloc_instance(self, cls_name: str, name: str) -> Instance:
         ci = self.info.classes[cls_name]
@@ -198,10 +215,7 @@ class Machine:
             if isinstance(mt, ClassType):
                 inst.members[m] = self._alloc_instance(mt.name, f"{name}.{m}")
             else:
-                block = Block(f"{name}.{m}", [])
-                cell = Cell(f"{name}.{m}", default_value(mt), block=block, index=0)
-                block.cells = [cell]
-                inst.members[m] = cell
+                inst.members[m] = _scalar(f"{name}.{m}", default_value(mt))
         return inst
 
     def _construct_instance(self, inst: Instance):
@@ -224,6 +238,7 @@ class Machine:
         plan = self.gen.classes.get(inst.cls)
         if plan is not None:
             self.run_genfn(plan.unit_init, inst, False)
+        self._gen_frames.pop(id(inst), None)
         for cell, hook in inst.hooks:
             cell.update_hooks.remove(hook)
         inst.hooks.clear()
@@ -326,58 +341,104 @@ class Machine:
 
     def lv_cell(self, e: ast.Expr, fr: Frame) -> Cell:
         """Evaluate an l-value to the single cell it currently denotes."""
+        return self._resolver(e)(fr)
+
+    def _resolver(self, e: ast.Expr):
+        """The `(Frame) -> Cell` resolver of an l-value, compiled once per
+        expression node (so once per LvNode) or, but for an array, per name
+        binding.  Keyed by id: the unit holding the nodes outlives the machine."""
+        key = e.binding if type(e) is ast.Name and not isinstance(e.ty, Array) else id(e)
+        r = self._resolvers.get(key)
+        if r is None:
+            r = self._resolvers[key] = self._compile_lv(e)
+        return r
+
+    def _compile_lv(self, e: ast.Expr):
+        if isinstance(e, ast.Name) and e.binding[0] == "global" and \
+                not isinstance(e.ty, Array):
+            v = self.globals[e.binding[1]]  # allocated before any evaluation
+            return lambda fr, c=v.obj_cell if isinstance(v, Instance) else v: c
+        if isinstance(e, ast.Name) and e.binding[0] == "func":
+            return lambda fr: self.func_cell(e.binding[1])
         if isinstance(e, ast.Name):
-            v = self._lookup(e.binding, fr)
-            if isinstance(v, Cell):
-                return v
-            if isinstance(v, Instance):
-                return v.obj_cell
-            if isinstance(v, FuncVal):
-                return self.func_cell(v.name)
-            if isinstance(v, BoundMethod):
-                return v.instance.obj_cell
-            if isinstance(v, Block):
-                raise RuntimeFault(f"array '{e.name}' is not a single storage cell",
-                                   e.pos)
-            raise RuntimeFault(f"'{e.name}' does not denote storage", e.pos)
+            def name_cell(fr):
+                v = self._lookup(e.binding, fr)
+                if type(v) is Cell:
+                    return v
+                if isinstance(v, Instance):
+                    return v.obj_cell
+                if isinstance(v, BoundMethod):
+                    return v.instance.obj_cell
+                if isinstance(v, Block):
+                    raise RuntimeFault(f"array '{e.name}' is not a single storage cell",
+                                       e.pos)
+                raise RuntimeFault(f"'{e.name}' does not denote storage", e.pos)
+            return name_cell
         if isinstance(e, ast.Deref):
-            v = self.eval(e.operand, fr)
-            if v is None:
-                raise RuntimeFault("null pointer dereference", e.pos)
-            if isinstance(v, ObjPtr):
-                return v.instance.obj_cell
-            if not isinstance(v, CellPtr):
+            operand = self._value(e.operand)
+
+            def deref(fr):
+                v = operand(fr)
+                if type(v) is CellPtr:
+                    return v.deref()
+                if v is None:
+                    raise RuntimeFault("null pointer dereference", e.pos)
+                if isinstance(v, ObjPtr):
+                    return v.instance.obj_cell
                 raise RuntimeFault("dereference of a non-pointer value", e.pos)
-            return v.deref()
-        if isinstance(e, ast.Index):
-            idx = self.eval(e.index, fr)
-            base = e.base
-            if isinstance(base.ty, Array):
-                block = self._block_of(base, fr)
+            return deref
+        if isinstance(e, ast.Index) and isinstance(e.base.ty, Array):
+            index = self._value(e.index)
+            block_of = ((lambda fr: self._lookup(e.base.binding, fr))
+                        if isinstance(e.base, ast.Name) else lambda fr: None)
+
+            def element(fr):
+                idx = index(fr)
+                block = block_of(fr)
+                if not isinstance(block, Block):
+                    raise RuntimeFault("expected an array", e.base.pos)
                 if not (0 <= idx < len(block.cells)):
-                    raise RuntimeFault(
-                        f"index {idx} out of bounds for '{block.name}'", e.pos)
+                    raise RuntimeFault(f"index {idx} out of bounds for '{block.name}'",
+                                       e.pos)
                 return block.cells[idx]
-            v = self.eval(base, fr)
-            if v is None:
-                raise RuntimeFault("null pointer indexed", e.pos)
-            if not isinstance(v, CellPtr):
-                raise RuntimeFault("indexing a non-pointer value", e.pos)
-            return CellPtr(v.block, v.offset + idx).deref()
+            return element
+        if isinstance(e, ast.Index):
+            index, base = self._value(e.index), self._value(e.base)
+
+            def pointee(fr):
+                idx = index(fr)
+                v = base(fr)
+                if not isinstance(v, CellPtr):
+                    raise RuntimeFault("null pointer indexed" if v is None
+                                       else "indexing a non-pointer value", e.pos)
+                return CellPtr(v.block, v.offset + idx).deref()
+            return pointee
         if isinstance(e, ast.Dot):
-            inst = self.instance_of(e.obj, fr)
-            return self._member_cell(inst, e.member, e.pos)
+            return lambda fr: self._member_cell(self.instance_of(e.obj, fr),
+                                                e.member, e.pos)
         if isinstance(e, ast.Arrow):
-            v = self.eval(e.obj, fr)
-            if v is None:
-                raise RuntimeFault("null pointer dereference", e.pos)
-            if not isinstance(v, ObjPtr):
-                raise RuntimeFault("'->' on a non-object pointer", e.pos)
-            return self._member_cell(v.instance, e.member, e.pos)
-        if isinstance(e, (ast.DotStar, ast.ArrowStar)):
-            raise RuntimeFault("unsupported construct: pointer-to-member access",
-                               e.pos)
+            obj = self._value(e.obj)
+
+            def member(fr):
+                v = obj(fr)
+                if not isinstance(v, ObjPtr):
+                    raise RuntimeFault("null pointer dereference" if v is None
+                                       else "'->' on a non-object pointer", e.pos)
+                return self._member_cell(v.instance, e.member, e.pos)
+            return member
+        # compiled on first resolution, so raising now is raising then
         raise RuntimeFault(f"not an l-value: {type(e).__name__}", e.pos)
+
+    def _value(self, e: ast.Expr):
+        """`(Frame) -> value` of an operand inside an l-value, as `eval` gives it."""
+        if not (ast.is_lvalue_form(e) and is_assignable_storage(e.ty)):
+            return lambda fr: self.eval(e, fr)
+        key = ("value", e.binding if type(e) is ast.Name else id(e))
+        fn = self._resolvers.get(key)
+        if fn is None:
+            resolve = self._resolver(e)
+            fn = self._resolvers[key] = lambda fr: resolve(fr).value
+        return fn
 
     def _member_cell(self, inst: Instance, member: str, pos) -> Cell:
         if member in inst.members:
@@ -387,13 +448,6 @@ class Machine:
         if member in self.info.classes[inst.cls].methods:
             return inst.obj_cell
         raise RuntimeFault(f"no member '{member}' in class '{inst.cls}'", pos)
-
-    def _block_of(self, e: ast.Expr, fr: Frame) -> Block:
-        if isinstance(e, ast.Name):
-            v = self._lookup(e.binding, fr)
-            if isinstance(v, Block):
-                return v
-        raise RuntimeFault("expected an array", e.pos)
 
     def instance_of(self, e: ast.Expr, fr: Frame) -> Instance:
         if isinstance(e, ast.Name):
@@ -420,9 +474,7 @@ class Machine:
         raise RuntimeFault("expression does not denote an object", e.pos)
 
     def eval(self, e: ast.Expr, fr: Frame):
-        if isinstance(e, ast.IntLit):
-            return e.value
-        if isinstance(e, ast.BoolLit):
+        if isinstance(e, ast.IntLit) or isinstance(e, ast.BoolLit):
             return e.value
         if isinstance(e, ast.NullLit):
             return None
@@ -435,9 +487,7 @@ class Machine:
             if isinstance(v, Instance):
                 raise RuntimeFault(f"object '{e.name}' used as a value", e.pos)
             raise RuntimeFault(f"array '{e.name}' used as a value", e.pos)
-        if isinstance(e, ast.Deref):
-            return self.lv_cell(e, fr).value
-        if isinstance(e, ast.Index):
+        if isinstance(e, ast.Deref) or isinstance(e, ast.Index):
             return self.lv_cell(e, fr).value
         if isinstance(e, ast.AddrOf):
             op = e.operand
@@ -457,14 +507,8 @@ class Machine:
             return self._binary(e, fr)
         if isinstance(e, ast.Call):
             return self._call(e, fr)
-        if isinstance(e, ast.Dot):
-            m = self._member_value(e, fr)
-            return m
-        if isinstance(e, ast.Arrow):
+        if isinstance(e, ast.Dot) or isinstance(e, ast.Arrow):
             return self._member_value(e, fr)
-        if isinstance(e, (ast.DotStar, ast.ArrowStar)):
-            raise RuntimeFault("unsupported construct: pointer-to-member access",
-                               e.pos)
         raise RuntimeFault(f"cannot evaluate {type(e).__name__}", e.pos)
 
     def _member_value(self, e, fr):
@@ -564,6 +608,16 @@ class Machine:
             ret = default_value(make_type(decl.ret_type, decl.ret_ptr_depth))
         return ret
 
+    def _exec_body(self, body: ast.Stmt, frame: Frame):
+        """Run a monitor or tester body in its own frame (hot `_run_body` inlines it)."""
+        self.frames.append(frame)
+        try:
+            self.exec_stmt(body, frame)
+        finally:
+            for inst in reversed(frame.instances):
+                self._destroy_instance(inst)
+            self.frames.pop()
+
     def call_function(self, name: str, args):
         return self._run_body(self._func_decl(name, None), args, None)
 
@@ -604,13 +658,10 @@ class Machine:
     def _local_decl(self, d: ast.VarDecl, fr: Frame):
         self._call_seq += 1
         prefix = f"{fr.func}@{self._call_seq}"
+        t = make_type(d.base_type, d.ptr_depth)
         if d.array_size is not None:
-            t = make_type(d.base_type, d.ptr_depth)
-            block = Block(f"{prefix}:{d.name}", [])
-            block.cells = [Cell(f"{prefix}:{d.name}[{k}]", default_value(t),
-                                block=block, index=k)
-                           for k in range(d.array_size)]
-            fr.locals[d.name] = block
+            fr.locals[d.name] = _array(f"{prefix}:{d.name}", d.array_size,
+                                       default_value(t))
         elif d.ptr_depth == 0 and d.base_type not in ("int", "bool"):
             inst = self._alloc_instance(d.base_type, f"{prefix}:{d.name}")
             self._construct_instance(inst)
@@ -618,171 +669,132 @@ class Machine:
             fr.instances.append(inst)
             return
         else:
-            t = make_type(d.base_type, d.ptr_depth)
-            block = Block(f"{prefix}:{d.name}", [])
-            cell = Cell(block.name, default_value(t), block=block, index=0)
-            block.cells = [cell]
-            fr.locals[d.name] = cell
+            fr.locals[d.name] = _scalar(f"{prefix}:{d.name}", default_value(t))
         if d.init is not None:
             self.store(fr.locals[d.name], self.eval(d.init, fr))
 
     # -------------------------------------------------- generated functions
 
     def run_genfn(self, name: str, owner, b: bool):
-        fn = self.gen.functions[name]
-        fr = Frame("<gen>", owner=owner)
-        for idx, ins in enumerate(fn.instrs):
-            if isinstance(ins, CallGen):
-                self.run_genfn(ins.fn, owner, b)
-                continue
-            if isinstance(ins, ApplyOnInstall):
+        """Run generated function `name` for `owner`: install (b) or cancel."""
+        steps = self._steps.get(name)
+        if steps is None:
+            steps = self._lower(name)
+        fr = self._gen_frame(owner)
+        entries, dormant, engine, emit = fr.entries, fr.dormant, self.engine, self.trace.emit
+        for step in steps:
+            kind, efn, lvstr, detail, construct, ordinal, resolve = step
+            entry = entries.get(efn) or self._entry(kind, efn, construct, lvstr, fr)
+            if kind is ApplyOnInstall:
                 if b:
-                    self.engine.fire(self.constraint_entry(fn.construct, owner),
-                                     via_resolution=False)
+                    engine.fire(entry, via_resolution=False)
                 continue
-            self._run_reg(fn, idx, ins, owner, b, fr)
+            if dormant and step in dormant:
+                dormant.discard(step)
+                if not b:
+                    continue
+            try:
+                cell = resolve(fr)
+            except RuntimeFault as f:
+                if b:
+                    dormant.add(step)
+                    emit(tr.DORMANT, lvstr, "", f"construct:{construct}:{f.msg}")
+                    continue
+                raise
+            if kind is RegDependency:
+                engine.handle_dependency(cell, entry, ordinal, b)
+            elif kind is RegConstraint:
+                engine.handle_constraint(cell, entry, b)
+            elif kind is RegRedefinition:
+                engine.handle_redefinition(cell, entry, b)
+            elif kind is RegMonitor:
+                engine.handle_monitor(cell, entry, b)
+            else:
+                engine.handle_precondition(cell, entry, b)
+            emit(tr.INSTALL if b else tr.CANCEL, lvstr, cell.name, detail)
 
-    def _run_reg(self, fn, idx, ins, owner, b, fr: Frame):
-        key = (fn.name, idx, id(owner))
-        if not b and key in self.dormant:
-            self.dormant.discard(key)
-            return
-        lv = ins.from_lv if isinstance(ins, RegDependency) else ins.lv
-        try:
-            cell = self.lv_cell(lv.expr, fr)
-        except RuntimeFault as f:
-            if b:
-                self.dormant.add(key)
-                self.trace.emit(tr.DORMANT, lv.str, "",
-                                f"construct:{fn.construct}:{f.msg}")
-                return
-            raise
-        self.dormant.discard(key)
-        if isinstance(ins, RegRedefinition):
-            entry = self.redef_entry(ins.fn, owner, lv.str, fn.construct)
-            self.engine.handle_redefinition(cell, entry, b)
-        elif isinstance(ins, RegConstraint):
-            entry = self.constraint_entry(fn.construct, owner)
-            self.engine.handle_constraint(cell, entry, b)
-        elif isinstance(ins, RegDependency):
-            entry = self.constraint_entry(fn.construct, owner)
-            self.engine.handle_dependency(cell, entry, ins.lv_ordinal, b)
-        elif isinstance(ins, RegMonitor):
-            entry = self.monitor_entry(fn.construct, owner)
-            self.engine.handle_monitor(cell, entry, b)
-        elif isinstance(ins, RegPrecondition):
-            entry = self.precond_entry(fn.construct, owner)
-            self.engine.handle_precondition(cell, entry, b)
-        else:
-            raise RuntimeFault(f"unknown generated instruction {ins!r}")
-        self.trace.emit(tr.INSTALL if b else tr.CANCEL, lv.str, cell.name,
-                        self._reg_details[fn.name, idx])
+    def _lower(self, name: str) -> tuple:
+        """Lower a generated function to a flat tuple of steps, CallGen callees
+        spliced in: (kind, entry function, l-value string, Install/Cancel detail,
+        construct, dependency ordinal, resolver), each unique, so a dormant key."""
+        fn = self.gen.functions[name]
+        plan = self.gen.plans.get(fn.construct)
+        steps = []
+        for ins in fn.instrs:
+            kind = type(ins)
+            if kind is CallGen:
+                steps += (self._steps[ins.fn] if ins.fn in self._steps
+                          else self._lower(ins.fn))
+            elif kind is ApplyOnInstall:
+                steps.append((kind, plan.assign_fn, None, None, fn.construct, None, None))
+            else:
+                lv = ins.from_lv if kind is RegDependency else ins.lv
+                efn = (ins.fn if kind is RegRedefinition else plan.monitor_fn
+                       if kind is RegMonitor else plan.tester_fn
+                       if kind is RegPrecondition else plan.assign_fn)
+                steps.append((kind, efn, lv.str,
+                              f"{kind.__name__[3:].lower()}:construct:{fn.construct}",
+                              fn.construct, getattr(ins, "lv_ordinal", None),
+                              self._resolver(lv.expr)))
+        steps = self._steps[name] = tuple(steps)
+        return steps
 
     # ------------------------------------------------------ runtime entries
 
-    def redef_entry(self, fn_name, owner, lvstr, construct) -> Entry:
-        key = ("redef", fn_name, id(owner))
-        if key not in self._entries:
-            self._entries[key] = Entry(
-                fn_name, owner,
-                invoke=lambda b: self.run_genfn(fn_name, owner, b),
-                lvalue=lvstr, construct=construct)
-        return self._entries[key]
+    def _gen_frame(self, owner) -> GenFrame:
+        fr = self._gen_frames.get(id(owner))
+        if fr is None:
+            fr = self._gen_frames[id(owner)] = GenFrame("<gen>", owner=owner)
+        return fr
 
-    def constraint_entry(self, ordinal, owner) -> ConstraintEntry:
-        key = ("constraint", ordinal, id(owner))
-        if key not in self._entries:
-            plan = self.gen.plans[ordinal]
-            c = self._construct_decl(ordinal)
-            self._seq += 1
-            # evaluating an expression adds nothing to its frame (a call gets
-            # its own), so target, guard and apply can share one
-            fr = Frame("<gen>", owner=owner)
-            guard_details = _eval_details(ordinal)
-
-            def target():
-                return self.lv_cell(plan.lhs.expr, fr)
-
-            def guard():
-                v = bool(self.eval(c.guard, fr))
-                self.trace.emit(tr.GUARD_EVAL, plan.lhs.str, "", guard_details[v])
-                return v
-
-            def apply(cell):
-                self.store(cell, self.eval(c.rhs, fr))
-
-            self._entries[key] = ConstraintEntry(
-                plan.assign_fn, owner, lvalue=plan.lhs.str, construct=ordinal,
-                seq=self._seq, target=target,
-                guard=guard if c.guard is not None else None, apply=apply)
-        return self._entries[key]
-
-    def monitor_entry(self, ordinal, owner) -> Entry:
-        key = ("monitor", ordinal, id(owner))
-        if key not in self._entries:
-            plan = self.gen.plans[ordinal]
-            c = self._construct_decl(ordinal)
-
-            def invoke():
-                frame = Frame(plan.monitor_fn, owner=owner)
-                self.frames.append(frame)
-                try:
-                    self.exec_stmt(c.body, frame)
-                finally:
-                    for inst in reversed(frame.instances):
-                        self._destroy_instance(inst)
-                    self.frames.pop()
-
-            self._entries[key] = Entry(plan.monitor_fn, owner, invoke=invoke,
-                                       lvalue=plan.lhs.str, construct=ordinal)
-        return self._entries[key]
-
-    def precond_entry(self, ordinal, owner) -> Entry:
-        key = ("precond", ordinal, id(owner))
-        if key not in self._entries:
-            plan = self.gen.plans[ordinal]
-            c = self._construct_decl(ordinal)
+    def _entry(self, kind, fn: str, ordinal, lvstr, fr: GenFrame) -> Entry:
+        """The runtime entry `fn` of fr's owner, made on first use."""
+        owner, c = fr.owner, self.gen.graph.constructs[ordinal].construct
+        if kind is RegRedefinition:
+            entry = Entry(fn, owner, invoke=lambda b: self.run_genfn(fn, owner, b),
+                          lvalue=lvstr, construct=ordinal)
+        elif kind is RegMonitor:
+            entry = Entry(fn, owner, lvalue=lvstr, construct=ordinal,
+                          invoke=lambda: self._exec_body(c.body, Frame(fn, owner=owner)))
+        elif kind is RegPrecondition:
             condstr = canonical_str(c.cond, c.scope)
             details = _eval_details(ordinal)
 
             def invoke():
-                frame = Frame(plan.tester_fn, owner=owner)
+                frame = Frame(fn, owner=owner)
                 v = bool(self.eval(c.cond, frame))
                 self.trace.emit(tr.PRECOND_EVAL, condstr, "", details[v])
                 if v:
-                    self.frames.append(frame)
-                    try:
-                        self.exec_stmt(c.body, frame)
-                    finally:
-                        for inst in reversed(frame.instances):
-                            self._destroy_instance(inst)
-                        self.frames.pop()
+                    self._exec_body(c.body, frame)
 
-            self._entries[key] = Entry(plan.tester_fn, owner, invoke=invoke,
-                                       lvalue=condstr, construct=ordinal)
-        return self._entries[key]
+            entry = Entry(fn, owner, invoke=invoke, lvalue=condstr, construct=ordinal)
+        else:
+            lhs = self.gen.plans[ordinal].lhs
+            resolve = self._resolver(lhs.expr)
+            guard_details = _eval_details(ordinal)
+            self._seq += 1
 
-    def _construct_decl(self, ordinal) -> ast.Construct:
-        return self.gen.graph.constructs[ordinal].construct
+            def guard():
+                v = bool(self.eval(c.guard, fr))
+                self.trace.emit(tr.GUARD_EVAL, lhs.str, "", guard_details[v])
+                return v
+
+            entry = ConstraintEntry(
+                fn, owner, lvalue=lhs.str, construct=ordinal, seq=self._seq,
+                target=lambda: resolve(fr),
+                guard=guard if c.guard is not None else None,
+                apply=lambda cell: self.store(cell, self.eval(c.rhs, fr)))
+        fr.entries[fn] = entry
+        return entry
 
     # ------------------------------------------------------------ inspection
 
     def all_cells(self):
-        def from_storage(v):
-            if isinstance(v, Cell):
-                yield v
-            elif isinstance(v, Block):
-                yield from v.cells
-            elif isinstance(v, Instance):
-                yield v.obj_cell
-                for m in v.members.values():
-                    yield from from_storage(m)
-
         for v in self.globals.values():
-            yield from from_storage(v)
-        for frdict in self.frames:
-            for v in frdict.locals.values():
-                yield from from_storage(v)
+            yield from _cells(v, True)
+        for fr in self.frames:
+            for v in fr.locals.values():
+                yield from _cells(v, True)
         yield from self.func_cells.values()
 
     def registration_count(self) -> int:
@@ -802,20 +814,8 @@ class Machine:
         return out
 
     def memory_snapshot(self) -> dict[str, str]:
-        def snap(v, out):
-            if isinstance(v, Cell):
-                out[v.name] = value_str(v.value)
-            elif isinstance(v, Block):
-                for c in v.cells:
-                    out[c.name] = value_str(c.value)
-            elif isinstance(v, Instance):
-                for m in v.members.values():
-                    snap(m, out)
-
-        out: dict[str, str] = {}
-        for v in self.globals.values():
-            snap(v, out)
-        return out
+        return {c.name: value_str(c.value)
+                for v in self.globals.values() for c in _cells(v, False)}
 
 
 # ------------------------------------------------------------------ pipeline

@@ -163,3 +163,12 @@ def test_check_verbose(capsys):
     code, out, _ = run_cli(capsys, "check", "--seed", "3", "--count", "2",
                            "-v")
     assert code == 0 and "seed 3: ok" in out
+
+
+@pytest.mark.parametrize("access", ["a.*m", "p->*m"])
+def test_run_rejects_pointer_to_member(tmp_path, capsys, access):
+    src = tmp_path / "ptm.hc"
+    src.write_text("class A { public: int m; };\nA a; A *p = &a; int x;\n"
+                   f"void main() {{ x = {access}; }}")
+    code, out, err = run_cli(capsys, "run", str(src))
+    assert code == 1 and "error" in err and out == ""

@@ -26,8 +26,9 @@ def test_construct_operators_tokenize_as_units():
 
 
 def test_multi_char_operators_are_maximal():
+    # there is no pointer-to-member operator: `->*` and `.*` are two tokens
     assert texts("a->b a->*b a.*b a<=b a>=b a==b a!=b && ||") == [
-        "a", "->", "b", "a", "->*", "b", "a", ".*", "b", "a", "<=", "b",
+        "a", "->", "b", "a", "->", "*", "b", "a", ".", "*", "b", "a", "<=", "b",
         "a", ">=", "b", "a", "==", "b", "a", "!=", "b", "&&", "||"]
 
 

@@ -27,8 +27,6 @@ def expr(source: str) -> ast.Expr:
     ("p[i][j]", ast.Index),
     ("a.b", ast.Dot),
     ("a->b", ast.Arrow),
-    ("a.*b", ast.DotStar),
-    ("a->*b", ast.ArrowStar),
     ("q[f(p[x+y])]", ast.Index),
 ])
 def test_lvalue_forms(text, node):
@@ -122,6 +120,8 @@ def test_roundtrip_on_random_programs(seed):
     "x := ;",
     "int x; x ::= s = 1;",            # monitor body must be a block
     "void main() { (x; }",
+    "void main() { sink = a.*b; }",   # no pointer-to-member access
+    "void main() { sink = a->*b; }",
 ])
 def test_parse_errors(source):
     with pytest.raises(ParseError):

@@ -294,3 +294,113 @@ def test_trace_events_serialize_roundtrip():
     m = run(program("deep_deref.hc"))
     for e in m.trace.events:
         assert tr.TraceEvent.from_json(e.to_json()) == e
+
+
+# ------------------------------------------------------- compiled functions
+
+def matches_oracle(source: str):
+    """Run main on the vm and on the reference interpreter; both must agree."""
+    from declc.checker import check_or_raise
+    from declc.oracle import Oracle, diff_memory, diff_traces
+    from declc.parser import parse_source
+
+    m = machine(source)
+    m.call_function("main", [])
+    unit = parse_source(source)
+    o = Oracle(unit, check_or_raise(unit))
+    o.load()
+    o.run()
+    assert diff_traces(m.trace.events, o.trace.events).ok
+    assert diff_memory(m.memory_snapshot(), o.memory_snapshot()).ok
+    return m
+
+
+def lvalue_events(m, lvalue):
+    return [(e.kind, e.cell, e.detail) for e in m.trace.events
+            if e.lvalue == lvalue and e.kind in (tr.DORMANT, tr.INSTALL, tr.CANCEL)]
+
+
+def test_null_deref_registration_is_dormant_until_rebound():
+    m = matches_oracle("int *p; int x; int y = 7;\n*p := y;\n"
+                       "void main() { p = &x; p = &y; }")
+    # p = &x: the dormant registration is not cancelled, then installs
+    assert lvalue_events(m, "*p") == [
+        (tr.DORMANT, "", "construct:0:null pointer dereference"),
+        (tr.INSTALL, "x", "constraint:construct:0"),
+        (tr.CANCEL, "x", "constraint:construct:0"),
+        (tr.INSTALL, "y", "constraint:construct:0")]
+    assert m.memory_snapshot()["x"] == "7"
+
+
+def test_out_of_bounds_index_registration_is_dormant_until_rebound():
+    m = matches_oracle("int arr[2]; int i = 5; int hits;\n"
+                       "arr[i] ::= { hits = hits + 1; }\n"
+                       "void main() { arr[1] = 3; i = 1; arr[1] = 4; i = 9; }")
+    assert lvalue_events(m, "arr[i]") == [
+        (tr.DORMANT, "", "construct:0:index 5 out of bounds for 'arr'"),
+        (tr.INSTALL, "arr[1]", "monitor:construct:0"),
+        (tr.CANCEL, "arr[1]", "monitor:construct:0"),
+        (tr.DORMANT, "", "construct:0:index 9 out of bounds for 'arr'")]
+    assert m.memory_snapshot()["hits"] == "1"
+
+
+def test_class_scope_redefinition_resolves_through_its_owner():
+    m = matches_oracle("""
+class C {
+private:
+    int a; int b; int src; int *p;
+public:
+    void aim(bool first) { if (first) { p = &a; } else { p = &b; } }
+    void put(int v) { src = v; }
+    *p := src;
+};
+C c1; C c2;
+void main() { c1.aim(true); c2.aim(true); c1.put(3); c1.aim(false); c1.put(4); c2.put(9); }
+""")
+    installs = [e.cell for e in m.trace.events if e.kind == tr.INSTALL
+                and e.lvalue == "*((C*)owner)->p"]
+    assert installs == ["c1.a", "c2.a", "c1.b"]
+    snap = m.memory_snapshot()
+    assert [snap[k] for k in ("c1.a", "c1.b", "c2.a", "c2.b")] == ["3", "4", "9", "0"]
+
+
+def test_generated_functions_are_lowered_once_per_machine(monkeypatch):
+    m = machine("int s[4]; int *p = &s[0]; int f0; int f1;\n"
+                "f0 := *p + 1;\nf1 := *p + 2;\n"
+                "void retarget(int k) { p = &s[k]; }\nvoid main() { }")
+    m.call_function("retarget", [1])
+    lowered = []
+    real = m._lower
+    monkeypatch.setattr(m, "_lower", lambda name: lowered.append(name) or real(name))
+    size = len(m._steps)
+    for k in range(100):
+        m.call_function("retarget", [k % 4])
+        m.store(m.globals["s"].cells[k % 4], k)
+    assert lowered == [] and len(m._steps) == size
+    assert m.memory_snapshot()["f1"] == str(99 + 2)
+
+
+def test_destroyed_instances_leave_no_runtime_state():
+    src = """
+class W {
+private:
+    int m; int n;
+public:
+    void set(int v) { m = v; }
+    int get() { return n; }
+    n := m + 1;
+};
+W g; int last;
+void f(int v) { W w; w.set(v); last = w.get(); }
+void main() { f(1); f(2); f(3); }
+"""
+    m = matches_oracle(src)
+    assert m.memory_snapshot()["last"] == "4"
+
+    def held():
+        return len(m._gen_frames), sum(len(fr.entries) for fr in m._gen_frames.values())
+    before = held()
+    for v in range(1000):
+        m.call_function("f", [v])
+    assert held() == before
+    assert m.memory_snapshot()["last"] == "1000"

@@ -11,8 +11,10 @@ import os
 import sys
 
 from . import trace as tr
-from .checker import check
+from .checker import check_or_raise
 from .errors import CheckError, LexError, ParseError, RuntimeFault
+from .parser import parse_source
+from .vm import Machine, compile_source
 
 EXIT_OK = 0
 EXIT_SOURCE_ERROR = 1
@@ -25,23 +27,11 @@ def _read(path: str) -> str:
         return f.read()
 
 
-def _frontend(source: str, filename: str):
-    from .parser import parse_source
-
-    unit = parse_source(source)
-    info, diags = check(unit)
-    errors = [d for d in diags if d.severity == "error"]
-    if errors:
-        for d in errors:
-            print(d.render(filename), file=sys.stderr)
-        raise CheckError(errors)
-    return unit, info
-
-
 def cmd_parse(args) -> int:
     from .printer import unit_str
 
-    unit, _ = _frontend(_read(args.file), args.file)
+    unit = parse_source(_read(args.file))
+    check_or_raise(unit)
     sys.stdout.write(unit_str(unit))
     return EXIT_OK
 
@@ -49,7 +39,8 @@ def cmd_parse(args) -> int:
 def cmd_graph(args) -> int:
     from .lvgraph import build_graph, check_acyclic, to_dot
 
-    unit, _ = _frontend(_read(args.file), args.file)
+    unit = parse_source(_read(args.file))
+    check_or_raise(unit)
     graph = build_graph(unit)
     cycle = check_acyclic(graph)
     if cycle is not None:
@@ -66,12 +57,9 @@ def cmd_graph(args) -> int:
 
 
 def cmd_emit(args) -> int:
-    from .codegen import lower
-    from .lvgraph import build_graph
     from .render import render
 
-    unit, _ = _frontend(_read(args.file), args.file)
-    text = render(lower(unit, build_graph(unit)))
+    text = render(compile_source(_read(args.file))[0])
     if args.output and args.output != "-":
         with open(args.output, "w", encoding="utf-8") as f:
             f.write(text)
@@ -81,7 +69,6 @@ def cmd_emit(args) -> int:
 
 
 def _make_sink(trace_arg) -> tuple[tr.TraceSink, object]:
-    buffer_size = int(os.environ.get("DECLC_TRACE_BUFFER", "0"))
     stream = None
     close = None
     if trace_arg is not None:
@@ -89,16 +76,11 @@ def _make_sink(trace_arg) -> tuple[tr.TraceSink, object]:
             stream = sys.stdout
         else:
             stream = close = open(trace_arg, "w", encoding="utf-8")
-    return tr.TraceSink(stream=stream, buffer_size=buffer_size), close
+    return tr.TraceSink(stream=stream), close
 
 
 def cmd_run(args) -> int:
-    from .codegen import lower
-    from .lvgraph import build_graph
-    from .vm import Machine
-
-    unit, info = _frontend(_read(args.file), args.file)
-    gen = lower(unit, build_graph(unit))
+    gen, info = compile_source(_read(args.file))
     sink, close = _make_sink(args.trace)
     try:
         machine = Machine(gen, info, sink)
@@ -127,17 +109,16 @@ def _print_warnings(sink: tr.TraceSink, filename: str):
 def cmd_check(args) -> int:
     from .oracle import Oracle, diff_memory, diff_traces
     from .randgen import generate
-    from .vm import load_source
 
     failures = 0
     for k in range(args.count):
         seed = args.seed + k
         source = generate(seed)
         try:
-            m = load_source(source)
+            gen, info = compile_source(source)
+            m = Machine(gen, info).load()
             m.call_function("main", [])
-            unit, info = _frontend(source, f"<seed {seed}>")
-            o = Oracle(unit, info)
+            o = Oracle(gen.unit, info)
             o.load()
             o.run()
         except RuntimeFault as f:
@@ -211,7 +192,9 @@ def main(argv=None) -> int:
     except (LexError, ParseError) as e:
         print(f"{getattr(args, 'file', '<input>')}: {e}", file=sys.stderr)
         return EXIT_SOURCE_ERROR
-    except CheckError:
+    except CheckError as e:
+        for d in e.diagnostics:
+            print(d.render(getattr(args, "file", "<input>")), file=sys.stderr)
         return EXIT_SOURCE_ERROR
     except RuntimeFault as f:
         print(f"runtime fault: {f}", file=sys.stderr)

@@ -79,9 +79,6 @@ class RedefGraph:
         self.nodes: dict[tuple, LvNode] = {}
         self.constructs: dict[int, ConstructLvs] = {}
 
-    def get(self, scope, s: str) -> LvNode | None:
-        return self.nodes.get((scope, s))
-
     def intern(self, scope, tokens, expr, redef) -> LvNode:
         key = (scope, "".join(tokens))
         node = self.nodes.get(key)

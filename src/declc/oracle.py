@@ -650,6 +650,8 @@ class Oracle:
                 if isinstance(v, OCell):
                     return OPtr(v.block, v.index)
                 raise RuntimeFault("cannot take this address", e.pos)
+            if isinstance(op.ty, ClassType):
+                return OObjPtr(self.instance_of(op, fr))
             cell = self.lv_cell(op, fr)
             return OPtr(cell.block, cell.index)
         if isinstance(e, ast.Unary):
@@ -854,15 +856,3 @@ def diff_memory(left: dict, right: dict) -> DiffResult:
         f"{k}={left.get(k, '<absent>')}|{right.get(k, '<absent>')}"
         for k in bad[:10]))
 
-
-def run_oracle(source: str):
-    """Front end + oracle execution of a source text."""
-    from .checker import check_or_raise
-    from .parser import parse_source
-
-    unit = parse_source(source)
-    info = check_or_raise(unit)
-    o = Oracle(unit, info)
-    o.load()
-    o.run()
-    return o

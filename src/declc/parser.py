@@ -1,4 +1,5 @@
-"""Recursive-descent parser for HybridC."""
+"""Recursive-descent parser for HybridC; binary operators by precedence
+climbing."""
 
 from .ast import (
     AddrOf, Arrow, Assign, Binary, Block, BoolLit, Call, ClassDecl,
@@ -10,43 +11,43 @@ from .lexer import Token, tokenize
 
 BASE_TYPES = {"int", "bool", "void"}
 
-BINARY_LEVELS = [
-    ["||"],
-    ["&&"],
-    ["==", "!="],
-    ["<", ">", "<=", ">="],
-    ["+", "-"],
-    ["*", "/", "%"],
-]
+# Binary operator -> precedence, loosest first.  All are left-associative.
+PRECEDENCE = {
+    "||": 1, "&&": 2, "==": 3, "!=": 3, "<": 4, ">": 4, "<=": 4, ">=": 4,
+    "+": 5, "-": 5, "*": 6, "/": 6, "%": 6,
+}
+
+# Deepest nesting accepted.  The counter rises with each parse_binary entry,
+# folded binary operand, prefix and postfix operator and nested statement,
+# so it bounds both the parser's recursion and the depth of the tree; this
+# bound keeps every later pass that recurses over the tree (checker, lvgraph,
+# codegen, printer, vm, oracle) within the default recursion limit.
+MAX_NESTING = 200
 
 
 class Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
+        self.tok = tokens[0]
+        self.depth = 0  # deepest nesting level reached by the current subtree
         self.class_names: set[str] = set()
         self._ordinal = 0
 
     # ------------------------------------------------------------- primitives
 
-    @property
-    def tok(self) -> Token:
-        return self.tokens[self.i]
-
-    def peek(self, k=1) -> Token:
-        j = min(self.i + k, len(self.tokens) - 1)
-        return self.tokens[j]
-
     def at(self, kind, text=None) -> bool:
         t = self.tok
         return t.kind == kind and (text is None or t.text == text)
 
+    def advance(self) -> Token:
+        t = self.tok
+        self.i += 1
+        self.tok = self.tokens[self.i]
+        return t
+
     def accept(self, kind, text=None):
-        if self.at(kind, text):
-            t = self.tok
-            self.i += 1
-            return t
-        return None
+        return self.advance() if self.at(kind, text) else None
 
     def expect(self, kind, text=None) -> Token:
         t = self.accept(kind, text)
@@ -58,6 +59,27 @@ class Parser:
 
     def error(self, msg):
         raise ParseError(msg, self.tok.pos)
+
+    def nest(self):
+        """The current subtree reaches one level deeper."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.error("nesting too deep")
+
+    def below(self, level, parse, *args):
+        """`parse(*args)` for a subtree rooted at `level`; afterwards the
+        counter holds the deeper of its level and the one before."""
+        before, self.depth = self.depth, level
+        node = parse(*args)
+        self.depth = max(before, self.depth)
+        return node
+
+    def int_literal(self) -> int:
+        t = self.expect("int")
+        try:
+            return int(t.text)
+        except ValueError:  # past the interpreter's int-to-str digit limit
+            raise ParseError("integer literal too long", t.pos) from None
 
     # ------------------------------------------------------------------- unit
 
@@ -83,7 +105,7 @@ class Parser:
             return True
         # class-typed declaration: "A obj;" / "A *pa;"
         if t.kind == "id" and t.text in self.class_names:
-            nxt = self.peek()
+            nxt = self.tokens[self.i + 1]
             return nxt.kind == "id" or (nxt.kind == "op" and nxt.text == "*")
         return False
 
@@ -112,7 +134,7 @@ class Parser:
             return self.parse_func_rest(base, depth, name, pos, in_class)
         size = None
         if self.accept("punct", "["):
-            size = int(self.expect("int").text)
+            size = self.int_literal()
             self.expect("punct", "]")
         init = None
         if self.accept("op", "="):
@@ -145,13 +167,9 @@ class Parser:
         members, methods, constructs = [], [], []
         access = "private"
         while not self.at("punct", "}"):
-            if self.accept("kw", "private"):
+            if self.at("kw", "private") or self.at("kw", "public"):
+                access = self.advance().text
                 self.expect("punct", ":")
-                access = "private"
-                continue
-            if self.accept("kw", "public"):
-                self.expect("punct", ":")
-                access = "public"
                 continue
             if self.starts_decl():
                 d = self.parse_decl_or_func(in_class=name)
@@ -202,6 +220,13 @@ class Parser:
         return Block(stmts, pos=pos)
 
     def parse_stmt(self):
+        level = self.depth
+        self.nest()
+        s = self.parse_stmt_at()
+        self.depth = level
+        return s
+
+    def parse_stmt_at(self):
         pos = self.tok.pos
         if self.at("punct", "{"):
             return self.parse_block()
@@ -242,69 +267,70 @@ class Parser:
     # ------------------------------------------------------------ expressions
 
     def parse_expr(self):
-        return self.parse_binary(0)
+        """A whole expression; the counter is back at its level afterwards."""
+        level = self.depth
+        e = self.parse_binary(1)
+        self.depth = level
+        return e
 
-    def parse_binary(self, level):
-        if level >= len(BINARY_LEVELS):
-            return self.parse_unary()
-        e = self.parse_binary(level + 1)
-        while self.tok.kind == "op" and self.tok.text in BINARY_LEVELS[level]:
-            op = self.expect("op").text
-            pos = e.pos
-            right = self.parse_binary(level + 1)
-            e = Binary(op, e, right, pos=pos)
+    def parse_binary(self, min_prec):
+        """Operands joined by operators of precedence `min_prec` or higher
+        (only operator tokens have the texts in PRECEDENCE)."""
+        level = self.depth
+        self.nest()
+        e = self.parse_unary()
+        while PRECEDENCE.get(self.tok.text, 0) >= min_prec:
+            op = self.advance().text
+            self.nest()  # the left operand moves one level down
+            right = self.below(level + 1, self.parse_binary, PRECEDENCE[op] + 1)
+            e = Binary(op, e, right, pos=e.pos)
         return e
 
     def parse_unary(self):
-        pos = self.tok.pos
-        if self.accept("op", "*"):
-            return Deref(self.parse_unary(), pos=pos)
-        if self.accept("op", "&"):
-            return AddrOf(self.parse_unary(), pos=pos)
-        if self.accept("op", "-"):
-            return Unary("-", self.parse_unary(), pos=pos)
-        if self.accept("op", "!"):
-            return Unary("!", self.parse_unary(), pos=pos)
-        return self.parse_postfix()
-
-    def parse_postfix(self):
+        """Prefix operators, then a primary and its postfix operators."""
+        t = self.tok
+        if t.kind == "op" and t.text in ("*", "&", "-", "!"):
+            self.advance()
+            self.nest()
+            operand = self.parse_unary()
+            if t.text in "-!":
+                return Unary(t.text, operand, pos=t.pos)
+            return (Deref if t.text == "*" else AddrOf)(operand, pos=t.pos)
+        level = self.depth
         e = self.parse_primary()
         while True:
-            if self.at("punct", "("):
-                self.expect("punct", "(")
+            if self.accept("punct", "("):
+                self.nest()
                 args = []
                 if not self.at("punct", ")"):
                     while True:
-                        args.append(self.parse_expr())
+                        args.append(self.below(level + 1, self.parse_binary, 1))
                         if not self.accept("punct", ","):
                             break
                 self.expect("punct", ")")
                 e = Call(e, args, pos=e.pos)
-            elif self.at("punct", "["):
-                self.expect("punct", "[")
-                idx = self.parse_expr()
+            elif self.accept("punct", "["):
+                self.nest()
+                idx = self.below(level + 1, self.parse_binary, 1)
                 self.expect("punct", "]")
                 e = Index(e, idx, pos=e.pos)
-            elif self.tok.kind == "op" and self.tok.text == "." and self.peek().kind == "id":
-                self.expect("op", ".")
+            elif (self.tok.kind == "op" and self.tok.text in (".", "->")
+                  and self.tokens[self.i + 1].kind == "id"):
+                arrow = self.advance().text == "->"
+                self.nest()
                 member = self.expect("id").text
-                e = Dot(e, member, pos=e.pos)
-            elif self.tok.kind == "op" and self.tok.text == "->" and self.peek().kind == "id":
-                self.expect("op", "->")
-                member = self.expect("id").text
-                e = Arrow(e, member, pos=e.pos)
+                e = (Arrow if arrow else Dot)(e, member, pos=e.pos)
             else:
                 return e
 
     def parse_primary(self):
         pos = self.tok.pos
-        if self.at("punct", "("):
-            self.expect("punct", "(")
-            e = self.parse_expr()
+        if self.accept("punct", "("):
+            e = self.parse_binary(1)
             self.expect("punct", ")")
             return e
         if self.tok.kind == "int":
-            return IntLit(int(self.expect("int").text), pos=pos)
+            return IntLit(self.int_literal(), pos=pos)
         if self.accept("kw", "true"):
             return BoolLit(True, pos=pos)
         if self.accept("kw", "false"):

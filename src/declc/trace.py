@@ -44,12 +44,6 @@ class TraceEvent:
             {"seq": self.seq, "kind": self.kind, "lvalue": self.lvalue,
              "cell": self.cell, "detail": self.detail})
 
-    @staticmethod
-    def from_json(line: str) -> "TraceEvent":
-        d = json.loads(line)
-        return TraceEvent(d["seq"], d["kind"], d.get("lvalue", ""),
-                          d.get("cell", ""), d.get("detail", ""))
-
 
 class TraceSink:
     """Collects the events of one run.
@@ -60,12 +54,10 @@ class TraceSink:
     string, or a `(prefix, render, value)` triple that becomes
     `prefix + render(value)` when the event is built; `value` must not change
     how it renders after the emit.  With a `stream` attached each event is
-    built and written as it is emitted."""
+    built, written and flushed as it is emitted."""
 
-    def __init__(self, stream=None, buffer_size: int = 0):
-        self.stream = stream            # optional text stream for JSON-lines output
-        self.buffer_size = buffer_size  # flush granularity when streaming; 0 = every event
-        self._pending = 0
+    def __init__(self, stream=None):
+        self.stream = stream  # optional text stream for JSON-lines output
         self._built: list[TraceEvent] = []
         self._recorded: list[tuple] = []  # emit arguments not built yet
 
@@ -87,10 +79,7 @@ class TraceSink:
         self._recorded.append((kind, lvalue, cell, detail))
         if self.stream is not None:
             self.stream.write(self.events[-1].to_json() + "\n")
-            self._pending += 1
-            if self._pending >= max(self.buffer_size, 1) or self.buffer_size == 0:
-                self.stream.flush()
-                self._pending = 0
+            self.stream.flush()
 
 
 def filtered(events, kinds=ORACLE_VISIBLE) -> list[TraceEvent]:

@@ -498,6 +498,8 @@ class Machine:
                 if isinstance(v, Cell):
                     return CellPtr(v.block, v.index)
                 raise RuntimeFault("cannot take this address", e.pos)
+            if isinstance(op.ty, ClassType):
+                return ObjPtr(self.instance_of(op, fr))
             cell = self.lv_cell(op, fr)
             return CellPtr(cell.block, cell.index)
         if isinstance(e, ast.Unary):

@@ -5,6 +5,9 @@ from pathlib import Path
 import pytest
 
 from declc import trace as tr
+from declc.checker import check_or_raise
+from declc.oracle import Oracle, diff_memory, diff_traces
+from declc.parser import parse_source
 from declc.vm import Machine, compile_source, load_source
 
 PROGRAMS = Path(__file__).parent / "programs"
@@ -25,6 +28,19 @@ def run(source: str) -> Machine:
     gen, info = compile_source(source)
     m = Machine(gen, info, tr.TraceSink())
     m.run()
+    return m
+
+
+def matches_oracle(source: str):
+    """Run main on the vm and on the reference interpreter; both must agree."""
+    m = machine(source)
+    m.call_function("main", [])
+    unit = parse_source(source)
+    o = Oracle(unit, check_or_raise(unit))
+    o.load()
+    o.run()
+    assert diff_traces(m.trace.events, o.trace.events).ok
+    assert diff_memory(m.memory_snapshot(), o.memory_snapshot()).ok
     return m
 
 

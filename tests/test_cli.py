@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import GOLDEN, PROGRAMS
+from conftest import GOLDEN, PROGRAMS, matches_oracle
 from declc.cli import main
+from declc.parser import MAX_NESTING
 
 
 def run_cli(capsys, *argv):
@@ -18,6 +19,15 @@ def run_cli(capsys, *argv):
 
 def prog(name):
     return str(PROGRAMS / name)
+
+
+def declc(*argv, env=None):
+    """Run the declc command in a fresh interpreter."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, **(env or {}), PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "declc.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 def test_parse_ok(capsys):
@@ -130,14 +140,6 @@ def test_run_prints_warnings_when_the_run_faults(tmp_path, capsys):
     assert fault.startswith(f"{bad}: runtime fault:")
 
 
-def test_trace_buffer_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("DECLC_TRACE_BUFFER", "4")
-    out_path = tmp_path / "t.jsonl"
-    code, _, _ = run_cli(capsys, "run", prog("deep_deref.hc"),
-                         "--trace", str(out_path))
-    assert code == 0 and out_path.read_text().splitlines()
-
-
 def test_check_agreement(capsys):
     code, out, _ = run_cli(capsys, "check", "--seed", "0", "--count", "5")
     assert code == 0
@@ -148,12 +150,7 @@ def test_check_agreement(capsys):
 def test_check_huge_int_seeds_agree(seed):
     """These generated programs grow an integer past the interpreter's
     int-to-str digit limit; check renders it in hex and still agrees."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "declc.cli", "check", "--seed", str(seed),
-         "--count", "1"], capture_output=True, text=True, env=env, timeout=120)
+    proc = declc("check", "--seed", str(seed), "--count", "1")
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "1/1 seeds agree" in proc.stdout
@@ -172,3 +169,111 @@ def test_run_rejects_pointer_to_member(tmp_path, capsys, access):
                    f"void main() {{ x = {access}; }}")
     code, out, err = run_cli(capsys, "run", str(src))
     assert code == 1 and "error" in err and out == ""
+
+
+OBJECT_THROUGH_DEREF = """class W {
+private:
+    int m;
+public:
+    void set(int v) { m = v; }
+    int get() { return m; }
+};
+W w; W v;
+W *q = &w;
+W *r = &v;
+int seen;
+seen := r->get();
+void main() { r = &*q; r->set(3); q = &v; r = &*q; r->set(5); }
+"""
+
+
+def test_address_of_a_dereferenced_object_pointer_is_an_object_pointer():
+    m = matches_oracle(OBJECT_THROUGH_DEREF)
+    assert m.memory_snapshot()["seen"] == "5"
+    assert m.memory_snapshot()["r"] == "&v"
+
+
+# Inputs that once ended in a Python traceback: (source, extra run arguments,
+# environment, exit code, expected on stderr).
+CRASH_INPUTS = {
+    "superscript-digit": ("int x = ²;", [], {}, 1, "unrecognizable character '²'"),
+    "long-initializer": (f"int x = {'9' * 5000};", [], {}, 1,
+                         "1:9: error: integer literal too long"),
+    "long-array-size": (f"int a[{'9' * 5000}];", [], {}, 1,
+                        "1:7: error: integer literal too long"),
+    "parens-90": ("int x;\nvoid main() { x = " + "(" * 90 + "1" + ")" * 90 + "; }",
+                  [], {}, 0, ""),
+    "sum-400": ("int x;\nvoid main() { x = " + "+".join(["1"] * 400) + "; }",
+                [], {}, 1, "nesting too deep"),
+    "prefix-1200": ("int x;\nvoid main() { x = " + "-" * 1200 + "1; }",
+                    [], {}, 1, "nesting too deep"),
+    "blocks-500": ("int x;\nvoid main() " + "{" * 500 + "x = 1;" + "}" * 500,
+                   [], {}, 1, "nesting too deep"),
+    "address-through-deref": (OBJECT_THROUGH_DEREF, ["--trace", "-"], {}, 0, ""),
+    "trace-buffer-variable": (OBJECT_THROUGH_DEREF, ["--trace", "TRACE"],
+                              {"DECLC_TRACE_BUFFER": "abc"}, 0, ""),
+    "unclosed-comment": ("int x;\n  /* never closed", [], {}, 1,
+                         "2:3: error: unterminated comment"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CRASH_INPUTS))
+def test_run_ends_without_a_traceback(tmp_path, name):
+    source, extra, env, code, err = CRASH_INPUTS[name]
+    path = tmp_path / "p.hc"
+    path.write_text(source, encoding="utf-8")
+    extra = [str(tmp_path / "t.jsonl") if a == "TRACE" else a for a in extra]
+    proc = declc("run", str(path), *extra, env=env)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == code, proc.stderr
+    assert err in proc.stderr
+
+
+# Each shape of nesting with the largest size the parser accepts.  The
+# statement and its expression take one level each; each paren, prefix
+# operator, folded operand or nested block takes one more.
+NESTING = {
+    "parens": (lambda n: "int x;\nvoid main() { x = " + "(" * n + "1" + ")" * n + "; }",
+               MAX_NESTING - 2),
+    "sum": (lambda n: "int x;\nvoid main() { x = " + " + ".join(["1"] * n) + "; }",
+            MAX_NESTING - 1),
+    "prefix": (lambda n: "int x;\nvoid main() { x = " + "-" * n + "1; }",
+               MAX_NESTING - 2),
+    "blocks": (lambda n: "int x;\nvoid main() " + "{" * n + " x = 1; " + "}" * n,
+               MAX_NESTING - 1),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(NESTING))
+def test_nesting_at_the_bound_runs(tmp_path, capsys, shape):
+    make, size = NESTING[shape]
+    path = tmp_path / "deep.hc"
+    path.write_text(make(size))
+    assert run_cli(capsys, "run", str(path))[0] == 0
+    assert run_cli(capsys, "emit", str(path))[0] == 0
+    matches_oracle(make(size))
+
+
+@pytest.mark.parametrize("shape", sorted(NESTING))
+def test_nesting_past_the_bound_is_a_source_error(tmp_path, capsys, shape):
+    make, size = NESTING[shape]
+    path = tmp_path / "deep.hc"
+    path.write_text(make(size + 1))
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith(f"{path}: 2:") and err.endswith("error: nesting too deep\n")
+
+
+@pytest.mark.parametrize("group", ["({} + 1 + 1 + 1)", "(1 + {} + 1 + 1)"])
+def test_nesting_counts_the_depth_of_folded_groups(tmp_path, capsys, group):
+    """Sixty groups of four terms, each nested as the first or the second
+    term of the next: no group holds more than four terms, but the tree is
+    180 levels deep."""
+    expr = "1"
+    for _ in range(60):
+        expr = group.format(expr)
+    path = tmp_path / "groups.hc"
+    path.write_text(f"int x;\nvoid main() {{ x = {expr}; }}")
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert code == 1 and out == ""
+    assert err.endswith("error: nesting too deep\n")

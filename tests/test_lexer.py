@@ -57,10 +57,39 @@ def test_unknown_character_is_an_error():
         tokenize("int x = $;")
 
 
+def error_pos(src):
+    with pytest.raises(LexError) as info:
+        tokenize(src)
+    return info.value.msg, (info.value.pos.line, info.value.pos.col)
+
+
 def test_error_carries_position():
-    try:
-        tokenize("x\n  @")
-    except LexError as e:
-        assert "2" in str(e)
-    else:
-        pytest.fail("expected LexError")
+    assert error_pos("x\n  @") == ("unrecognizable character '@'", (2, 3))
+
+
+def test_unclosed_block_comment_reports_its_own_position():
+    assert error_pos("int x; /* ok */\n  y /* never closed\nint z;") == (
+        "unterminated comment", (2, 5))
+
+
+@pytest.mark.parametrize("src,char", [
+    ("int é = 1;", "é"),        # identifiers are ASCII
+    ("int x = ²;", "²"),        # digits are ASCII
+    ("int x = ٣;", "٣"),
+    ("int x;\fint y;", "\f"),   # whitespace is space, tab, CR and LF
+])
+def test_non_ascii_letters_and_digits_are_unrecognizable(src, char):
+    msg, _ = error_pos(src)
+    assert msg == f"unrecognizable character {char!r}"
+
+
+def test_eof_sits_after_a_trailing_line_comment():
+    eof = tokenize("int x;\nx := 1; // done")[-1]
+    assert (eof.kind, eof.text, eof.pos.line, eof.pos.col) == ("eof", "", 2, 16)
+
+
+def test_columns_restart_after_crlf_line_ends():
+    toks = tokenize("int x;\r\n  x := 1;\r\n\r\nint\ty;")
+    assert [(t.text, t.pos.line, t.pos.col) for t in toks if t.kind != "punct"] == [
+        ("int", 1, 1), ("x", 1, 5), ("x", 2, 3), (":=", 2, 5), ("1", 2, 8),
+        ("int", 4, 1), ("y", 4, 5), ("", 4, 7)]

@@ -64,6 +64,39 @@ def test_precedence_printing(text, printed):
 
 # -------------------------------------------------------------- constructs
 
+# Binary operators by level, loosest first; all are left-associative.
+LEVELS = [["||"], ["&&"], ["==", "!="], ["<", ">", "<=", ">="], ["+", "-"],
+          ["*", "/", "%"]]
+
+
+def shape(e: ast.Expr):
+    if isinstance(e, ast.Binary):
+        return (shape(e.left), e.op, shape(e.right))
+    if isinstance(e, ast.Unary):
+        return (e.op, shape(e.operand))
+    if isinstance(e, (ast.Deref, ast.AddrOf)):
+        return ("*" if isinstance(e, ast.Deref) else "&", shape(e.operand))
+    return e.name
+
+
+def precedence_cases():
+    for k, level in enumerate(LEVELS):
+        for op1 in level:
+            for op2 in level:  # same level: left-associative
+                yield f"a {op1} b {op2} c", (("a", op1, "b"), op2, "c")
+            for tighter in LEVELS[k + 1] if k + 1 < len(LEVELS) else []:
+                yield f"a {op1} b {tighter} c", ("a", op1, ("b", tighter, "c"))
+                yield f"a {tighter} b {op1} c", (("a", tighter, "b"), op1, "c")
+    for prefix in ["*", "&", "-", "!"]:  # prefix operators bind tighter than *
+        yield f"{prefix}a * b", ((prefix, "a"), "*", "b")
+        yield f"a * {prefix}b", ("a", "*", (prefix, "b"))
+
+
+@pytest.mark.parametrize("text,tree", list(precedence_cases()))
+def test_precedence_and_associativity(text, tree):
+    assert shape(expr(text)) == tree
+
+
 def test_constraint_with_guard():
     unit = parse_source("int x; int y;\nx := y + 1 given y > 0;")
     c = unit.constructs[0]

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import events_of, machine, program, run
+from conftest import events_of, machine, matches_oracle, program, run
 from declc import trace as tr
 from declc.errors import RuntimeFault
 
@@ -290,30 +290,7 @@ def test_teardown_conserves_registrations(good_programs):
         assert m.registration_count() == 0, name
 
 
-def test_trace_events_serialize_roundtrip():
-    m = run(program("deep_deref.hc"))
-    for e in m.trace.events:
-        assert tr.TraceEvent.from_json(e.to_json()) == e
-
-
 # ------------------------------------------------------- compiled functions
-
-def matches_oracle(source: str):
-    """Run main on the vm and on the reference interpreter; both must agree."""
-    from declc.checker import check_or_raise
-    from declc.oracle import Oracle, diff_memory, diff_traces
-    from declc.parser import parse_source
-
-    m = machine(source)
-    m.call_function("main", [])
-    unit = parse_source(source)
-    o = Oracle(unit, check_or_raise(unit))
-    o.load()
-    o.run()
-    assert diff_traces(m.trace.events, o.trace.events).ok
-    assert diff_memory(m.memory_snapshot(), o.memory_snapshot()).ok
-    return m
-
 
 def lvalue_events(m, lvalue):
     return [(e.kind, e.cell, e.detail) for e in m.trace.events

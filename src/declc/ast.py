@@ -33,7 +33,7 @@ class BoolLit(Expr):
 
 @dataclass
 class NullLit(Expr):
-    pass
+    value = None       # not a field: the vm evaluates every literal by its value
 
 
 @dataclass

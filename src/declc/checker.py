@@ -37,7 +37,7 @@ class Checker:
         self.diags: list[Diagnostic] = []
         self.cur_class: str | None = None
         self.locals: list[dict[str, Type]] = []
-        self.cur_ret: Type = VOID
+        self.cur_ret: Type | None = VOID  # None in a construct body
 
     def error(self, pos, msg):
         self.diags.append(Diagnostic(pos, "error", msg))
@@ -121,6 +121,7 @@ class Checker:
 
     def check_construct(self, c: ast.Construct):
         self.locals = []
+        self.cur_ret = None
         if isinstance(c, ast.Constraint):
             lt = self.expr(c.lhs)
             rt = self.expr(c.rhs)
@@ -207,7 +208,9 @@ class Checker:
             self.stmt(s.body)
         elif isinstance(s, ast.Return):
             vt = self.expr(s.value) if s.value is not None else VOID
-            if vt is not None and self.cur_ret != VOID \
+            if self.cur_ret is None:  # a monitor or tester body has no caller
+                self.error(s.pos, "'return' outside a function")
+            elif vt is not None and self.cur_ret != VOID \
                     and not assign_compatible(self.cur_ret, vt):
                 self.error(s.pos, f"cannot return '{vt}' from function returning "
                                   f"'{self.cur_ret}'")

@@ -47,11 +47,6 @@ def c_mod(a: int, b: int, pos=None) -> int:
     return a - c_div(a, b) * b
 
 
-def top_entry(stack):
-    """The active entry of a constraint/monitor stack (last registered)."""
-    return stack[-1] if stack else None
-
-
 class Wave:
     """In-flight bookkeeping for one cascade (rule 3 skip set)."""
 

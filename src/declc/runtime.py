@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 from . import trace as tr
-from .contract import Wave, top_entry
+from .contract import Wave
 from .errors import RuntimeFault
 
 
@@ -25,6 +25,7 @@ class Entry:
     lvalue: str = ""
     construct: int = -1
     detail: str = field(init=False, repr=False)  # of its MonitorFired/ConstraintApplied
+    registered: int = field(default=0, init=False, repr=False)  # lists that hold it
 
     def __post_init__(self):
         self.detail = f"construct:{self.construct}"
@@ -134,10 +135,11 @@ class Engine:
     def _handle(self, lst: list, entry: Entry, add: bool):
         if add:
             lst.append(entry)
+            entry.registered += 1
         else:
             for i in range(len(lst) - 1, -1, -1):
                 if lst[i].matches(entry):
-                    del lst[i]
+                    lst.pop(i).registered -= 1
                     return
             raise RuntimeFault(f"cancel of unregistered entry {entry.fn}")
 
@@ -161,31 +163,39 @@ class Engine:
             self.deps.remove(cell_from, entry, lv_ordinal)
 
     # --- change protocol --------------------------------------------------
+    # A phase runs over a snapshot of a non-empty list; a redefinition that
+    # an earlier one cancelled is skipped, as `resolve` skips cancelled edges.
 
     def actions_before_change(self, cell: Cell):
         for r in list(cell.redefinitions):
-            r.invoke(False)
+            if r.registered:
+                r.invoke(False)
 
     def actions_after_change(self, cell: Cell):
         # phase 1: rebinding / re-installation
-        for r in list(cell.redefinitions):
-            r.invoke(True)
-        # phase 2: top monitor, disabled during its own execution
+        if cell.redefinitions:
+            for r in list(cell.redefinitions):
+                if r.registered:
+                    r.invoke(True)
+        # phase 2: top (last registered) monitor, disabled during its execution
         if cell.monitors and cell.monitors_enabled:
-            m = top_entry(cell.monitors)
+            m = cell.monitors[-1]
             cell.monitors_enabled = False
             try:
                 self.trace.emit(tr.MONITOR_FIRED, m.lvalue, cell.name, m.detail)
                 m.invoke()
             finally:
                 cell.monitors_enabled = True
-        for hook in list(cell.update_hooks):
-            hook()
+        if cell.update_hooks:
+            for hook in list(cell.update_hooks):
+                hook()
         # phase 3: constraint resolution
-        self.resolve(cell)
+        if cell.dependencies:
+            self.resolve(cell)
         # phase 4: precondition testers
-        for p in list(cell.preconditions):
-            p.invoke()
+        if cell.preconditions:
+            for p in list(cell.preconditions):
+                p.invoke()
 
     def resolve(self, changed: Cell):
         for edge in list(changed.dependencies):
@@ -201,17 +211,20 @@ class Engine:
             self.trace.emit(tr.WARNING, entry.lvalue, "",
                             f"constrained l-value unresolvable: {f.msg}")
             return
-        if via_resolution and self.wave.skip(target):
+        # the Wave skip and mark steps and the top-of-stack rule, inline
+        in_flight = self.wave.in_flight
+        if via_resolution and id(target) in in_flight:
             self.trace.emit(tr.WARNING, entry.lvalue, target.name,
                             "skipped: already resolved in this wave")
             return
-        if top_entry(target.constraints) is not entry:
+        stack = target.constraints
+        if not stack or stack[-1] is not entry:
             return
         guarded = entry.guard is not None
         if guarded and not entry.guard():
             return
         if via_resolution:
-            self.wave.mark(target)
+            in_flight.add(id(target))
         self.trace.emit(tr.CONSTRAINT_APPLIED, entry.lvalue, target.name,
                         entry.detail)
         if guarded:

@@ -7,7 +7,7 @@ Events serialize as JSON-lines with stable field order
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 BEFORE_CHANGE = "BeforeChange"
 AFTER_CHANGE = "AfterChange"
@@ -31,8 +31,7 @@ ORACLE_VISIBLE = (
 )
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     seq: int
     kind: str
     lvalue: str = ""   # canonical l-value / construct subject, if any
@@ -40,9 +39,7 @@ class TraceEvent:
     detail: str = ""
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"seq": self.seq, "kind": self.kind, "lvalue": self.lvalue,
-             "cell": self.cell, "detail": self.detail})
+        return json.dumps(self._asdict())
 
 
 class TraceSink:

@@ -1,14 +1,18 @@
 """Executor for lowered programs.
 
 Every user-visible store routes through the cell write protocol
-(before-actions, write, after-actions).  Statements and expressions are
-walked as trees; each generated init/redef function is lowered once per
+(before-actions, write, after-actions).  Statements and expressions run in
+one walk that dispatches each node by its class through a handler table
+(`_EVAL`, `_EXEC`), one Python frame per node; a `return` is a value handed
+up, not an exception.  Each generated init/redef function is lowered once per
 machine into a flat tuple of steps, and each l-value into a resolver that
-binds it to a cell at call time.
+binds it to a cell at call time; reads of a dereference, an element or a data
+member go through that resolver.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 from . import ast, codegen, trace as tr
@@ -103,11 +107,6 @@ class GenFrame(Frame):
 
     entries: dict = field(default_factory=dict)
     dormant: set = field(default_factory=set)
-
-
-class ReturnSignal(Exception):
-    def __init__(self, value):
-        self.value = value
 
 
 def value_str(v) -> str:
@@ -305,19 +304,23 @@ class Machine:
     # ---------------------------------------------------------------- stores
 
     def store(self, cell: Cell, value):
-        self.engine.wave.enter()
+        wave = self.engine.wave  # Wave.enter and exit, inline
+        wave.depth += 1
         try:
             # rendered when the event is built: a stored value (int, bool,
             # None, CellPtr, ObjPtr) never renders differently later
             self.trace.emit(tr.BEFORE_CHANGE, "", cell.name,
                             ("old:", value_str, cell.value))
-            self.engine.actions_before_change(cell)
+            if cell.redefinitions:
+                self.engine.actions_before_change(cell)
             cell.value = value
             self.trace.emit(tr.AFTER_CHANGE, "", cell.name,
                             ("new:", value_str, value))
             self.engine.actions_after_change(cell)
         finally:
-            self.engine.wave.exit()
+            wave.depth -= 1
+            if not wave.depth and wave.in_flight:
+                wave.in_flight.clear()
 
     # ------------------------------------------------------------ evaluation
 
@@ -473,113 +476,98 @@ class Machine:
                 return v.instance
         raise RuntimeFault("expression does not denote an object", e.pos)
 
+    # Expression handlers `(machine, node, frame) -> value`, by node class in
+    # `_EVAL`; each dispatches its children through the table too.
+
     def eval(self, e: ast.Expr, fr: Frame):
-        if isinstance(e, ast.IntLit) or isinstance(e, ast.BoolLit):
-            return e.value
-        if isinstance(e, ast.NullLit):
-            return None
-        if isinstance(e, ast.Name):
-            v = self._lookup(e.binding, fr)
-            if isinstance(v, Cell):
-                return v.value
-            if isinstance(v, (FuncVal, BoundMethod)):
-                return v
+        return _EVAL[e.__class__](self, e, fr)
+
+    def _eval_literal(self, e, fr):
+        return e.value
+
+    def _eval_name(self, e: ast.Name, fr: Frame):
+        b = e.binding
+        v = (fr.locals[b[1]] if b[0] == "local" else
+             self.globals[b[1]] if b[0] == "global" else self._lookup(b, fr))
+        if v.__class__ is Cell:
+            return v.value
+        if isinstance(v, (FuncVal, BoundMethod)):
+            return v
+        if isinstance(v, Instance):
+            raise RuntimeFault(f"object '{e.name}' used as a value", e.pos)
+        raise RuntimeFault(f"array '{e.name}' used as a value", e.pos)
+
+    def _eval_storage(self, e, fr: Frame):
+        """The value of the cell an l-value denotes, read by its resolver."""
+        return (self._resolvers.get(id(e)) or self._resolver(e))(fr).value
+
+    def _eval_member(self, e, fr: Frame):
+        if not isinstance(e.ty, FuncType):
+            return self._eval_storage(e, fr)
+        if e.__class__ is ast.Dot:
+            return BoundMethod(self.instance_of(e.obj, fr), e.member)
+        obj = e.obj
+        v = _EVAL[obj.__class__](self, obj, fr)
+        if v is None:
+            raise RuntimeFault("null pointer dereference", e.pos)
+        return BoundMethod(v.instance, e.member)
+
+    def _eval_addr(self, e: ast.AddrOf, fr: Frame):
+        op = e.operand
+        if op.__class__ is ast.Name:
+            v = self._lookup(op.binding, fr)
             if isinstance(v, Instance):
-                raise RuntimeFault(f"object '{e.name}' used as a value", e.pos)
-            raise RuntimeFault(f"array '{e.name}' used as a value", e.pos)
-        if isinstance(e, ast.Deref) or isinstance(e, ast.Index):
-            return self.lv_cell(e, fr).value
-        if isinstance(e, ast.AddrOf):
-            op = e.operand
-            if isinstance(op, ast.Name):
-                v = self._lookup(op.binding, fr)
-                if isinstance(v, Instance):
-                    return ObjPtr(v)
-                if isinstance(v, Cell):
-                    return CellPtr(v.block, v.index)
-                raise RuntimeFault("cannot take this address", e.pos)
-            if isinstance(op.ty, ClassType):
-                return ObjPtr(self.instance_of(op, fr))
-            cell = self.lv_cell(op, fr)
-            return CellPtr(cell.block, cell.index)
-        if isinstance(e, ast.Unary):
-            v = self.eval(e.operand, fr)
-            return -v if e.op == "-" else (not v)
-        if isinstance(e, ast.Binary):
-            return self._binary(e, fr)
-        if isinstance(e, ast.Call):
-            return self._call(e, fr)
-        if isinstance(e, ast.Dot) or isinstance(e, ast.Arrow):
-            return self._member_value(e, fr)
-        raise RuntimeFault(f"cannot evaluate {type(e).__name__}", e.pos)
+                return ObjPtr(v)
+            if isinstance(v, Cell):
+                return CellPtr(v.block, v.index)
+            raise RuntimeFault("cannot take this address", e.pos)
+        if isinstance(op.ty, ClassType):
+            return ObjPtr(self.instance_of(op, fr))
+        cell = self.lv_cell(op, fr)
+        return CellPtr(cell.block, cell.index)
 
-    def _member_value(self, e, fr):
-        if isinstance(e.ty, FuncType):
-            if isinstance(e, ast.Dot):
-                return BoundMethod(self.instance_of(e.obj, fr), e.member)
-            v = self.eval(e.obj, fr)
-            if v is None:
-                raise RuntimeFault("null pointer dereference", e.pos)
-            return BoundMethod(v.instance, e.member)
-        return self.lv_cell(e, fr).value
+    def _eval_unary(self, e: ast.Unary, fr: Frame):
+        op = e.operand
+        v = _EVAL[op.__class__](self, op, fr)
+        return -v if e.op == "-" else (not v)
 
-    def _binary(self, e: ast.Binary, fr: Frame):
-        op = e.op
+    def _eval_binary(self, e: ast.Binary, fr: Frame):
+        op, left, right = e.op, e.left, e.right
+        a = _EVAL[left.__class__](self, left, fr)
         if op == "&&":
-            return bool(self.eval(e.left, fr)) and bool(self.eval(e.right, fr))
+            return bool(a) and bool(_EVAL[right.__class__](self, right, fr))
         if op == "||":
-            return bool(self.eval(e.left, fr)) or bool(self.eval(e.right, fr))
-        a = self.eval(e.left, fr)
-        b = self.eval(e.right, fr)
-        if op == "+":
-            if isinstance(a, CellPtr):
-                return CellPtr(a.block, a.offset + b)
-            if isinstance(b, CellPtr):
-                return CellPtr(b.block, b.offset + a)
-            return a + b
-        if op == "-":
-            if isinstance(a, CellPtr):
-                return CellPtr(a.block, a.offset - b)
-            return a - b
-        if op == "*":
-            return a * b
+            return bool(a) or bool(_EVAL[right.__class__](self, right, fr))
+        b = _EVAL[right.__class__](self, right, fr)
         if op == "/":
             return c_div(a, b, e.pos)
         if op == "%":
             return c_mod(a, b, e.pos)
-        if op == "==":
-            return a == b
-        if op == "!=":
-            return a != b
-        if op == "<":
-            return a < b
-        if op == ">":
-            return a > b
-        if op == "<=":
-            return a <= b
-        if op == ">=":
-            return a >= b
-        raise RuntimeFault(f"unknown operator {op}", e.pos)
+        if a.__class__ is CellPtr and (op == "+" or op == "-"):
+            return CellPtr(a.block, a.offset + b if op == "+" else a.offset - b)
+        if b.__class__ is CellPtr and op == "+":
+            return CellPtr(b.block, b.offset + a)
+        return _BINARY_OPS[op](a, b)
 
-    # ----------------------------------------------------------------- calls
-
-    def _call(self, e: ast.Call, fr: Frame):
+    def _eval_call(self, e: ast.Call, fr: Frame):
         callee = e.callee
-        if isinstance(callee, ast.Name) and callee.binding[0] == "func":
-            args = [self.eval(a, fr) for a in e.args]
+        kind = callee.binding[0] if callee.__class__ is ast.Name else None
+        if kind == "method" and fr.owner is None:
+            raise RuntimeFault("method call without owner", e.pos)
+        target = (None if kind == "func" or kind == "method"
+                  else _EVAL[callee.__class__](self, callee, fr))
+        args = [_EVAL[a.__class__](self, a, fr) for a in e.args]
+        if kind == "func":
             return self.call_function(callee.binding[1], args)
-        if isinstance(callee, ast.Name) and callee.binding[0] == "method":
-            if fr.owner is None:
-                raise RuntimeFault("method call without owner", e.pos)
-            args = [self.eval(a, fr) for a in e.args]
+        if kind == "method":
             return self.call_method(fr.owner, callee.binding[2], args)
-        target = self.eval(callee, fr)
-        args = [self.eval(a, fr) for a in e.args]
         if isinstance(target, FuncVal):
             return self.call_function(target.name, args)
         if isinstance(target, BoundMethod):
             return self.call_method(target.instance, target.name, args)
         raise RuntimeFault("call of a non-function value", e.pos)
+
+    # ----------------------------------------------------------------- calls
 
     def _func_decl(self, name: str, cls: str | None) -> ast.FuncDecl:
         decl = self._decls.get((cls, name))
@@ -592,29 +580,18 @@ class Machine:
         seq = self._call_seq
         frame = Frame(decl.name, owner=owner)
         for p, v in zip(decl.params, args):
-            block = Block(f"{decl.name}@{seq}:{p.name}", [])
-            cell = Cell(block.name, v, block=block, index=0)
-            block.cells = [cell]
-            frame.locals[p.name] = cell
-        self.frames.append(frame)
-        try:
-            self.exec_stmt(decl.body, frame)
-            ret = None
-        except ReturnSignal as r:
-            ret = r.value
-        finally:
-            for inst in reversed(frame.instances):
-                self._destroy_instance(inst)
-            self.frames.pop()
+            frame.locals[p.name] = _scalar(f"{decl.name}@{seq}:{p.name}", v)
+        ret = self._exec_body(decl.body, frame)
+        ret = None if ret is None else ret[0]
         if ret is None and decl.ret_type != "void":
             ret = default_value(make_type(decl.ret_type, decl.ret_ptr_depth))
         return ret
 
-    def _exec_body(self, body: ast.Stmt, frame: Frame):
-        """Run a monitor or tester body in its own frame (hot `_run_body` inlines it)."""
+    def _exec_body(self, body: ast.Block, frame: Frame):
+        """Run a function, monitor or tester body in its own frame."""
         self.frames.append(frame)
         try:
-            self.exec_stmt(body, frame)
+            return self._exec_block(body, frame)
         finally:
             for inst in reversed(frame.instances):
                 self._destroy_instance(inst)
@@ -632,30 +609,40 @@ class Machine:
             self.engine.resume(inst.header, inst.obj_cell)
 
     # ------------------------------------------------------------ statements
+    # Statement handlers `(machine, node, frame) -> None | (value,)`, by node
+    # class in `_EXEC`: a `return` gives (its value,), handed up unchanged.
 
-    def exec_stmt(self, s: ast.Stmt, fr: Frame):
-        if isinstance(s, ast.Block):
-            for st in s.stmts:
-                self.exec_stmt(st, fr)
-        elif isinstance(s, ast.VarDecl):
-            self._local_decl(s, fr)
-        elif isinstance(s, ast.Assign):
-            cell = self.lv_cell(s.target, fr)
-            self.store(cell, self.eval(s.value, fr))
-        elif isinstance(s, ast.ExprStmt):
-            self.eval(s.expr, fr)
-        elif isinstance(s, ast.If):
-            if self.eval(s.cond, fr):
-                self.exec_stmt(s.then, fr)
-            elif s.orelse is not None:
-                self.exec_stmt(s.orelse, fr)
-        elif isinstance(s, ast.While):
-            while self.eval(s.cond, fr):
-                self.exec_stmt(s.body, fr)
-        elif isinstance(s, ast.Return):
-            raise ReturnSignal(self.eval(s.value, fr) if s.value else None)
-        else:
-            raise RuntimeFault(f"cannot execute {type(s).__name__}", s.pos)
+    def _exec_block(self, s: ast.Block, fr: Frame):
+        for st in s.stmts:
+            r = _EXEC[st.__class__](self, st, fr)
+            if r is not None:
+                return r
+
+    def _exec_assign(self, s: ast.Assign, fr: Frame):
+        cell = self.lv_cell(s.target, fr)
+        v = s.value
+        self.store(cell, _EVAL[v.__class__](self, v, fr))
+
+    def _exec_expr(self, s: ast.ExprStmt, fr: Frame):
+        e = s.expr
+        _EVAL[e.__class__](self, e, fr)
+
+    def _exec_if(self, s: ast.If, fr: Frame):
+        cond = s.cond
+        st = s.then if _EVAL[cond.__class__](self, cond, fr) else s.orelse
+        return None if st is None else _EXEC[st.__class__](self, st, fr)
+
+    def _exec_while(self, s: ast.While, fr: Frame):
+        cond, body = s.cond, s.body
+        test, run = _EVAL[cond.__class__], _EXEC[body.__class__]
+        while test(self, cond, fr):
+            r = run(self, body, fr)
+            if r is not None:
+                return r
+
+    def _exec_return(self, s: ast.Return, fr: Frame):
+        e = s.value
+        return (None if e is None else _EVAL[e.__class__](self, e, fr),)
 
     def _local_decl(self, d: ast.VarDecl, fr: Frame):
         self._call_seq += 1
@@ -774,6 +761,7 @@ class Machine:
             lhs = self.gen.plans[ordinal].lhs
             resolve = self._resolver(lhs.expr)
             guard_details = _eval_details(ordinal)
+            rhs, rhs_eval = c.rhs, _EVAL[c.rhs.__class__]
             self._seq += 1
 
             def guard():
@@ -785,7 +773,7 @@ class Machine:
                 fn, owner, lvalue=lhs.str, construct=ordinal, seq=self._seq,
                 target=lambda: resolve(fr),
                 guard=guard if c.guard is not None else None,
-                apply=lambda cell: self.store(cell, self.eval(c.rhs, fr)))
+                apply=lambda cell: self.store(cell, rhs_eval(self, rhs, fr)))
         fr.entries[fn] = entry
         return entry
 
@@ -818,6 +806,29 @@ class Machine:
     def memory_snapshot(self) -> dict[str, str]:
         return {c.name: value_str(c.value)
                 for v in self.globals.values() for c in _cells(v, False)}
+
+
+# `_eval_binary` does `&&`, `||` (short circuit), `/`, `%` (may fault) and
+# pointer `+`/`-` itself; every other operator goes through this table.
+_BINARY_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "==": operator.eq, "!=": operator.ne, "<": operator.lt,
+               ">": operator.gt, "<=": operator.le, ">=": operator.ge}
+
+_EVAL = {
+    ast.IntLit: Machine._eval_literal, ast.BoolLit: Machine._eval_literal,
+    ast.NullLit: Machine._eval_literal, ast.Name: Machine._eval_name,
+    ast.Deref: Machine._eval_storage, ast.Index: Machine._eval_storage,
+    ast.Dot: Machine._eval_member, ast.Arrow: Machine._eval_member,
+    ast.AddrOf: Machine._eval_addr, ast.Unary: Machine._eval_unary,
+    ast.Binary: Machine._eval_binary, ast.Call: Machine._eval_call,
+}
+
+_EXEC = {
+    ast.Block: Machine._exec_block, ast.VarDecl: Machine._local_decl,
+    ast.Assign: Machine._exec_assign, ast.ExprStmt: Machine._exec_expr,
+    ast.If: Machine._exec_if, ast.While: Machine._exec_while,
+    ast.Return: Machine._exec_return,
+}
 
 
 # ------------------------------------------------------------------ pipeline

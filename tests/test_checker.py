@@ -71,6 +71,16 @@ def test_precondition_must_be_bool():
     assert_clean("int x; int s;\nx > 0 ?? { s = 1; }")
 
 
+def test_return_only_in_functions():
+    """A monitor or tester body has no caller: a `return` there is an error,
+    also after a function whose return type it could otherwise match."""
+    for construct in ("x ::= { return; }", "x > 0 ?? { if (true) { return; } }",
+                      "x ::= { return 1; }"):
+        assert errors("int x;\nint f() { return 1; }\n" + construct) == \
+            ["'return' outside a function"]
+    assert_clean("int x;\nvoid f() { return; }\nint g() { while (true) { return 1; } }")
+
+
 # ------------------------------------------------------------- name rules
 
 def test_unresolved_identifier():

@@ -1,4 +1,3 @@
-import dataclasses
 
 import pytest
 
@@ -88,7 +87,7 @@ def test_diff_traces_detects_detail_perturbation():
     visible = [i for i, e in enumerate(events)
                if e.kind in tr.ORACLE_VISIBLE]
     i = visible[-1]
-    events[i] = dataclasses.replace(events[i], detail="new:999")
+    events[i] = events[i]._replace(detail="new:999")
     res = diff_traces(m.trace.events, events)
     assert not res.ok
     assert res.left and res.right      # context around the mismatch

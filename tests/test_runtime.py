@@ -3,7 +3,7 @@ import random
 import pytest
 
 from declc import trace as tr
-from declc.contract import Wave, c_div, c_mod, top_entry
+from declc.contract import Wave, c_div, c_mod
 from declc.errors import RuntimeFault
 from declc.runtime import (Cell, ConstraintEntry, DependencyGraph, Engine,
                            Entry, ObjectHeader)
@@ -37,13 +37,18 @@ def test_division_by_zero_faults():
 # ---------------------------------------------------------- stacking rules
 
 def test_top_entry_is_last_registered():
+    """The last registered monitor is the top one; cancelling it makes the
+    one registered before it the top again."""
     e, c = engine(), Cell("x")
-    a, b = entry("f1"), entry("f2")
+    fired = []
+    a = Entry("f1", None, invoke=lambda: fired.append("f1"))
+    b = Entry("f2", None, invoke=lambda: fired.append("f2"))
     e.handle_monitor(c, a, True)
     e.handle_monitor(c, b, True)
-    assert top_entry(c.monitors) is b
+    e.actions_after_change(c)
     e.handle_monitor(c, b, False)
-    assert top_entry(c.monitors) is a
+    e.actions_after_change(c)
+    assert fired == ["f2", "f1"]
 
 
 def test_cancel_removes_topmost_matching():
@@ -394,6 +399,26 @@ def test_preconditions_all_fire_in_order():
     c.preconditions.append(Entry("t1", None, invoke=lambda: fired.append(1)))
     e.actions_after_change(c)
     assert fired == [0, 1]
+
+
+@pytest.mark.parametrize("add", [False, True])
+def test_change_phases_skip_redefinitions_cancelled_earlier(add):
+    """A redefinition cancelled by an earlier one of the same cell in the same
+    before- or after-change phase does not run from the phase's snapshot."""
+    e = engine()
+    c = Cell("x", 0)
+    ran = []
+    inner = Entry("redef_inner", None, invoke=lambda b: ran.append(("inner", b)))
+
+    def outer(b):
+        ran.append(("outer", b))
+        e.handle_redefinition(c, inner, False)
+
+    e.handle_redefinition(c, Entry("redef_outer", None, invoke=outer), True)
+    e.handle_redefinition(c, inner, True)
+    (e.actions_after_change if add else e.actions_before_change)(c)
+    assert ran == [("outer", add)]
+    assert [r.fn for r in c.redefinitions] == ["redef_outer"]
 
 
 # ------------------------------------------------------------ object protocol

@@ -1,0 +1,29 @@
+"""The benchmark's per-layer spans (perfbench/spans.py) still see the write
+path: a shortcut that stops calling through a wrapped name would read as a
+layer that costs nothing."""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import spans  # noqa: E402
+import workloads  # noqa: E402
+
+WRITE_PATH = ["vm.store", "runtime.after_change", "runtime.resolve",
+              "runtime.fire", "trace.emit"]
+
+
+@pytest.mark.parametrize("program", [
+    workloads.ChainProgram(2, 5), workloads.RebindProgram("value", 4, 2),
+], ids=["chain", "rebind.value"])
+def test_every_request_is_seen_on_the_write_path(program):
+    """Each request of these workloads writes a cell with dependency edges,
+    so each layer below is entered at least once per request."""
+    tracer = spans.Tracer()
+    plain, res, _ = workloads.ProgramWorkload("tiny", program, 20, 5).traced(1, tracer)
+    assert plain.failed == res.failed == 0
+    assert len(res.latency) == 5
+    for name in WRITE_PATH:
+        assert tracer.calls[name] >= len(res.latency), name

@@ -381,3 +381,13 @@ void main() { f(1); f(2); f(3); }
         m.call_function("f", [v])
     assert held() == before
     assert m.memory_snapshot()["last"] == "1000"
+
+
+@pytest.mark.parametrize("src,x", [
+    ("int x; int y;\nx := *&*&y;\nvoid main() { y = 2; }", "2"),
+    ("int a[2]; int x;\nx := a[a[a[0]]];\nvoid main() { a[0] = 1; }", "1"),
+], ids=["deref", "index"])
+def test_redefinition_cancelled_earlier_in_the_phase_does_not_run(src, x):
+    """Both redefinitions of a nested l-value sit on one cell; the outer one
+    cancels the inner one, which then must not cancel its registrations again."""
+    assert matches_oracle(src).memory_snapshot()["x"] == x

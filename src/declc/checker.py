@@ -100,6 +100,7 @@ class Checker:
 
     def check_global(self, d: ast.VarDecl):
         t = self.info.globals[d.name]
+        self.no_object_array(d, t)
         if d.init is not None:
             if isinstance(t, (Array, ClassType)):
                 self.error(d.pos, f"'{d.name}': initializer not allowed for this type")
@@ -107,6 +108,10 @@ class Checker:
             it = self.expr(d.init)
             if it is not None and not assign_compatible(t, it):
                 self.error(d.pos, f"cannot initialize '{t}' from '{it}'")
+
+    def no_object_array(self, d: ast.VarDecl, t: Type):
+        if isinstance(t, Array) and isinstance(t.elem, ClassType):
+            self.error(d.pos, f"'{d.name}': arrays of objects are not supported")
 
     def check_func(self, f: ast.FuncDecl):
         self.cur_ret = make_type(f.ret_type, f.ret_ptr_depth)
@@ -175,6 +180,7 @@ class Checker:
             if s.base_type not in ("int", "bool") and s.ptr_depth == 0 \
                     and s.base_type not in self.info.classes:
                 self.error(s.pos, f"unknown type '{s.base_type}'")
+            self.no_object_array(s, t)
             scope[s.name] = t
             if s.init is not None:
                 it = self.expr(s.init)
@@ -287,6 +293,9 @@ class Checker:
                 return None
             if isinstance(bt, Array):
                 return bt.elem
+            if isinstance(bt, Ptr) and isinstance(bt.pointee, ClassType):
+                self.error(e.pos, f"cannot index a pointer to an object ('{bt}')")
+                return None
             if isinstance(bt, Ptr) and bt != NULL_T:
                 return bt.pointee
             self.error(e.pos, f"cannot index a value of type '{bt}'")
@@ -303,11 +312,15 @@ class Checker:
         op = e.op
         if op in ("+", "-", "*", "/", "%"):
             # Pointer arithmetic: ptr + int, int + ptr, ptr - int yield the
-            # pointer type (element-granular, like C).
-            if op in ("+", "-") and isinstance(lt, Ptr) and rt == INT:
-                return lt
-            if op == "+" and isinstance(rt, Ptr) and lt == INT:
-                return rt
+            # pointer type (element-granular, like C), but for an object
+            # pointer: an object is no element of an array.
+            ptr = (lt if op in ("+", "-") and isinstance(lt, Ptr) and rt == INT else
+                   rt if op == "+" and isinstance(rt, Ptr) and lt == INT else None)
+            if ptr is not None:
+                if isinstance(ptr.pointee, ClassType):
+                    self.error(e.pos, f"operator '{op}' on a pointer to an object ('{ptr}')")
+                    return None
+                return ptr
             for t in (lt, rt):
                 if t is not None and t != INT:
                     self.error(e.pos, f"operator '{op}' requires int operands, got '{t}'")

@@ -1,10 +1,12 @@
 """Diagnostics and error types shared by all compiler stages."""
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Pos:
+class Pos(NamedTuple):
+    """A source position; the lexer builds one per token."""
+
     line: int  # 1-based
     col: int   # 1-based
 

@@ -22,6 +22,7 @@ class Entry:
     fn: str
     owner: object                  # Instance or None for file scope
     invoke: object = None          # callable; signature depends on the list
+                                   # (redefinitions: (fns, b), see Engine._rebind)
     lvalue: str = ""
     construct: int = -1
     detail: str = field(init=False, repr=False)  # of its MonitorFired/ConstraintApplied
@@ -75,16 +76,15 @@ class ObjectHeader:
 
 # --------------------------------------------------------------- dependencies
 
-@dataclass(eq=False)
 class DepEdge:
-    from_cell: Cell
-    entry: ConstraintEntry
-    lv_ordinal: int
-    live: bool = True              # cleared when the edge is removed
-    order: tuple[int, int] = field(init=False)
+    __slots__ = ("from_cell", "entry", "lv_ordinal", "live", "order")
 
-    def __post_init__(self):
-        self.order = (self.entry.seq, self.lv_ordinal)
+    def __init__(self, from_cell: Cell, entry: ConstraintEntry, lv_ordinal: int):
+        self.from_cell = from_cell
+        self.entry = entry
+        self.lv_ordinal = lv_ordinal
+        self.live = True           # cleared when the edge is removed
+        self.order = (entry.seq, lv_ordinal)
 
 
 _order = attrgetter("order")
@@ -167,16 +167,12 @@ class Engine:
     # an earlier one cancelled is skipped, as `resolve` skips cancelled edges.
 
     def actions_before_change(self, cell: Cell):
-        for r in list(cell.redefinitions):
-            if r.registered:
-                r.invoke(False)
+        self._rebind(cell, False)
 
     def actions_after_change(self, cell: Cell):
         # phase 1: rebinding / re-installation
         if cell.redefinitions:
-            for r in list(cell.redefinitions):
-                if r.registered:
-                    r.invoke(True)
+            self._rebind(cell, True)
         # phase 2: top (last registered) monitor, disabled during its execution
         if cell.monitors and cell.monitors_enabled:
             m = cell.monitors[-1]
@@ -196,6 +192,20 @@ class Engine:
         if cell.preconditions:
             for p in list(cell.preconditions):
                 p.invoke()
+
+    def _rebind(self, cell: Cell, b: bool):
+        """Cancel (not b) or reinstall cell's redefinitions: each maximal run of
+        adjacent entries of one owner goes to the host in one `invoke(fns, b)`
+        of its first entry.  `fns` yields the function of each entry still
+        registered when the host reaches it."""
+        redefs = list(cell.redefinitions)
+        start, n = 0, len(redefs)
+        while start < n:
+            owner, end = redefs[start].owner, start + 1
+            while end < n and redefs[end].owner is owner:
+                end += 1
+            redefs[start].invoke((r.fn for r in redefs[start:end] if r.registered), b)
+            start = end
 
     def resolve(self, changed: Cell):
         for edge in list(changed.dependencies):

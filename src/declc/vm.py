@@ -7,7 +7,9 @@ one walk that dispatches each node by its class through a handler table
 up, not an exception.  Each generated init/redef function is lowered once per
 machine into a flat tuple of steps, and each l-value into a resolver that
 binds it to a cell at call time; reads of a dereference, an element or a data
-member go through that resolver.
+member go through that resolver.  A redefined cell's rebinding phase runs the
+steps of each owner's run of redefinitions in one step loop, which resolves
+an l-value once per run until a step can store.
 """
 
 from __future__ import annotations
@@ -192,7 +194,7 @@ class Machine:
         self._decls.update({(c.name, f.name): f for c in self.unit.classes
                             for f in c.methods})
         self._seq = 0
-        self._call_seq = 0
+        self._call_seq = 0  # bumped by each user function call and local declaration
         self.loaded = False
 
     # ----------------------------------------------------------- allocation
@@ -230,13 +232,13 @@ class Machine:
             inst.hooks.append((cell, hook))
         plan = self.gen.classes.get(inst.cls)
         if plan is not None:
-            self.run_genfn(plan.unit_init, inst, True)
+            self.run_genfn((plan.unit_init,), inst, True)
         self.instances.append(inst)
 
     def _destroy_instance(self, inst: Instance):
         plan = self.gen.classes.get(inst.cls)
         if plan is not None:
-            self.run_genfn(plan.unit_init, inst, False)
+            self.run_genfn((plan.unit_init,), inst, False)
         self._gen_frames.pop(id(inst), None)
         for cell, hook in inst.hooks:
             cell.update_hooks.remove(hook)
@@ -281,13 +283,13 @@ class Machine:
                 self._construct_instance(target)
             elif d.init is not None:
                 self.store(target, self.eval(d.init, fr))
-        self.run_genfn(self.gen.unit_init, None, True)
+        self.run_genfn((self.gen.unit_init,), None, True)
         self.loaded = True
         return self
 
     def teardown(self):
         """Cancel every installed registration (reverse of install order)."""
-        self.run_genfn(self.gen.unit_init, None, False)
+        self.run_genfn((self.gen.unit_init,), None, False)
         for inst in [i for i in reversed(self.instances)
                      if "." not in i.name]:  # nested members via their parent
             self._destroy_instance(inst)
@@ -664,43 +666,60 @@ class Machine:
 
     # -------------------------------------------------- generated functions
 
-    def run_genfn(self, name: str, owner, b: bool):
-        """Run generated function `name` for `owner`: install (b) or cancel."""
-        steps = self._steps.get(name)
-        if steps is None:
-            steps = self._lower(name)
+    def run_genfn(self, fns, owner, b: bool):
+        """Run `owner`'s generated functions named by `fns`, in order, as one
+        step run: install (b) or cancel.  `fns` is pulled lazily, one name per
+        function, so a caller may still skip a function when the run reaches
+        it.  An l-value is resolved once per run and its cell reused, until a
+        step that can store: an applied constraint, or a resolution that ran
+        user code (a call in the l-value), whose cell is never reused."""
         fr = self._gen_frame(owner)
         entries, dormant, engine, emit = fr.entries, fr.dormant, self.engine, self.trace.emit
-        for step in steps:
-            kind, efn, lvstr, detail, construct, ordinal, resolve = step
-            entry = entries.get(efn) or self._entry(kind, efn, construct, lvstr, fr)
-            if kind is ApplyOnInstall:
-                if b:
-                    engine.fire(entry, via_resolution=False)
-                continue
-            if dormant and step in dormant:
-                dormant.discard(step)
-                if not b:
+        lowered = self._steps
+        cells = {}  # resolver -> the cell it gave in this run
+        for name in fns:
+            steps = lowered.get(name)
+            if steps is None:
+                steps = self._lower(name)
+            for step in steps:
+                kind, efn, lvstr, detail, construct, ordinal, resolve = step
+                entry = entries.get(efn) or self._entry(kind, efn, construct, lvstr, fr)
+                if kind is ApplyOnInstall:
+                    if b:
+                        cells.clear()
+                        engine.fire(entry, via_resolution=False)
                     continue
-            try:
-                cell = resolve(fr)
-            except RuntimeFault as f:
-                if b:
-                    dormant.add(step)
-                    emit(tr.DORMANT, lvstr, "", f"construct:{construct}:{f.msg}")
-                    continue
-                raise
-            if kind is RegDependency:
-                engine.handle_dependency(cell, entry, ordinal, b)
-            elif kind is RegConstraint:
-                engine.handle_constraint(cell, entry, b)
-            elif kind is RegRedefinition:
-                engine.handle_redefinition(cell, entry, b)
-            elif kind is RegMonitor:
-                engine.handle_monitor(cell, entry, b)
-            else:
-                engine.handle_precondition(cell, entry, b)
-            emit(tr.INSTALL if b else tr.CANCEL, lvstr, cell.name, detail)
+                if dormant and step in dormant:
+                    dormant.discard(step)
+                    if not b:
+                        continue
+                cell = cells.get(resolve)
+                if cell is None:
+                    calls = self._call_seq
+                    try:
+                        cell = resolve(fr)
+                    except RuntimeFault as f:
+                        cells.clear()  # it may have run user code that stored
+                        if b:
+                            dormant.add(step)
+                            emit(tr.DORMANT, lvstr, "", f"construct:{construct}:{f.msg}")
+                            continue
+                        raise
+                    if self._call_seq == calls:
+                        cells[resolve] = cell
+                    else:  # it ran user code, which may have stored
+                        cells.clear()
+                if kind is RegDependency:
+                    engine.handle_dependency(cell, entry, ordinal, b)
+                elif kind is RegConstraint:
+                    engine.handle_constraint(cell, entry, b)
+                elif kind is RegRedefinition:
+                    engine.handle_redefinition(cell, entry, b)
+                elif kind is RegMonitor:
+                    engine.handle_monitor(cell, entry, b)
+                else:
+                    engine.handle_precondition(cell, entry, b)
+                emit(tr.INSTALL if b else tr.CANCEL, lvstr, cell.name, detail)
 
     def _lower(self, name: str) -> tuple:
         """Lower a generated function to a flat tuple of steps, CallGen callees
@@ -740,7 +759,7 @@ class Machine:
         """The runtime entry `fn` of fr's owner, made on first use."""
         owner, c = fr.owner, self.gen.graph.constructs[ordinal].construct
         if kind is RegRedefinition:
-            entry = Entry(fn, owner, invoke=lambda b: self.run_genfn(fn, owner, b),
+            entry = Entry(fn, owner, invoke=lambda fns, b: self.run_genfn(fns, owner, b),
                           lvalue=lvstr, construct=ordinal)
         elif kind is RegMonitor:
             entry = Entry(fn, owner, lvalue=lvstr, construct=ordinal,

@@ -119,6 +119,27 @@ def test_index_requires_array_or_pointer():
     assert_clean("int *p; int a[4];\nvoid main() { p = &a[0]; *p = 1; }")
 
 
+OBJECT_CLASS = "class W { private: int m; public: int get() { return m; } };\n"
+
+
+@pytest.mark.parametrize("expr", ["(q + 1)->get()", "(1 + q)->get()", "(q - 1)->get()",
+                                  "q[0].get()"])
+def test_object_pointers_take_no_arithmetic_or_index(expr):
+    """An object is no element of an array: `+`/`-` and `[]` on a pointer to
+    one are source errors, not a pointer the vm cannot follow."""
+    src = OBJECT_CLASS + "W w; W *q; int x;\nvoid main() { q = &w; x = %s; }"
+    assert errors(src % expr) and len(errors(src % expr)) == 1
+    assert_clean(src % "q->get()")
+    assert_clean("int a[2]; int *p; int x;\nvoid main() { p = &a[0]; x = (p + 1)[0]; }")
+
+
+@pytest.mark.parametrize("decl", ["W arr[2];\nvoid main() { }",
+                                  "void main() { W arr[2]; }"], ids=["global", "local"])
+def test_arrays_of_objects_rejected(decl):
+    assert errors(OBJECT_CLASS + decl) == ["'arr': arrays of objects are not supported"]
+    assert_clean(OBJECT_CLASS + decl.replace("W arr[2]", "W *arr[2]"))
+
+
 def test_arithmetic_is_int_only():
     assert errors("bool b; int x;\nvoid main() { x = b + 1; }")
     assert_clean("int x;\nvoid main() { x = 1 + 2 * 3; }")

@@ -193,6 +193,8 @@ def test_address_of_a_dereferenced_object_pointer_is_an_object_pointer():
     assert m.memory_snapshot()["r"] == "&v"
 
 
+OBJECT_CLASS = "class W { private: int m; public: int get() { return m; } };\n"
+
 # Inputs that once ended in a Python traceback: (source, extra run arguments,
 # environment, exit code, expected on stderr).
 CRASH_INPUTS = {
@@ -214,6 +216,16 @@ CRASH_INPUTS = {
                               {"DECLC_TRACE_BUFFER": "abc"}, 0, ""),
     "unclosed-comment": ("int x;\n  /* never closed", [], {}, 1,
                          "2:3: error: unterminated comment"),
+    "object-pointer-arithmetic": (OBJECT_CLASS + "W w; W *q; int x;\n"
+                                  "void main() { q = &w; x = (q + 1)->get(); }", [], {},
+                                  1, "3:28: error: operator '+' on a pointer to an object"),
+    "object-pointer-index": (OBJECT_CLASS + "W w; W *q; int x;\n"
+                             "void main() { q = &w; x = q[0].get(); }", [], {},
+                             1, "3:27: error: cannot index a pointer to an object"),
+    "object-array-global": (OBJECT_CLASS + "W arr[2]; W *q;\nvoid main() { q = &arr[1]; }",
+                            [], {}, 1, "2:1: error: 'arr': arrays of objects"),
+    "object-array-local": (OBJECT_CLASS + "int x;\nvoid main() { W arr[2]; x = arr[0].get(); }",
+                           [], {}, 1, "3:15: error: 'arr': arrays of objects"),
 }
 
 

@@ -1,6 +1,7 @@
 import pytest
 
-from declc.errors import LexError
+from declc import ast
+from declc.errors import NOPOS, LexError, Pos, RuntimeFault
 from declc.lexer import tokenize
 
 
@@ -50,6 +51,16 @@ def test_positions_track_lines_and_columns():
     toks = tokenize("int x;\n  y = 1;")
     y = next(t for t in toks if t.text == "y")
     assert (y.pos.line, y.pos.col) == (2, 3)
+
+
+def test_pos_is_a_value_that_renders_as_line_colon_col():
+    p = Pos(3, 7)
+    assert str(p) == "3:7" and repr(p) == "Pos(line=3, col=7)"
+    assert p == Pos(3, 7) and p != Pos(7, 3) and hash(p) == hash(Pos(3, 7))
+    assert len({p, Pos(3, 7), NOPOS}) == 2
+    assert NOPOS == Pos(0, 0) and str(NOPOS) == "0:0" and ast.IntLit(1).pos == NOPOS
+    assert str(RuntimeFault("boom")) == "fault: boom"
+    assert str(RuntimeFault("boom", p)) == "3:7: fault: boom"
 
 
 def test_unknown_character_is_an_error():

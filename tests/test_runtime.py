@@ -408,16 +408,18 @@ def test_change_phases_skip_redefinitions_cancelled_earlier(add):
     e = engine()
     c = Cell("x", 0)
     ran = []
-    inner = Entry("redef_inner", None, invoke=lambda b: ran.append(("inner", b)))
 
-    def outer(b):
-        ran.append(("outer", b))
-        e.handle_redefinition(c, inner, False)
+    def run(fns, b):  # the host side of a run: both entries have one owner
+        for fn in fns:
+            ran.append((fn, b))
+            if fn == "redef_outer":
+                e.handle_redefinition(c, inner, False)
 
-    e.handle_redefinition(c, Entry("redef_outer", None, invoke=outer), True)
+    inner = Entry("redef_inner", None, invoke=run)
+    e.handle_redefinition(c, Entry("redef_outer", None, invoke=run), True)
     e.handle_redefinition(c, inner, True)
     (e.actions_after_change if add else e.actions_before_change)(c)
-    assert ran == [("outer", add)]
+    assert ran == [("redef_outer", add)]
     assert [r.fn for r in c.redefinitions] == ["redef_outer"]
 
 

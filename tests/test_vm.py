@@ -1,8 +1,9 @@
 import pytest
 
 from conftest import events_of, machine, matches_oracle, program, run
-from declc import trace as tr
+from declc import ast, trace as tr
 from declc.errors import RuntimeFault
+from declc.vm import Machine, compile_source
 
 
 # ------------------------------------------------------------- load behavior
@@ -391,3 +392,127 @@ def test_redefinition_cancelled_earlier_in_the_phase_does_not_run(src, x):
     """Both redefinitions of a nested l-value sit on one cell; the outer one
     cancels the inner one, which then must not cancel its registrations again."""
     assert matches_oracle(src).memory_snapshot()["x"] == x
+
+
+# ---------------------------------------------------------------- step runs
+# A redefined cell's rebinding phase hands each run of adjacent redefinitions
+# of one owner to `run_genfn` in one call, which resolves each call-free
+# l-value once per run.
+
+def count_runs(m, monkeypatch) -> list:
+    """Record the owner of every `run_genfn` call made after this point."""
+    owners, real = [], m.run_genfn
+    monkeypatch.setattr(m, "run_genfn",
+                        lambda fns, owner, b: owners.append(owner) or real(fns, owner, b))
+    return owners
+
+
+def test_moving_a_fan_resolves_the_shared_lvalue_once_per_phase(monkeypatch):
+    fan = 64
+    src = ("int s[2]; int *p = &s[0]; int seen;\n"
+           + "".join(f"int f{k};\n" for k in range(fan))
+           + "".join(f"f{k} := *p + {k};\n" for k in range(fan))
+           + "*p ::= { seen = seen + 1; }\n"
+           "void move(int k) { p = &s[k]; }\nvoid main() { move(1); *p = 5; }")
+    assert matches_oracle(src).memory_snapshot()["f63"] == "68"
+    m = Machine(*compile_source(src), tr.TraceSink())
+    resolved, real = [], m._compile_lv
+
+    def compile_lv(e):  # count the calls of the `*p` resolver
+        r = real(e)
+        if isinstance(e, ast.Deref):
+            return lambda fr: resolved.append(1) or r(fr)
+        return r
+    monkeypatch.setattr(m, "_compile_lv", compile_lv)
+    m.load()
+    resolved.clear()
+    owners = count_runs(m, monkeypatch)
+    start = len(m.trace.events)
+    m.call_function("move", [1])
+    assert len(resolved) == 2 and owners == [None, None]
+    moved = [(e.kind, e.cell, e.detail) for e in m.trace.events[start:]
+             if e.kind in (tr.CANCEL, tr.INSTALL)]
+    order = [f"dependency:construct:{k}" for k in range(fan)] + [f"monitor:construct:{fan}"]
+    assert moved == ([(tr.CANCEL, "s[0]", d) for d in order]
+                     + [(tr.INSTALL, "s[1]", d) for d in order])
+
+
+def test_a_store_made_in_a_run_is_seen_by_its_later_entries():
+    """Moving `p` reinstalls `h`, applies `*p := q0` (now storing into t2) and
+    then reinstalls `h2`: its `**p` must be resolved after that store."""
+    src = """int a; int b; int c; int *t1 = &a; int *t2 = &c;
+int **p = &t1; int *q0 = &b; int h; int h2;
+h := **p;
+*p := q0;
+h2 := **p;
+void move() { p = &t2; }
+void main() { move(); b = 7; }
+"""
+    m = matches_oracle(src)
+    assert (m.memory_snapshot()["h"], m.memory_snapshot()["h2"]) == ("7", "7")
+    m = machine(src)
+    start = len(m.trace.events)
+    m.call_function("move", [])
+    installs = [(e.lvalue, e.cell, e.detail) for e in m.trace.events[start:]
+                if e.kind == tr.INSTALL]
+    assert installs == [
+        ("*p", "t2", "redefinition:construct:0"), ("**p", "c", "dependency:construct:0"),
+        ("*p", "t2", "constraint:construct:1"), ("**p", "b", "dependency:construct:0"),
+        ("*p", "t2", "redefinition:construct:2"), ("**p", "b", "dependency:construct:2")]
+
+
+def test_an_lvalue_with_a_call_is_resolved_at_every_step(monkeypatch):
+    """`g` writes `n`, so each step that resolves `arr[g(i)]` runs it anew,
+    with its events, inside the one run of each phase.  (The reference
+    interpreter does not finish this program: its resolution calls `g`,
+    whose store resolves again.)"""
+    m = machine("int arr[4]; int n; int i; int x0; int x1;\n"
+                "int g(int v) { n = n + 1; return v; }\n"
+                "x0 := arr[g(i)];\nx1 := arr[g(i)] + 1;\n"
+                "void move(int k) { i = k; }\nvoid main() { }")
+    owners = count_runs(m, monkeypatch)
+    start = len(m.trace.events)
+    m.call_function("move", [2])
+    assert owners == [None, None]
+    got = [(e.kind, e.cell, e.detail) for e in m.trace.events[start:]]
+
+    def step(n, kind, cell, construct):
+        return [(tr.BEFORE_CHANGE, "n", f"old:{n}"), (tr.AFTER_CHANGE, "n", f"new:{n + 1}"),
+                (kind, cell, f"dependency:construct:{construct}")]
+    assert got == ([(tr.BEFORE_CHANGE, "i", "old:0")]
+                   + step(4, tr.CANCEL, "arr[0]", 0) + step(5, tr.CANCEL, "arr[0]", 1)
+                   + [(tr.AFTER_CHANGE, "i", "new:2")]
+                   + step(6, tr.INSTALL, "arr[2]", 0) + step(7, tr.INSTALL, "arr[2]", 1))
+
+
+def test_dormant_steps_inside_a_run_keep_their_detail():
+    src = """int s[2]; int *p; int src; int seen;
+*p ::= { seen = seen + 1; }
+*p := src;
+void main() { p = &s[0]; src = 3; p = null; p = &s[1]; src = 4; }
+"""
+    m = matches_oracle(src)
+    assert m.memory_snapshot()["seen"] == "4"
+    dormant = [(e.lvalue, e.detail) for e in events_of(m, tr.DORMANT)]
+    assert dormant == 2 * [("*p", "construct:0:null pointer dereference"),
+                           ("*p", "construct:1:null pointer dereference")]
+    assert [e.cell for e in events_of(m, tr.INSTALL) if e.lvalue == "*p"] == \
+        ["s[0]", "s[0]", "s[1]", "s[1]"]
+
+
+def test_redefinitions_of_two_owners_run_apart(monkeypatch):
+    src = """int arr[2]; int i;
+class C { private: int m; public: int get() { return m; } m := arr[i] + 1; };
+C c1; C c2; int r1; int r2;
+r1 := c1.get();
+r2 := c2.get();
+void move(int k) { i = k; }
+void main() { move(1); arr[1] = 4; }
+"""
+    snap = matches_oracle(src).memory_snapshot()
+    assert (snap["c1.m"], snap["c2.m"], snap["r1"], snap["r2"]) == ("5", "5", "5", "5")
+    m = machine(src)
+    owners = count_runs(m, monkeypatch)
+    m.call_function("move", [1])
+    c1, c2 = m.globals["c1"], m.globals["c2"]
+    assert owners == [c1, c2, c1, c2]

@@ -159,15 +159,21 @@ def mangle(lv: LvNode) -> str:
 
 
 class NameRegistry:
+    """Fresh names `base`, `base_1`, `base_2`, ...: the first one not used.
+    Names are only ever added, so probing for a base resumes where it last
+    stopped."""
+
     def __init__(self):
         self.used: set[str] = set()
+        self.next: dict[str, int] = {}  # base -> first suffix not yet probed
 
     def fresh(self, base: str) -> str:
-        name = base
-        k = 0
+        k = self.next.get(base, 0)
+        name = f"{base}_{k}" if k else base
         while name in self.used:
             k += 1
             name = f"{base}_{k}"
+        self.next[base] = k + 1
         self.used.add(name)
         return name
 

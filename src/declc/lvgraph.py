@@ -70,6 +70,7 @@ class ConstructLvs:
     lhs: LvNode | None = None          # constraint / monitor left side
     rhs_lvs: list[LvNode] = field(default_factory=list)   # constraint right side
     cond_lvs: list[LvNode] = field(default_factory=list)  # precondition trigger side
+    cond_str: str = ""                 # precondition condition, canonical
 
 
 class RedefGraph:
@@ -174,12 +175,6 @@ class Analyzer:
         raise TypeError(f"unknown expression {type(e).__name__}")
 
 
-def canonical_str(lv: ast.Expr, scope: str | None = None) -> str:
-    """Canonical string of one l-value (scratch graph, no interning effects)."""
-    tokens, _ = Analyzer(RedefGraph(), scope).analyze(lv)
-    return "".join(tokens)
-
-
 # ------------------------------------------------------------------ building
 
 def build_graph(unit: ast.Unit) -> RedefGraph:
@@ -198,7 +193,8 @@ def build_graph(unit: ast.Unit) -> RedefGraph:
             _, lvs = an.analyze(c.lhs)
             info.lhs = lvs[0]
         elif isinstance(c, ast.Precond):
-            _, info.cond_lvs = an.analyze(c.cond)
+            tokens, info.cond_lvs = an.analyze(c.cond)
+            info.cond_str = "".join(tokens)
         g.constructs[c.ordinal] = info
     return g
 

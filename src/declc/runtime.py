@@ -164,7 +164,7 @@ class Engine:
 
     # --- change protocol --------------------------------------------------
     # A phase runs over a snapshot of a non-empty list; a redefinition that
-    # an earlier one cancelled is skipped, as `resolve` skips cancelled edges.
+    # an earlier one cancelled is skipped.
 
     def actions_before_change(self, cell: Cell):
         self._rebind(cell, False)
@@ -208,9 +208,16 @@ class Engine:
             start = end
 
     def resolve(self, changed: Cell):
+        """Fire the edges changed has when its resolution starts, in order,
+        each one that is still on changed at its turn.  An edge an earlier
+        firing cancelled and reinstalled there fires as the new edge; one it
+        moved away or added does not, as in the reference interpreter."""
         for edge in list(changed.dependencies):
-            if edge.live:  # else cancelled by an earlier firing in this wave
-                self.fire(edge.entry, via_resolution=True)
+            if not edge.live:
+                edge = self.deps.edges.get(edge.order)
+                if edge is None or edge.from_cell is not changed:
+                    continue
+            self.fire(edge.entry, via_resolution=True)
 
     def fire(self, entry: ConstraintEntry, via_resolution: bool):
         """Attempt one constraint application (used by resolution and by

@@ -1,0 +1,185 @@
+"""Compilers of shape evaluators for the vm.
+
+`Machine._value` and `Machine._cell` (vm.py) turn an expression into the key
+of its shape, the operator tree plus the kind and leaf index of each leaf,
+and `Machine._shape` compiles a key it has not seen through `SHAPES`: a
+compiler per kind, `(machine, *rest of the key) -> evaluator`.  An evaluator
+is `(leaves, frame) -> value`, or the cell an l-value denotes; the tuple of
+leaves is bound per runtime entry or per resolver.  A key holds its
+children's evaluators, so an evaluator closes over them and over leaf
+indices only, never over a cell.
+"""
+
+from __future__ import annotations
+
+from . import ast
+from .errors import RuntimeFault
+from .runtime import Cell
+from .values import Block, BoundMethod, CellPtr, Instance, ObjPtr
+
+
+def _lit(m, i):
+    return lambda a, fr: a[i]
+
+
+def _cell(m, i, value):
+    return (lambda a, fr: a[i].value) if value else (lambda a, fr: a[i])
+
+
+def _eval(m, handler, i):
+    return lambda a, fr: handler(m, a[i], fr)
+
+
+def _neg(m, x):
+    return lambda a, fr: -x(a, fr)
+
+
+def _not(m, x):
+    return lambda a, fr: not x(a, fr)
+
+
+def _op(m, f, left, right):
+    return lambda a, fr: f(left(a, fr), right(a, fr))
+
+
+def _op_lit(m, f, left, j):
+    return lambda a, fr: f(left(a, fr), a[j])
+
+
+def _and(m, left, right):
+    return lambda a, fr: bool(left(a, fr)) and bool(right(a, fr))
+
+
+def _or(m, left, right):
+    return lambda a, fr: bool(left(a, fr)) or bool(right(a, fr))
+
+
+def _divmod(m, f, left, right, p):
+    return lambda a, fr: f(left(a, fr), right(a, fr), a[p])
+
+
+def _name(m, i, value):
+    def name(a, fr):
+        e = a[i]
+        v = (m.func_cell(e.binding[1]) if e.binding[0] == "func"
+             else m._lookup(e.binding, fr))
+        if v.__class__ is not Cell:
+            if isinstance(v, Instance):
+                v = v.obj_cell
+            elif isinstance(v, BoundMethod):
+                v = v.instance.obj_cell
+            elif isinstance(v, Block):
+                raise RuntimeFault(f"array '{e.name}' is not a single storage cell",
+                                   e.pos)
+            else:
+                raise RuntimeFault(f"'{e.name}' does not denote storage", e.pos)
+        return v.value if value else v
+    return name
+
+
+def _deref_cell(m, i, p, value):
+    """`*p` for a bound `p`: its value and `CellPtr.deref` inline."""
+    def deref(a, fr):
+        v = a[i].value
+        if v.__class__ is CellPtr:
+            cells, k = v.block.cells, v.offset
+            if 0 <= k < len(cells):
+                return cells[k].value if value else cells[k]
+            return v.deref()  # raises
+        return _deref_other(v, a[p], value)
+    return deref
+
+
+def _deref(m, x, p, value):
+    def deref(a, fr):
+        v = x(a, fr)
+        if v.__class__ is CellPtr:
+            cells, k = v.block.cells, v.offset
+            if 0 <= k < len(cells):
+                return cells[k].value if value else cells[k]
+            return v.deref()  # raises
+        return _deref_other(v, a[p], value)
+    return deref
+
+
+def _elem_cell(m, i, b, p, value):
+    """`arr[i]` for a global array and a bound `i`: both inline."""
+    def element(a, fr):
+        idx = a[i].value
+        cells = a[b].cells
+        if 0 <= idx < len(cells):
+            return cells[idx].value if value else cells[idx]
+        raise RuntimeFault(f"index {idx} out of bounds for '{a[b].name}'", a[p])
+    return element
+
+
+def _elem(m, x, base, p, value):
+    def element(a, fr):
+        idx = x(a, fr)
+        blk = base(a, fr)
+        if 0 <= idx < len(blk.cells):
+            return blk.cells[idx].value if value else blk.cells[idx]
+        raise RuntimeFault(f"index {idx} out of bounds for '{blk.name}'", a[p])
+    return element
+
+
+def _block(m, i):
+    def block(a, fr):
+        e = a[i]
+        v = m._lookup(e.binding, fr) if e.__class__ is ast.Name else None
+        if not isinstance(v, Block):
+            raise RuntimeFault("expected an array", e.pos)
+        return v
+    return block
+
+
+def _ptr_elem(m, x, base, p, value):
+    def pointee(a, fr):
+        idx = x(a, fr)
+        v = base(a, fr)
+        if not isinstance(v, CellPtr):
+            raise RuntimeFault("null pointer indexed" if v is None
+                               else "indexing a non-pointer value", a[p])
+        cell = CellPtr(v.block, v.offset + idx).deref()
+        return cell.value if value else cell
+    return pointee
+
+
+def _member(m, i, value):
+    def member(a, fr):
+        e = a[i]
+        cell = m._member_cell(m.instance_of(e.obj, fr), e.member, e.pos)
+        return cell.value if value else cell
+    return member
+
+
+def _arrow(m, obj, i, value):
+    def arrow(a, fr):
+        v = obj(a, fr)
+        e = a[i]
+        if not isinstance(v, ObjPtr):
+            raise RuntimeFault("null pointer dereference" if v is None
+                               else "'->' on a non-object pointer", e.pos)
+        cell = m._member_cell(v.instance, e.member, e.pos)
+        return cell.value if value else cell
+    return arrow
+
+
+def _deref_other(v, pos, value: bool):
+    """`*v` of a value that is no cell pointer: an object's cell, or a fault."""
+    if isinstance(v, ObjPtr):
+        return v.instance.obj_cell.value if value else v.instance.obj_cell
+    raise RuntimeFault("null pointer dereference" if v is None
+                       else "dereference of a non-pointer value", pos)
+
+
+SHAPES = {
+    "lit": _lit, "cell": _cell, "eval": _eval,
+    "neg": _neg, "not": _not, "op": _op,
+    "op lit": _op_lit, "&&": _and, "||": _or,
+    "divmod": _divmod, "name": _name,
+    "deref cell": _deref_cell, "deref": _deref,
+    "elem cell": _elem_cell, "elem": _elem,
+    "block": _block, "ptr elem": _ptr_elem,
+    "member": _member, "arrow": _arrow,
+}

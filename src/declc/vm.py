@@ -5,17 +5,24 @@ Every user-visible store routes through the cell write protocol
 one walk that dispatches each node by its class through a handler table
 (`_EVAL`, `_EXEC`), one Python frame per node; a `return` is a value handed
 up, not an exception.  Each generated init/redef function is lowered once per
-machine into a flat tuple of steps, and each l-value into a resolver that
-binds it to a cell at call time; reads of a dereference, an element or a data
-member go through that resolver.  A redefined cell's rebinding phase runs the
-steps of each owner's run of redefinitions in one step loop, which resolves
-an l-value once per run until a step can store.
+machine into a flat tuple of steps.  A redefined cell's rebinding phase runs
+the steps of each owner's run of redefinitions in one step loop, which
+resolves an l-value once per run until a step can store.
+
+Constraint right sides, guards, precondition conditions and l-values compile
+to shape evaluators `(leaves, frame) -> value` (or cell): one per expression
+shape, the operator tree plus the kind of each leaf, kept per machine in
+`_shapes`.  The leaves (bound cells, blocks, literals, positions, and nodes
+left to their `_EVAL` handler) are bound in one tuple per runtime entry, or
+per l-value for its resolver; a right side, guard or condition is walked at
+its first evaluation and bound at its second.  Reads of a dereference, an
+element or a data member in a walk go through the l-value's resolver.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from functools import partial
 
 from . import ast, codegen, trace as tr
 from .checker import UnitInfo
@@ -25,112 +32,39 @@ from .codegen import (
 )
 from .contract import c_div, c_mod
 from .errors import RuntimeFault
-from .lvgraph import canonical_str
 from .runtime import Cell, ConstraintEntry, Engine, Entry, ObjectHeader
-from .types import BOOL, Array, ClassType, FuncType, Ptr, is_assignable_storage, make_type
+from .shapes import SHAPES
+from .types import BOOL, Array, ClassType, FuncType, Ptr, make_type
+from .values import Block, BoundMethod, CellPtr, FuncVal, Instance, ObjPtr, value_str
 
 
-# -------------------------------------------------------------------- values
+# -------------------------------------------------------------------- frames
 
-@dataclass(eq=False)
-class Block:
-    name: str
-    cells: list[Cell]
-
-
-class CellPtr:
-    """Pointer to a storage cell (element of a block)."""
-
-    __slots__ = ("block", "offset")
-
-    def __init__(self, block: Block, offset: int):
-        self.block = block
-        self.offset = offset
-
-    def __eq__(self, other):
-        return (isinstance(other, CellPtr) and other.block is self.block
-                and other.offset == self.offset)
-
-    def __hash__(self):
-        return hash((id(self.block), self.offset))
-
-    def deref(self) -> Cell:
-        if not (0 <= self.offset < len(self.block.cells)):
-            raise RuntimeFault(f"pointer outside storage '{self.block.name}'")
-        return self.block.cells[self.offset]
-
-
-class ObjPtr:
-    __slots__ = ("instance",)
-
-    def __init__(self, instance):
-        self.instance = instance
-
-    def __eq__(self, other):
-        return isinstance(other, ObjPtr) and other.instance is self.instance
-
-    def __hash__(self):
-        return hash(id(self.instance))
-
-
-@dataclass(frozen=True)
-class FuncVal:
-    name: str
-
-
-@dataclass(frozen=True)
-class BoundMethod:
-    instance: object
-    name: str
-
-
-@dataclass(eq=False)
-class Instance:
-    cls: str
-    name: str
-    header: ObjectHeader
-    obj_cell: Cell
-    members: dict = field(default_factory=dict)   # name -> Cell | Instance
-    hooks: list = field(default_factory=list)     # (cell, hook) pairs
-
-
-@dataclass(eq=False)
 class Frame:
-    func: str
-    locals: dict = field(default_factory=dict)
-    owner: Instance | None = None
-    instances: list = field(default_factory=list)
+    __slots__ = ("func", "locals", "owner", "instances")
+
+    def __init__(self, func: str, owner: Instance | None = None):
+        self.func = func
+        self.locals: dict = {}
+        self.owner = owner
+        self.instances: list | None = None  # local objects, once one is declared
 
 
-@dataclass(eq=False)
 class GenFrame(Frame):
     """The frame an owner's generated functions and constraint entries share
     (evaluating adds nothing to it), with its entries and dormant steps."""
 
-    entries: dict = field(default_factory=dict)
-    dormant: set = field(default_factory=set)
+    __slots__ = ("entries", "dormant")
+
+    def __init__(self, owner):
+        super().__init__("<gen>", owner)
+        self.entries: dict = {}
+        self.dormant: set = set()
 
 
-def value_str(v) -> str:
-    if v is None:
-        return "null"
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, int):
-        try:
-            return str(v)
-        except ValueError:  # past the interpreter's int-to-str digit limit
-            return hex(v)
-    if isinstance(v, CellPtr):
-        try:
-            return "&" + v.deref().name
-        except RuntimeFault:
-            return f"&{v.block.name}[{v.offset}]"
-    if isinstance(v, ObjPtr):
-        return "&" + v.instance.name
-    if isinstance(v, FuncVal):
-        return v.name
-    return repr(v)
+def _leaf(leaves: list, v) -> int:
+    leaves.append(v)
+    return len(leaves) - 1
 
 
 def _eval_details(ordinal) -> dict[bool, str]:
@@ -189,6 +123,7 @@ class Machine:
         self._gen_frames: dict[int, GenFrame] = {}  # by id(owner), while it lives
         self._steps: dict[str, tuple] = {}      # lowered generated functions
         self._resolvers: dict[int, object] = {}  # id(l-value expr) -> resolver
+        self._shapes: dict[tuple, object] = {}   # shape key -> evaluator
         self._decls: dict[tuple, ast.FuncDecl] = {
             (None, f.name): f for f in self.unit.functions}
         self._decls.update({(c.name, f.name): f for c in self.unit.classes
@@ -359,90 +294,124 @@ class Machine:
         return r
 
     def _compile_lv(self, e: ast.Expr):
-        if isinstance(e, ast.Name) and e.binding[0] == "global" and \
-                not isinstance(e.ty, Array):
-            v = self.globals[e.binding[1]]  # allocated before any evaluation
-            return lambda fr, c=v.obj_cell if isinstance(v, Instance) else v: c
-        if isinstance(e, ast.Name) and e.binding[0] == "func":
-            return lambda fr: self.func_cell(e.binding[1])
-        if isinstance(e, ast.Name):
-            def name_cell(fr):
-                v = self._lookup(e.binding, fr)
-                if type(v) is Cell:
-                    return v
-                if isinstance(v, Instance):
-                    return v.obj_cell
-                if isinstance(v, BoundMethod):
-                    return v.instance.obj_cell
-                if isinstance(v, Block):
-                    raise RuntimeFault(f"array '{e.name}' is not a single storage cell",
-                                       e.pos)
-                raise RuntimeFault(f"'{e.name}' does not denote storage", e.pos)
-            return name_cell
-        if isinstance(e, ast.Deref):
-            operand = self._value(e.operand)
+        """e's cell shape with e's leaves; shared by every owner, so a member
+        is looked up in the frame at each resolution."""
+        leaves = []
+        return partial(self._cell(e, leaves, None, False), tuple(leaves))
 
-            def deref(fr):
-                v = operand(fr)
-                if type(v) is CellPtr:
-                    return v.deref()
-                if v is None:
-                    raise RuntimeFault("null pointer dereference", e.pos)
-                if isinstance(v, ObjPtr):
-                    return v.instance.obj_cell
-                raise RuntimeFault("dereference of a non-pointer value", e.pos)
-            return deref
-        if isinstance(e, ast.Index) and isinstance(e.base.ty, Array):
-            index = self._value(e.index)
-            block_of = ((lambda fr: self._lookup(e.base.binding, fr))
-                        if isinstance(e.base, ast.Name) else lambda fr: None)
+    def _evaluator(self, e: ast.Expr, fr: GenFrame) -> list:
+        """A one-slot list holding `(Frame) -> value` of e, a right side,
+        guard or precondition condition of fr's owner.  The first evaluation
+        walks e; the second binds e's leaves in one tuple and puts its
+        shape's evaluator in the slot, so an expression evaluated once (a
+        right side applied only at install) is never compiled."""
+        def walk(frame):
+            slot[0] = bind
+            return self.eval(e, frame)
 
-            def element(fr):
-                idx = index(fr)
-                block = block_of(fr)
-                if not isinstance(block, Block):
-                    raise RuntimeFault("expected an array", e.base.pos)
-                if not (0 <= idx < len(block.cells)):
-                    raise RuntimeFault(f"index {idx} out of bounds for '{block.name}'",
-                                       e.pos)
-                return block.cells[idx]
-            return element
-        if isinstance(e, ast.Index):
-            index, base = self._value(e.index), self._value(e.base)
+        def bind(frame):
+            leaves = []
+            shape = self._value(e, leaves, None if fr.owner is None else fr.owner.members)
+            slot[0] = partial(shape, tuple(leaves))
+            return slot[0](frame)
+        slot = [walk]
+        return slot
 
-            def pointee(fr):
-                idx = index(fr)
-                v = base(fr)
-                if not isinstance(v, CellPtr):
-                    raise RuntimeFault("null pointer indexed" if v is None
-                                       else "indexing a non-pointer value", e.pos)
-                return CellPtr(v.block, v.offset + idx).deref()
-            return pointee
-        if isinstance(e, ast.Dot):
-            return lambda fr: self._member_cell(self.instance_of(e.obj, fr),
-                                                e.member, e.pos)
-        if isinstance(e, ast.Arrow):
-            obj = self._value(e.obj)
+    # Shapes (compiled in shapes.py).  `_value` and `_cell` walk an
+    # expression for its value or for the cell it denotes, append each leaf
+    # to `leaves` and return the evaluator of its shape.  A leaf is a bound
+    # cell (a global, or a member of a known owner), an array's block, a
+    # literal, a position, or a node the compiler does not specialize, which
+    # its `_EVAL` handler evaluates.  `_shape` compiles a key once per
+    # machine, so equal trees over other cells share one evaluator.
 
-            def member(fr):
-                v = obj(fr)
-                if not isinstance(v, ObjPtr):
-                    raise RuntimeFault("null pointer dereference" if v is None
-                                       else "'->' on a non-object pointer", e.pos)
-                return self._member_cell(v.instance, e.member, e.pos)
-            return member
-        # compiled on first resolution, so raising now is raising then
+    def _value(self, e: ast.Expr, leaves: list, members):
+        cls = e.__class__
+        if cls is ast.Name:
+            i = self._bound(e, leaves, members, False)
+            return self._shape(("cell", i, True) if i is not None
+                               else ("eval", _EVAL[cls], _leaf(leaves, e)))
+        if cls in _LITERALS:
+            return self._shape(("lit", _leaf(leaves, e.value)))
+        if cls is ast.Binary and not isinstance(e.ty, Ptr):  # pointer +/-: a node
+            op, left = e.op, self._value(e.left, leaves, members)
+            f = _BINARY_OPS.get(op)
+            if f is not None and e.right.__class__ in _LITERALS:  # `x + 1`
+                return self._shape(("op lit", f, left, _leaf(leaves, e.right.value)))
+            right = self._value(e.right, leaves, members)
+            if f is not None:
+                return self._shape(("op", f, left, right))
+            if op == "&&" or op == "||":
+                return self._shape((op, left, right))
+            return self._shape(("divmod", c_div if op == "/" else c_mod, left, right,
+                                _leaf(leaves, e.pos)))
+        if cls is ast.Unary:
+            if e.operand.__class__ in _LITERALS:  # `-1`: one literal
+                v = e.operand.value
+                return self._shape(("lit", _leaf(leaves, -v if e.op == "-" else not v)))
+            return self._shape(("neg" if e.op == "-" else "not",
+                                self._value(e.operand, leaves, members)))
+        if cls is ast.Deref or cls is ast.Index or (
+                (cls is ast.Dot or cls is ast.Arrow) and not isinstance(e.ty, FuncType)):
+            return self._cell(e, leaves, members, True)
+        return self._shape(("eval", _EVAL[cls], _leaf(leaves, e)))
+
+    def _cell(self, e: ast.Expr, leaves: list, members, value: bool):
+        """The evaluator of l-value e's cell, or of its value with `value`."""
+        cls = e.__class__
+        if cls is ast.Name:
+            i = self._bound(e, leaves, members)
+            return self._shape(("cell", i, value) if i is not None
+                               else ("name", _leaf(leaves, e), value))
+        if cls is ast.Deref:
+            i = self._bound(e.operand, leaves, members)
+            if i is not None:
+                return self._shape(("deref cell", i, _leaf(leaves, e.pos), value))
+            return self._shape(("deref", self._value(e.operand, leaves, members),
+                                _leaf(leaves, e.pos), value))
+        if cls is ast.Index:
+            base = e.base
+            if not isinstance(base.ty, Array):
+                index = self._value(e.index, leaves, members)
+                return self._shape(("ptr elem", index, self._value(base, leaves, members),
+                                    _leaf(leaves, e.pos), value))
+            if base.__class__ is ast.Name and base.binding[0] == "global":
+                blk = self.globals[base.name]
+                i = self._bound(e.index, leaves, members)
+                if i is not None:
+                    return self._shape(("elem cell", i, _leaf(leaves, blk),
+                                        _leaf(leaves, e.pos), value))
+                index = self._value(e.index, leaves, members)
+                block = self._shape(("lit", _leaf(leaves, blk)))
+            else:
+                index = self._value(e.index, leaves, members)
+                block = self._shape(("block", _leaf(leaves, base)))
+            return self._shape(("elem", index, block, _leaf(leaves, e.pos), value))
+        if cls is ast.Dot:
+            return self._shape(("member", _leaf(leaves, e), value))
+        if cls is ast.Arrow:
+            return self._shape(("arrow", self._value(e.obj, leaves, members),
+                                _leaf(leaves, e), value))
+        # made on first resolution, so raising now is raising then
         raise RuntimeFault(f"not an l-value: {type(e).__name__}", e.pos)
 
-    def _value(self, e: ast.Expr):
-        """`(Frame) -> value` of an operand inside an l-value, as `eval` gives it."""
-        if not (ast.is_lvalue_form(e) and is_assignable_storage(e.ty)):
-            return lambda fr: self.eval(e, fr)
-        key = ("value", e.binding if type(e) is ast.Name else id(e))
-        fn = self._resolvers.get(key)
+    def _bound(self, e: ast.Expr, leaves: list, members, objects=True) -> int | None:
+        """The leaf index of the cell a name denotes for good, once bound: a
+        global scalar, or a member scalar of a known owner, or with `objects`
+        such an object's own cell."""
+        if e.__class__ is not ast.Name:
+            return None
+        b = e.binding
+        v = (self.globals[b[1]] if b[0] == "global" else
+             members[b[2]] if b[0] == "member" and members is not None else None)
+        if objects and isinstance(v, Instance):
+            v = v.obj_cell
+        return _leaf(leaves, v) if v.__class__ is Cell else None
+
+    def _shape(self, key: tuple):
+        fn = self._shapes.get(key)
         if fn is None:
-            resolve = self._resolver(e)
-            fn = self._resolvers[key] = lambda fr: resolve(fr).value
+            fn = self._shapes[key] = SHAPES[key[0]](self, *key[1:])
         return fn
 
     def _member_cell(self, inst: Instance, member: str, pos) -> Cell:
@@ -595,8 +564,9 @@ class Machine:
         try:
             return self._exec_block(body, frame)
         finally:
-            for inst in reversed(frame.instances):
-                self._destroy_instance(inst)
+            if frame.instances:
+                for inst in reversed(frame.instances):
+                    self._destroy_instance(inst)
             self.frames.pop()
 
     def call_function(self, name: str, args):
@@ -657,6 +627,8 @@ class Machine:
             inst = self._alloc_instance(d.base_type, f"{prefix}:{d.name}")
             self._construct_instance(inst)
             fr.locals[d.name] = inst
+            if fr.instances is None:
+                fr.instances = []
             fr.instances.append(inst)
             return
         else:
@@ -752,7 +724,7 @@ class Machine:
     def _gen_frame(self, owner) -> GenFrame:
         fr = self._gen_frames.get(id(owner))
         if fr is None:
-            fr = self._gen_frames[id(owner)] = GenFrame("<gen>", owner=owner)
+            fr = self._gen_frames[id(owner)] = GenFrame(owner)
         return fr
 
     def _entry(self, kind, fn: str, ordinal, lvstr, fr: GenFrame) -> Entry:
@@ -765,12 +737,13 @@ class Machine:
             entry = Entry(fn, owner, lvalue=lvstr, construct=ordinal,
                           invoke=lambda: self._exec_body(c.body, Frame(fn, owner=owner)))
         elif kind is RegPrecondition:
-            condstr = canonical_str(c.cond, c.scope)
+            condstr = self.gen.graph.constructs[ordinal].cond_str
             details = _eval_details(ordinal)
+            test = self._evaluator(c.cond, fr)
 
             def invoke():
                 frame = Frame(fn, owner=owner)
-                v = bool(self.eval(c.cond, frame))
+                v = bool(test[0](frame))
                 self.trace.emit(tr.PRECOND_EVAL, condstr, "", details[v])
                 if v:
                     self._exec_body(c.body, frame)
@@ -778,23 +751,26 @@ class Machine:
             entry = Entry(fn, owner, invoke=invoke, lvalue=condstr, construct=ordinal)
         else:
             lhs = self.gen.plans[ordinal].lhs
-            resolve = self._resolver(lhs.expr)
-            guard_details = _eval_details(ordinal)
-            rhs, rhs_eval = c.rhs, _EVAL[c.rhs.__class__]
+            guard = None
+            if c.guard is not None:
+                guard_details = _eval_details(ordinal)
+                test = self._evaluator(c.guard, fr)
+
+                def guard():
+                    v = bool(test[0](fr))
+                    self.trace.emit(tr.GUARD_EVAL, lhs.str, "", guard_details[v])
+                    return v
             self._seq += 1
-
-            def guard():
-                v = bool(self.eval(c.guard, fr))
-                self.trace.emit(tr.GUARD_EVAL, lhs.str, "", guard_details[v])
-                return v
-
             entry = ConstraintEntry(
                 fn, owner, lvalue=lhs.str, construct=ordinal, seq=self._seq,
-                target=lambda: resolve(fr),
-                guard=guard if c.guard is not None else None,
-                apply=lambda cell: self.store(cell, rhs_eval(self, rhs, fr)))
+                target=partial(self._resolver(lhs.expr), fr), guard=guard,
+                apply=partial(self._apply, self._evaluator(c.rhs, fr), fr))
         fr.entries[fn] = entry
         return entry
+
+    def _apply(self, rhs: list, fr: GenFrame, cell: Cell):
+        """A constraint application: store its right side's value in `cell`."""
+        self.store(cell, rhs[0](fr))
 
     # ------------------------------------------------------------ inspection
 
@@ -826,6 +802,8 @@ class Machine:
         return {c.name: value_str(c.value)
                 for v in self.globals.values() for c in _cells(v, False)}
 
+
+_LITERALS = (ast.IntLit, ast.BoolLit, ast.NullLit)
 
 # `_eval_binary` does `&&`, `||` (short circuit), `/`, `%` (may fault) and
 # pointer `+`/`-` itself; every other operator goes through this table.

@@ -2,12 +2,22 @@
 pointer arithmetic, each compared with the reference interpreter where the
 program runs to the end."""
 
+import json
+import sys
+from functools import partial
+from pathlib import Path
+
 import pytest
 
 from conftest import machine, matches_oracle
+from declc import trace as tr
 from declc.cli import main
 from declc.errors import RuntimeFault
+from declc.runtime import ConstraintEntry
 from declc.vm import CellPtr
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
 
 # source -> the line `declc run` prints on stderr, after "FILE: runtime fault: "
 RUN_FAULTS = {
@@ -130,3 +140,112 @@ void main() {
 """)
     mem = m.memory_snapshot()
     assert (mem["a[2]"], mem["x"], mem["q"], mem["same"]) == ("7", "7", "&a[3]", "true")
+
+
+# ------------------------------------------------- compiled constructs
+# A right side, guard or precondition condition is walked at its first
+# evaluation and runs its shape's evaluator from the second on.  Each program
+# below evaluates its construct at least twice before the write that faults,
+# so the fault is met in the compiled evaluator.
+
+SHAPE_DECLS = ("int a[2]; int *p = &a[0]; int *q = &a[1]; int i; int d = 1; "
+               "int src; int x; int n;\n")
+# fault -> (expression, the statement that makes it fault, message, dormant)
+SHAPE_FAULTS = {
+    "null": ("*p", "p = null;", "null pointer dereference", True),
+    "index": ("a[i]", "i = 5;", "index 5 out of bounds for 'a'", True),
+    "div": ("10 / d", "d = 0;", "division by zero", False),
+    "mod": ("10 % d", "d = 0;", "modulo by zero", False),
+    "outside": ("*q", "q = q + 1;", "pointer outside storage 'a'", True),
+}
+# site -> (construct, position of the expression; a guard registers nothing)
+SHAPE_SITES = {
+    "rhs": ("x := {e} + src;", "2:6: "),
+    "guard": ("x := src given {e} >= 0;", "2:16: "),
+    "cond": ("{e} + src > 100 ?? {{ n = n + 1; }}", "2:1: "),
+}
+
+
+@pytest.mark.parametrize("site", list(SHAPE_SITES))
+@pytest.mark.parametrize("fault", list(SHAPE_FAULTS))
+def test_faults_in_compiled_constructs_keep_text_position_and_events(
+        tmp_path, capsys, site, fault):
+    expr, trigger, msg, dormant = SHAPE_FAULTS[fault]
+    construct, pos = SHAPE_SITES[site]
+    path = tmp_path / "fault.hc"
+    path.write_text(SHAPE_DECLS + construct.format(e=expr) + "\n"
+                    f"void main() {{ src = 1; src = 2; {trigger} src = 3; }}\n",
+                    encoding="utf-8")
+    assert main(["run", str(path), "--trace", "-"]) == 2
+    out, err = capsys.readouterr()
+    if fault == "outside":  # `CellPtr.deref` gives no position
+        pos = ""
+    assert err == f"{path}: runtime fault: {pos}fault: {msg}\n"
+    events = [json.loads(line) for line in out.splitlines()]
+    assert [(e["kind"], e["lvalue"], e["detail"]) for e in events
+            if e["kind"] in (tr.DORMANT, tr.WARNING)] == \
+        ([(tr.DORMANT, expr, f"construct:0:{msg}")]
+         if dormant and site != "guard" else [])
+
+
+def test_unresolvable_target_of_a_compiled_constraint_warns():
+    m = matches_oracle("int a[2]; int i; int src;\na[i] := src + 1;\n"
+                       "void main() { src = 1; src = 2; i = 7; src = 3; i = 1; src = 4; }")
+    # moving `i` re-applies (install semantics), and `src = 3` fires
+    assert [(e.lvalue, e.detail) for e in m.trace.events if e.kind == tr.WARNING] == 2 * [
+        ("a[i]", "constrained l-value unresolvable: index 7 out of bounds for 'a'")]
+    assert (m.memory_snapshot()["a[0]"], m.memory_snapshot()["a[1]"]) == ("3", "5")
+
+
+def test_pointer_arithmetic_in_right_sides():
+    m = matches_oracle("""
+int a[4]; int *p = &a[0]; int *q; int x; int k;
+q := p + 1;
+x := *(p + 2) + *(1 + q) + k;
+void main() { a[2] = 3; k = 1; p = &a[1]; a[3] = 4; k = 2; }
+""")
+    mem = m.memory_snapshot()
+    assert (mem["q"], mem["x"]) == ("&a[2]", "10")
+
+
+def test_logical_operators_in_right_sides_skip_a_storing_call():
+    m = matches_oracle("""
+int n; int src; bool both; bool either;
+bool bump() { n = n + 1; return true; }
+both := src > 0 && bump();
+either := src > 0 || bump();
+void main() { src = 1; src = 0; src = 2; src = -1; src = 3; }
+""")
+    mem = m.memory_snapshot()
+    # each of the six evaluations calls bump() once: `&&` when src > 0,
+    # `||` when not
+    assert (mem["n"], mem["both"], mem["either"]) == ("6", "true", "true")
+
+
+def test_storing_call_in_a_right_side():
+    m = matches_oracle("""
+int calls; int src; int x; int y;
+int g(int v) { calls = calls + 1; return v * 2; }
+x := g(src) + 1;
+y := x + calls;
+void main() { src = 1; src = 2; src = 3; }
+""")
+    mem = m.memory_snapshot()
+    # g's store fires `y` first, with x's old value; x's store comes later
+    # in the same wave, which has resolved y already
+    assert (mem["calls"], mem["x"], mem["y"]) == ("4", "7", "9")
+
+
+def test_chain_right_sides_share_one_evaluator():
+    """The 320 right sides `c{g}_{k} + 1` have one shape: once each chain
+    has been written, all run one evaluator, each with its own leaves."""
+    m = machine(workloads.ChainProgram(8, 40).source())
+    entries = [e for e in m._gen_frames[id(None)].entries.values()
+               if isinstance(e, ConstraintEntry)]
+    assert len(entries) == 320
+    slots = [e.apply.args[0] for e in entries]
+    assert not any(isinstance(s[0], partial) for s in slots)  # only walked so far
+    m.call_function("main", [])
+    assert all(isinstance(s[0], partial) for s in slots)
+    assert len({s[0].func for s in slots}) == 1
+    assert len({id(s[0].args[0]) for s in slots}) == 320

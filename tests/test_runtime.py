@@ -202,8 +202,9 @@ def _dep_constraint(e, name, seq, fired, effect=None):
 
 
 def test_resolve_skips_edges_cancelled_earlier_in_the_wave():
-    """An edge cancelled, or cancelled and reinstalled, by an earlier firing
-    of the same resolve does not fire; neither does an edge added by it."""
+    """An edge cancelled by an earlier firing of the same resolve does not
+    fire, and neither does an edge added by it; an edge it cancelled and
+    reinstalled on the same cell fires at its turn."""
     e = engine()
     src = Cell("src", 0)
     fired = []
@@ -226,13 +227,35 @@ def test_resolve_skips_edges_cancelled_earlier_in_the_wave():
     e.wave.enter()
     e.resolve(src)
     e.wave.exit()
-    assert fired == ["first", "kept"]
+    assert fired == ["first", "moved", "kept"]
     assert [d.entry.fn for d in src.dependencies] == \
         ["assign_first", "assign_moved", "assign_kept", "assign_late"]
     e.wave.enter()
-    e.resolve(src)             # a later wave fires the rebound edges
+    e.resolve(src)             # a later wave fires the added edge too
     e.wave.exit()
-    assert fired == ["first", "kept", "first", "moved", "kept", "late"]
+    assert fired == ["first", "moved", "kept", "first", "moved", "kept", "late"]
+
+
+def test_resolve_skips_an_edge_an_earlier_firing_moved_away():
+    """An edge cancelled and reinstalled on another cell by an earlier firing
+    no longer depends on the resolved cell: it does not fire there."""
+    e = engine()
+    src, other = Cell("src", 0), Cell("other", 0)
+    fired = []
+    away = _dep_constraint(e, "away", 1, fired)
+
+    def move():
+        e.handle_dependency(src, away, 0, False)
+        e.handle_dependency(other, away, 0, True)
+
+    first = _dep_constraint(e, "first", 0, fired, effect=move)
+    for en in (first, away):
+        e.handle_dependency(src, en, 0, True)
+    e.wave.enter()
+    e.resolve(src)
+    e.wave.exit()
+    assert fired == ["first"]
+    assert [d.entry.fn for d in other.dependencies] == ["assign_away"]
 
 
 def test_resolve_fires_only_the_written_cells_edges():

@@ -516,3 +516,17 @@ void main() { move(1); arr[1] = 4; }
     m.call_function("move", [1])
     c1, c2 = m.globals["c1"], m.globals["c2"]
     assert owners == [c1, c2, c1, c2]
+
+
+@pytest.mark.parametrize("src,var,value", [
+    # writing b re-applies `*p := &b`, whose store on t2 cancels and
+    # reinstalls h2's `**p` edge on b before that edge's turn: it fires
+    ("int a; int b; int c; int *t1 = &a; int *t2 = &c; int **p = &t1; int h; int h2;\n"
+     "h := **p;\n*p := &b;\nh2 := **p;\nvoid main() { p = &t2; b = 7; }", "h2", "7"),
+    # writing a[1] applies p, which moves x's `*p` edge onto a[1]: an edge
+    # added during a resolution waits for the next write
+    ("int a[2]; int *p; int x;\np := &a[a[0]];\nx := *p;\n"
+     "void main() { a[0] = 1; a[1] = 5; a[0] = 0; }", "x", "1"),
+], ids=["reinstalled", "added"])
+def test_resolution_fires_the_edges_its_cell_had_at_the_start(src, var, value):
+    assert matches_oracle(src).memory_snapshot()[var] == value

@@ -101,7 +101,7 @@ def cmd_run(args) -> int:
 def _print_warnings(sink: tr.TraceSink, filename: str):
     """Warnings (cycle skips, unresolvable constrained l-values) are shown
     whether or not a trace is written."""
-    for e in tr.filtered(sink.events, (tr.WARNING,)):
+    for e in sink.warnings():
         where = e.lvalue if e.cell in ("", e.lvalue) else f"{e.lvalue} ({e.cell})"
         print(f"{filename}: warning: {where}: {e.detail}", file=sys.stderr)
 

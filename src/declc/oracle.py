@@ -140,6 +140,9 @@ def _vstr(v) -> str:
     return repr(v)
 
 
+_OLD, _NEW = ("old:", _vstr), ("new:", _vstr)  # trace details of a store
+
+
 # ------------------------------------------------------- l-value decomposition
 
 def lv_tokens(e: ast.Expr) -> list[str]:
@@ -261,8 +264,8 @@ class Oracle:
         self._class_constructs: dict[str, list[ast.Construct]] = {
             c.name: list(c.constructs) for c in unit.classes}
 
-    def emit(self, kind, lvalue="", cell="", detail=""):
-        self.trace.emit(kind, lvalue, cell, detail)
+    def emit(self, kind, lvalue="", cell="", detail="", value=None):
+        self.trace.emit(kind, lvalue, cell, detail, value)
 
     # ------------------------------------------------------------- allocation
 
@@ -371,9 +374,9 @@ class Oracle:
         self.wave.enter()
         try:
             # rendered when the event is built; stored values never change
-            self.emit(tr.BEFORE_CHANGE, "", cell.name, ("old:", _vstr, cell.value))
+            self.emit(tr.BEFORE_CHANGE, "", cell.name, _OLD, cell.value)
             cell.value = value
-            self.emit(tr.AFTER_CHANGE, "", cell.name, ("new:", _vstr, value))
+            self.emit(tr.AFTER_CHANGE, "", cell.name, _NEW, value)
             self.react(cell)
         finally:
             self.wave.exit()
@@ -680,10 +683,13 @@ class Oracle:
             return bool(self.eval(e.left, fr)) or bool(self.eval(e.right, fr))
         a = self.eval(e.left, fr)
         b = self.eval(e.right, fr)
-        if op in ("+", "-") and (isinstance(a, OPtr) or isinstance(b, OPtr)):
-            if isinstance(b, OPtr):
-                a, b = b, a
-            return OPtr(a.block, a.offset + b if op == "+" else a.offset - b)
+        if op in ("+", "-"):
+            if a is None or b is None:
+                raise RuntimeFault("null pointer arithmetic", e.pos)
+            if isinstance(a, OPtr) or isinstance(b, OPtr):
+                if isinstance(b, OPtr):
+                    a, b = b, a
+                return OPtr(a.block, a.offset + b if op == "+" else a.offset - b)
         table = {
             "+": lambda: a + b, "-": lambda: a - b, "*": lambda: a * b,
             "/": lambda: c_div(a, b, e.pos), "%": lambda: c_mod(a, b, e.pos),

@@ -12,6 +12,8 @@ from . import trace as tr
 from .contract import Wave
 from .errors import RuntimeFault
 
+_N = ("n:", str)  # trace detail of Suspend/Resume: the suspension count
+
 
 # ------------------------------------------------------------------- entries
 
@@ -253,13 +255,13 @@ class Engine:
 
     def suspend(self, header: ObjectHeader, obj_cell: Cell):
         header.n += 1
-        self.trace.emit(tr.SUSPEND, "", obj_cell.name, ("n:", str, header.n))
+        self.trace.emit(tr.SUSPEND, "", obj_cell.name, _N, header.n)
 
     def resume(self, header: ObjectHeader, obj_cell: Cell):
         if header.n == 0:
             raise RuntimeFault(f"resume of non-suspended object {obj_cell.name}")
         header.n -= 1
-        self.trace.emit(tr.RESUME, "", obj_cell.name, ("n:", str, header.n))
+        self.trace.emit(tr.RESUME, "", obj_cell.name, _N, header.n)
         if header.n == 0 and header.updated:
             header.updated = False
             self.trace.emit(tr.AFTER_CHANGE, "", obj_cell.name, "object-update")

@@ -85,7 +85,7 @@ def _deref_cell(m, i, p, value):
             cells, k = v.block.cells, v.offset
             if 0 <= k < len(cells):
                 return cells[k].value if value else cells[k]
-            return v.deref()  # raises
+            return v.deref(a[p])  # raises
         return _deref_other(v, a[p], value)
     return deref
 
@@ -97,7 +97,7 @@ def _deref(m, x, p, value):
             cells, k = v.block.cells, v.offset
             if 0 <= k < len(cells):
                 return cells[k].value if value else cells[k]
-            return v.deref()  # raises
+            return v.deref(a[p])  # raises
         return _deref_other(v, a[p], value)
     return deref
 
@@ -140,7 +140,7 @@ def _ptr_elem(m, x, base, p, value):
         if not isinstance(v, CellPtr):
             raise RuntimeFault("null pointer indexed" if v is None
                                else "indexing a non-pointer value", a[p])
-        cell = CellPtr(v.block, v.offset + idx).deref()
+        cell = CellPtr(v.block, v.offset + idx).deref(a[p])
         return cell.value if value else cell
     return pointee
 

@@ -42,41 +42,76 @@ class TraceEvent(NamedTuple):
         return json.dumps(self._asdict())
 
 
+# A plain store, i.e. on a cell with no redefinitions: one record that reads
+# as `BeforeChange` then `AfterChange` on its cell (see `TraceSink.emit`).
+STORE = "Store"
+
+STRIDE = 5  # slots per record: kind, lvalue, cell, detail, value
+
+
 class TraceSink:
     """Collects the events of one run.
 
-    `emit` only records its arguments; `events` builds the `TraceEvent`s
-    (numbered in emit order) the first time it is read after an emit, so a
-    run whose trace nobody reads pays for no formatting.  A `detail` is a
-    string, or a `(prefix, render, value)` triple that becomes
-    `prefix + render(value)` when the event is built; `value` must not change
-    how it renders after the emit.  With a `stream` attached each event is
-    built, written and flushed as it is emitted."""
+    `emit` appends its five arguments to one flat list of slots, so a kept
+    record is no object of its own and leaves the cyclic GC nothing to
+    track.  `events` builds the `TraceEvent`s (numbered in emit order) the
+    first time it is read after an emit, so a run whose trace nobody reads
+    pays for no formatting.  With a `stream` attached each event is built,
+    written and flushed as it is emitted."""
 
     def __init__(self, stream=None):
         self.stream = stream  # optional text stream for JSON-lines output
+        self._slots: list = []
         self._built: list[TraceEvent] = []
-        self._recorded: list[tuple] = []  # emit arguments not built yet
+        self._read = 0  # slots already built into `_built`
+
+    def emit(self, kind, lvalue="", cell="", detail="", value=None):
+        """Record one event.  `detail` is a string, or a `(prefix, render)`
+        pair: the detail is then `prefix + render(value)`, made when the event
+        is built, so `value` must not change how it renders after the emit.
+        A `STORE` record stands for two events on `cell`: `BeforeChange` with
+        detail `"old:" + detail(lvalue)` and `AfterChange` with
+        `"new:" + detail(value)`; its `lvalue` slot holds the old value and
+        its `detail` the render."""
+        self._slots += (kind, lvalue, cell, detail, value)
+        if self.stream is not None:
+            n = len(self._built)
+            for e in self.events[n:]:
+                self.stream.write(e.to_json() + "\n")
+            self.stream.flush()
 
     @property
     def events(self) -> list[TraceEvent]:
-        if self._recorded:
-            built = self._built
-            seq = len(built)
-            for kind, lvalue, cell, detail in self._recorded:
-                if detail.__class__ is tuple:
-                    prefix, render, value = detail
-                    detail = prefix + render(value)
-                built.append(TraceEvent(seq, kind, lvalue, cell, detail))
+        slots, built = self._slots, self._built
+        if self._read < len(slots):
+            append, seq = built.append, len(built)
+            new, E = tuple.__new__, TraceEvent  # skips the NamedTuple's Python __new__
+            it = iter(slots[self._read:])
+            for kind, lvalue, cell, detail, value in zip(it, it, it, it, it):
+                if kind is STORE:
+                    append(new(E, (seq, BEFORE_CHANGE, "", cell, "old:" + detail(lvalue))))
+                    seq += 1
+                    append(new(E, (seq, AFTER_CHANGE, "", cell, "new:" + detail(value))))
+                elif detail.__class__ is tuple:
+                    append(new(E, (seq, kind, lvalue, cell, detail[0] + detail[1](value))))
+                else:
+                    append(new(E, (seq, kind, lvalue, cell, detail)))
                 seq += 1
-            self._recorded = []
-        return self._built
+            self._read = len(slots)
+        return built
 
-    def emit(self, kind, lvalue="", cell="", detail=""):
-        self._recorded.append((kind, lvalue, cell, detail))
-        if self.stream is not None:
-            self.stream.write(self.events[-1].to_json() + "\n")
-            self.stream.flush()
+    def warnings(self) -> list[TraceEvent]:
+        """The `Warning` events, as `events` numbers them, found by scanning
+        the kind slots: the rest of the trace is not built."""
+        kinds = self._slots[::STRIDE]
+        out, last, stores = [], 0, 0
+        for _ in range(kinds.count(WARNING)):
+            r = kinds.index(WARNING, last)
+            stores += kinds[last:r].count(STORE)
+            i = r * STRIDE
+            out.append(TraceEvent(r + stores, WARNING, *self._slots[i + 1:i + 4]))
+            last = r + 1
+        return out
 
 
 def filtered(events, kinds=ORACLE_VISIBLE) -> list[TraceEvent]:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import RuntimeFault
+from .errors import NOPOS, RuntimeFault
 from .runtime import Cell, ObjectHeader
 
 
@@ -32,9 +32,9 @@ class CellPtr:
     def __hash__(self):
         return hash((id(self.block), self.offset))
 
-    def deref(self) -> Cell:
+    def deref(self, pos=NOPOS) -> Cell:
         if not (0 <= self.offset < len(self.block.cells)):
-            raise RuntimeFault(f"pointer outside storage '{self.block.name}'")
+            raise RuntimeFault(f"pointer outside storage '{self.block.name}'", pos)
         return self.block.cells[self.offset]
 
 

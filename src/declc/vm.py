@@ -245,14 +245,17 @@ class Machine:
         wave.depth += 1
         try:
             # rendered when the event is built: a stored value (int, bool,
-            # None, CellPtr, ObjPtr) never renders differently later
-            self.trace.emit(tr.BEFORE_CHANGE, "", cell.name,
-                            ("old:", value_str, cell.value))
+            # None, CellPtr, ObjPtr) never renders differently later.  With
+            # no redefinitions nothing is emitted between the two events, so
+            # one STORE record stands for both.
             if cell.redefinitions:
+                self.trace.emit(tr.BEFORE_CHANGE, "", cell.name, _OLD, cell.value)
                 self.engine.actions_before_change(cell)
-            cell.value = value
-            self.trace.emit(tr.AFTER_CHANGE, "", cell.name,
-                            ("new:", value_str, value))
+                cell.value = value
+                self.trace.emit(tr.AFTER_CHANGE, "", cell.name, _NEW, value)
+            else:
+                self.trace.emit(tr.STORE, cell.value, cell.name, value_str, value)
+                cell.value = value
             self.engine.actions_after_change(cell)
         finally:
             wave.depth -= 1
@@ -514,10 +517,13 @@ class Machine:
             return c_div(a, b, e.pos)
         if op == "%":
             return c_mod(a, b, e.pos)
-        if a.__class__ is CellPtr and (op == "+" or op == "-"):
-            return CellPtr(a.block, a.offset + b if op == "+" else a.offset - b)
-        if b.__class__ is CellPtr and op == "+":
-            return CellPtr(b.block, b.offset + a)
+        if op == "+" or op == "-":
+            if a.__class__ is CellPtr:
+                return CellPtr(a.block, a.offset + b if op == "+" else a.offset - b)
+            if b.__class__ is CellPtr and op == "+":
+                return CellPtr(b.block, b.offset + a)
+            if a is None or b is None:  # no int is None
+                raise RuntimeFault("null pointer arithmetic", e.pos)
         return _BINARY_OPS[op](a, b)
 
     def _eval_call(self, e: ast.Call, fr: Frame):
@@ -804,6 +810,8 @@ class Machine:
 
 
 _LITERALS = (ast.IntLit, ast.BoolLit, ast.NullLit)
+
+_OLD, _NEW = ("old:", value_str), ("new:", value_str)  # trace details of a store
 
 # `_eval_binary` does `&&`, `||` (short circuit), `/`, `%` (may fault) and
 # pointer `+`/`-` itself; every other operator goes through this table.

@@ -11,8 +11,11 @@ import pytest
 
 from conftest import machine, matches_oracle
 from declc import trace as tr
+from declc.checker import check_or_raise
 from declc.cli import main
 from declc.errors import RuntimeFault
+from declc.oracle import Oracle
+from declc.parser import parse_source
 from declc.runtime import ConstraintEntry
 from declc.vm import CellPtr
 
@@ -48,6 +51,38 @@ def test_run_reports_evaluator_faults(tmp_path, capsys, source):
     assert code == 2
     assert err == f"{path}: runtime fault: {RUN_FAULTS[source]}\n"
     assert "Traceback" not in err
+
+
+# source -> the fault both evaluators raise, which `declc run` prints after
+# "FILE: runtime fault: "; the construct cases fault in a compiled evaluator
+POINTER_FAULTS = {
+    "int *p; int *q;\nvoid main() { q = p + 1; }": "2:19: fault: null pointer arithmetic",
+    "int *p; int *q;\nvoid main() { q = 2 + p; }": "2:19: fault: null pointer arithmetic",
+    "int *p; int *q;\nvoid main() { q = p - 1; }": "2:19: fault: null pointer arithmetic",
+    "int *p; int *q; int src;\nq := p + src;\nvoid main() { src = 1; src = 2; }":
+        "2:6: fault: null pointer arithmetic",
+    "int a[2]; int *p = &a[1]; int x;\nvoid main() { p = p + 5; x = *p; }":
+        "2:30: fault: pointer outside storage 'a'",
+    "int a[2]; int *p = &a[1]; int x;\nvoid main() { p = p - 2; x = p[0]; }":
+        "2:30: fault: pointer outside storage 'a'",
+    "int a[2]; int *q = &a[1]; int src; int x;\nx := *q + src;\n"
+    "void main() { src = 1; src = 2; q = q + 1; src = 3; }":
+        "2:6: fault: pointer outside storage 'a'",
+}
+
+
+@pytest.mark.parametrize("source", list(POINTER_FAULTS), ids=range(len(POINTER_FAULTS)))
+def test_pointer_faults_carry_their_position_in_both_evaluators(tmp_path, capsys, source):
+    path = tmp_path / "fault.hc"
+    path.write_text(source, encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == f"{path}: runtime fault: {POINTER_FAULTS[source]}\n"
+    unit = parse_source(source)
+    o = Oracle(unit, check_or_raise(unit))
+    with pytest.raises(RuntimeFault) as info:
+        o.load()
+        o.run()
+    assert str(info.value) == POINTER_FAULTS[source]
 
 
 def test_arrow_on_a_cell_pointer_faults():
@@ -178,8 +213,6 @@ def test_faults_in_compiled_constructs_keep_text_position_and_events(
                     encoding="utf-8")
     assert main(["run", str(path), "--trace", "-"]) == 2
     out, err = capsys.readouterr()
-    if fault == "outside":  # `CellPtr.deref` gives no position
-        pos = ""
     assert err == f"{path}: runtime fault: {pos}fault: {msg}\n"
     events = [json.loads(line) for line in out.splitlines()]
     assert [(e["kind"], e["lvalue"], e["detail"]) for e in events

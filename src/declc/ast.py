@@ -15,28 +15,28 @@ from .errors import NOPOS, Pos
 
 # ---------------------------------------------------------------- expressions
 
-@dataclass
+@dataclass(slots=True)
 class Expr:
     pos: Pos = field(default=NOPOS, kw_only=True, compare=False)
     ty: object = field(default=None, kw_only=True, compare=False, repr=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class IntLit(Expr):
     value: int
 
 
-@dataclass
+@dataclass(slots=True)
 class BoolLit(Expr):
     value: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class NullLit(Expr):
     value = None       # not a field: the vm evaluates every literal by its value
 
 
-@dataclass
+@dataclass(slots=True)
 class Name(Expr):
     name: str
     # filled in by the checker: ("global", name) | ("local", name)
@@ -44,48 +44,48 @@ class Name(Expr):
     binding: object = field(default=None, compare=False, repr=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class Deref(Expr):
     operand: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class AddrOf(Expr):
     operand: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class Unary(Expr):
     op: str  # "-" | "!"
     operand: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class Binary(Expr):
     op: str
     left: Expr
     right: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class Call(Expr):
     callee: Expr
     args: list[Expr]
 
 
-@dataclass
+@dataclass(slots=True)
 class Index(Expr):
     base: Expr
     index: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class Dot(Expr):
     obj: Expr
     member: str
 
 
-@dataclass
+@dataclass(slots=True)
 class Arrow(Expr):
     obj: Expr
     member: str
@@ -100,17 +100,17 @@ def is_lvalue_form(e: Expr) -> bool:
 
 # ----------------------------------------------------------------- statements
 
-@dataclass
+@dataclass(slots=True)
 class Stmt:
     pos: Pos = field(default=NOPOS, kw_only=True, compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class Block(Stmt):
     stmts: list[Stmt]
 
 
-@dataclass
+@dataclass(slots=True)
 class VarDecl(Stmt):
     base_type: str     # "int" | "bool" | class name
     ptr_depth: int
@@ -119,58 +119,58 @@ class VarDecl(Stmt):
     init: Optional[Expr]
 
 
-@dataclass
+@dataclass(slots=True)
 class Assign(Stmt):
     target: Expr
     value: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class ExprStmt(Stmt):
     expr: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class If(Stmt):
     cond: Expr
     then: Stmt
     orelse: Optional[Stmt]
 
 
-@dataclass
+@dataclass(slots=True)
 class While(Stmt):
     cond: Expr
     body: Stmt
 
 
-@dataclass
+@dataclass(slots=True)
 class Return(Stmt):
     value: Optional[Expr]
 
 
 # ----------------------------------------------------------------- constructs
 
-@dataclass
+@dataclass(slots=True)
 class Construct:
     pos: Pos = field(default=NOPOS, kw_only=True, compare=False)
     scope: Optional[str] = field(default=None, kw_only=True)  # None = file scope, else class name
     ordinal: int = field(default=-1, kw_only=True)            # declaration order within the unit
 
 
-@dataclass
+@dataclass(slots=True)
 class Constraint(Construct):
     lhs: Expr
     rhs: Expr
     guard: Optional[Expr] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Monitor(Construct):
     lhs: Expr
     body: Block
 
 
-@dataclass
+@dataclass(slots=True)
 class Precond(Construct):
     cond: Expr
     body: Block
@@ -178,14 +178,14 @@ class Precond(Construct):
 
 # --------------------------------------------------------------- declarations
 
-@dataclass
+@dataclass(slots=True)
 class Param:
     base_type: str
     ptr_depth: int
     name: str
 
 
-@dataclass
+@dataclass(slots=True)
 class FuncDecl:
     ret_type: str
     ret_ptr_depth: int
@@ -196,7 +196,7 @@ class FuncDecl:
     cls: Optional[str] = field(default=None, kw_only=True)  # owning class for methods
 
 
-@dataclass
+@dataclass(slots=True)
 class ClassDecl:
     name: str
     members: list[VarDecl]
@@ -205,7 +205,7 @@ class ClassDecl:
     pos: Pos = field(default=NOPOS, kw_only=True, compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class Unit:
     """A parsed translation unit; decls holds file-scope items in source order."""
 

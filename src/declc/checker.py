@@ -38,6 +38,7 @@ class Checker:
         self.cur_class: str | None = None
         self.locals: list[dict[str, Type]] = []
         self.cur_ret: Type | None = VOID  # None in a construct body
+        self.declared: set[str] | None = None  # globals so far, in global initializers
 
     def error(self, pos, msg):
         self.diags.append(Diagnostic(pos, "error", msg))
@@ -48,9 +49,12 @@ class Checker:
         self.collect()
         if self.diags:
             return self.diags
+        self.declared = set()
         for d in self.unit.decls:
             if isinstance(d, ast.VarDecl):
+                self.declared.add(d.name)
                 self.check_global(d)
+        self.declared = None
         for f in self.unit.functions:
             self.check_func(f)
         for cls in self.unit.classes:
@@ -236,6 +240,8 @@ class Checker:
             if name in ci.methods:
                 return ("method", self.cur_class, name), ci.methods[name]
         if name in self.info.globals:
+            if self.declared is not None and name not in self.declared:
+                self.error(pos, f"'{name}' is used before its declaration")
             return ("global", name), self.info.globals[name]
         if name in self.info.functions:
             return ("func", name), self.info.functions[name]

@@ -12,7 +12,7 @@ import sys
 
 from . import trace as tr
 from .checker import check_or_raise
-from .errors import CheckError, LexError, ParseError, RuntimeFault
+from .errors import CheckError, Diagnostic, LexError, ParseError, RuntimeFault
 from .parser import parse_source
 from .vm import Machine, compile_source
 
@@ -190,7 +190,8 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (LexError, ParseError) as e:
-        print(f"{getattr(args, 'file', '<input>')}: {e}", file=sys.stderr)
+        print(Diagnostic(e.pos, "error", e.msg).render(getattr(args, "file", "<input>")),
+              file=sys.stderr)
         return EXIT_SOURCE_ERROR
     except CheckError as e:
         for d in e.diagnostics:

@@ -28,40 +28,40 @@ from .lvgraph import Analyzer, LvNode, RedefGraph
 # --------------------------------------------------------------- instructions
 
 
-@dataclass
+@dataclass(slots=True)
 class RegRedefinition:
     lv: LvNode
     fn: str
 
 
-@dataclass
+@dataclass(slots=True)
 class RegConstraint:
     lv: LvNode
 
 
-@dataclass
+@dataclass(slots=True)
 class RegDependency:
     constrained: LvNode
     from_lv: LvNode
     lv_ordinal: int
 
 
-@dataclass
+@dataclass(slots=True)
 class RegMonitor:
     lv: LvNode
 
 
-@dataclass
+@dataclass(slots=True)
 class RegPrecondition:
     lv: LvNode
 
 
-@dataclass
+@dataclass(slots=True)
 class CallGen:
     fn: str
 
 
-@dataclass
+@dataclass(slots=True)
 class ApplyOnInstall:
     pass
 
@@ -77,7 +77,7 @@ GUARD_TESTER = "GuardTester"
 UNIT_INIT = "UnitInit"
 
 
-@dataclass
+@dataclass(slots=True)
 class GenFunction:
     name: str
     kind: str
@@ -88,7 +88,7 @@ class GenFunction:
     stmts: ast.Block | None = None   # MonitorBody / PrecondTester body
 
 
-@dataclass
+@dataclass(slots=True)
 class ConstructPlan:
     ordinal: int
     kind: str                  # "constraint" | "monitor" | "precond"
@@ -102,13 +102,13 @@ class ConstructPlan:
     init_fns: list[str] = field(default_factory=list)  # install order
 
 
-@dataclass
+@dataclass(slots=True)
 class ClassPlan:
     name: str
     unit_init: str
 
 
-@dataclass
+@dataclass(slots=True)
 class GenUnit:
     unit: ast.Unit
     graph: RedefGraph
@@ -180,6 +180,14 @@ class NameRegistry:
 
 # ------------------------------------------------------------------- emission
 
+def _collect(n: LvNode, nodes: list[LvNode]):
+    """Append n to nodes after the l-values that redefine it, each once."""
+    if n not in nodes:
+        for r in n.redef:
+            _collect(r, nodes)
+        nodes.append(n)
+
+
 class Emitter:
     def __init__(self, unit: ast.Unit, graph: RedefGraph):
         self.unit = unit
@@ -236,61 +244,46 @@ class Emitter:
 
         # distinct l-values of the construct, innermost redefining ones first
         nodes: list[LvNode] = []
-
-        def collect(n: LvNode):
-            if n in nodes:
-                return
-            for r in n.redef:
-                collect(r)
-            nodes.append(n)
-
         for root in roots:
-            collect(root)
-        node_set = set(map(id, nodes))
+            _collect(root, nodes)
 
-        def redefines_in_construct(n: LvNode) -> list[LvNode]:
-            return [d for d in n.dependents if id(d) in node_set]
-
-        init_name = {id(n): None for n in nodes}
-        redef_name = {}
+        # what each l-value redefines in this construct (only one with
+        # dependents can), and a redef function for each assignable one
+        inside, redef_name = {}, {}
         for n in nodes:
-            if n.assignable and redefines_in_construct(n):
-                redef_name[id(n)] = self.names.fresh("redef_" + mangle(n))
+            if n.dependents:
+                inside[n] = ds = [d for d in n.dependents if d in nodes]
+                if ds and n.assignable:
+                    redef_name[n] = self.names.fresh("redef_" + mangle(n))
 
         # init functions, one per distinct l-value that has any registration
+        init_name = {}
+        lhs, kind = plan.lhs, plan.kind
         for n in nodes:
             instrs = []
-            if plan.kind == "constraint" and n is plan.lhs:
-                instrs.append(RegConstraint(n))
-            if plan.kind == "monitor" and n is plan.lhs:
-                instrs.append(RegMonitor(n))
-            if plan.kind == "precond" and n in plan.rhs_lvs:
+            if n is lhs:
+                instrs.append(RegConstraint(n) if kind == "constraint" else RegMonitor(n))
+            if kind == "precond" and n in plan.rhs_lvs:
                 instrs.append(RegPrecondition(n))
-            if plan.kind == "constraint":
-                for k, x in enumerate(plan.rhs_lvs):
-                    if x is n:
-                        instrs.append(RegDependency(plan.lhs, x, k))
-            if id(n) in redef_name:
-                instrs.append(RegRedefinition(n, redef_name[id(n)]))
-            if plan.kind == "constraint" and n is plan.lhs:
+            if kind == "constraint":
+                instrs += [RegDependency(lhs, x, k) for k, x in enumerate(plan.rhs_lvs) if x is n]
+            if n in redef_name:
+                instrs.append(RegRedefinition(n, redef_name[n]))
+            if n is lhs and kind == "constraint":
                 instrs.append(ApplyOnInstall())
             if instrs:
-                name = self.names.fresh("init_" + mangle(n))
-                init_name[id(n)] = name
+                name = init_name[n] = self.names.fresh("init_" + mangle(n))
                 self.add(GenFunction(name, INIT, c.ordinal, instrs=instrs))
                 plan.init_fns.append(name)
 
         # redef functions: re-run the inits of everything this l-value rebinds
-        for n in nodes:
-            rn = redef_name.get(id(n))
-            if rn is None:
-                continue
+        for n, rn in redef_name.items():
             instrs = []
-            for d in redefines_in_construct(n):
-                if init_name.get(id(d)):
-                    instrs.append(CallGen(init_name[id(d)]))
-                if id(d) in redef_name:
-                    instrs.append(CallGen(redef_name[id(d)]))
+            for d in inside[n]:
+                if d in init_name:
+                    instrs.append(CallGen(init_name[d]))
+                if d in redef_name:
+                    instrs.append(CallGen(redef_name[d]))
             self.add(GenFunction(rn, REDEF, c.ordinal, instrs=instrs))
 
     # --------------------------------------------------------------- per-scope

@@ -17,7 +17,7 @@ from .types import is_assignable_storage
 
 # ------------------------------------------------------------------ nodes
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class LvNode:
     scope: str | None          # None = file scope, else class name
     tokens: tuple[str, ...]
@@ -50,7 +50,10 @@ def proper_sublist(a: tuple, b: tuple) -> bool:
 
 def merge(a: list[LvNode], b: list[LvNode]) -> list[LvNode]:
     """Concatenate two l-value lists, dropping elements reduced from
-    substrings (including equality) of other elements."""
+    substrings (including equality) of other elements.  Each list is itself
+    such a result, so with one of them empty the other is the answer."""
+    if not a or not b:
+        return a or b
     items = []
     for n in a + b:
         # equality drop: keep the first occurrence of a token string
@@ -62,7 +65,7 @@ def merge(a: list[LvNode], b: list[LvNode]) -> list[LvNode]:
 
 # -------------------------------------------------------- per-construct info
 
-@dataclass
+@dataclass(slots=True)
 class ConstructLvs:
     """Top-level l-values of one declarative construct."""
 

@@ -1,15 +1,19 @@
 """Recursive-descent parser for HybridC; binary operators by precedence
-climbing."""
+climbing.  Operators, punctuation and keywords are matched by their text
+alone: each such text belongs to one token kind."""
 
 from .ast import (
     AddrOf, Arrow, Assign, Binary, Block, BoolLit, Call, ClassDecl,
     Constraint, Deref, Dot, ExprStmt, FuncDecl, If, Index, IntLit,
     Monitor, Name, NullLit, Param, Precond, Return, Unary, Unit, VarDecl, While,
 )
-from .errors import ParseError
+from .errors import ParseError, Pos
 from .lexer import Token, tokenize
 
 BASE_TYPES = {"int", "bool", "void"}
+CONSTRUCTS = {":=": Constraint, "::=": Monitor, "??": Precond}
+PREFIX = {"-": Unary, "!": Unary, "*": Deref, "&": AddrOf}
+POSTFIX = {"(", "[", ".", "->"}
 
 # Binary operator -> precedence, loosest first.  All are left-associative.
 PRECEDENCE = {
@@ -36,26 +40,24 @@ class Parser:
 
     # ------------------------------------------------------------- primitives
 
-    def at(self, kind, text=None) -> bool:
-        t = self.tok
-        return t.kind == kind and (text is None or t.text == text)
-
     def advance(self) -> Token:
         t = self.tok
         self.i += 1
         self.tok = self.tokens[self.i]
         return t
 
-    def accept(self, kind, text=None):
-        return self.advance() if self.at(kind, text) else None
+    def accept(self, text):
+        """The current token, consumed, if its text is `text`; else None."""
+        return self.advance() if self.tok.text == text else None
 
-    def expect(self, kind, text=None) -> Token:
-        t = self.accept(kind, text)
-        if t is None:
-            want = text if text is not None else kind
-            got = self.tok.text or "end of input"
-            raise ParseError(f"expected {want!r}, got {got!r}", self.tok.pos)
-        return t
+    def expect(self, text) -> Token:
+        return self.advance() if self.tok.text == text else self.expected(text)
+
+    def expect_kind(self, kind) -> Token:
+        return self.advance() if self.tok.kind == kind else self.expected(kind)
+
+    def expected(self, want):
+        self.error(f"expected {want!r}, got {self.tok.text or 'end of input'!r}")
 
     def error(self, msg):
         raise ParseError(msg, self.tok.pos)
@@ -75,7 +77,7 @@ class Parser:
         return node
 
     def int_literal(self) -> int:
-        t = self.expect("int")
+        t = self.expect_kind("int")
         try:
             return int(t.text)
         except ValueError:  # past the interpreter's int-to-str digit limit
@@ -86,8 +88,8 @@ class Parser:
     def parse_unit(self) -> Unit:
         decls = []
         constructs = []
-        while not self.at("eof"):
-            if self.at("kw", "class"):
+        while self.tok.kind != "eof":
+            if self.tok.text == "class":
                 cls = self.parse_class()
                 decls.append(cls)
                 constructs.extend(cls.constructs)
@@ -100,13 +102,13 @@ class Parser:
         return Unit(decls, constructs)
 
     def starts_decl(self) -> bool:
-        t = self.tok
-        if t.kind == "kw" and t.text in BASE_TYPES:
+        text = self.tok.text
+        if text in BASE_TYPES:
             return True
         # class-typed declaration: "A obj;" / "A *pa;"
-        if t.kind == "id" and t.text in self.class_names:
+        if text in self.class_names:
             nxt = self.tokens[self.i + 1]
-            return nxt.kind == "id" or (nxt.kind == "op" and nxt.text == "*")
+            return nxt.kind == "id" or nxt.text == "*"
         return False
 
     def next_ordinal(self) -> int:
@@ -117,59 +119,55 @@ class Parser:
     # ----------------------------------------------------------- declarations
 
     def parse_type_base(self) -> str:
-        if self.tok.kind == "kw" and self.tok.text in BASE_TYPES:
-            return self.expect("kw").text
-        if self.tok.kind == "id" and self.tok.text in self.class_names:
-            return self.expect("id").text
-        self.error(f"expected a type name, got {self.tok.text!r}")
+        text = self.tok.text
+        if text in BASE_TYPES or text in self.class_names:
+            return self.advance().text
+        self.error(f"expected a type name, got {text!r}")
+
+    def parse_pointers(self) -> int:
+        depth = 0
+        while self.accept("*"):
+            depth += 1
+        return depth
 
     def parse_decl_or_func(self, in_class=None):
         pos = self.tok.pos
         base = self.parse_type_base()
-        depth = 0
-        while self.accept("op", "*"):
-            depth += 1
-        name = self.expect("id").text
-        if self.at("punct", "("):
+        depth = self.parse_pointers()
+        name = self.expect_kind("id").text
+        if self.tok.text == "(":
             return self.parse_func_rest(base, depth, name, pos, in_class)
         size = None
-        if self.accept("punct", "["):
+        if self.accept("["):
             size = self.int_literal()
-            self.expect("punct", "]")
-        init = None
-        if self.accept("op", "="):
-            init = self.parse_expr()
-        self.expect("punct", ";")
+            self.expect("]")
+        init = self.parse_expr() if self.accept("=") else None
+        self.expect(";")
         return VarDecl(base, depth, name, size, init, pos=pos)
 
+    def parse_param(self) -> Param:
+        return Param(self.parse_type_base(), self.parse_pointers(), self.expect_kind("id").text)
+
     def parse_func_rest(self, base, depth, name, pos, in_class):
-        self.expect("punct", "(")
-        params = []
-        if not self.at("punct", ")"):
-            while True:
-                pbase = self.parse_type_base()
-                pdepth = 0
-                while self.accept("op", "*"):
-                    pdepth += 1
-                pname = self.expect("id").text
-                params.append(Param(pbase, pdepth, pname))
-                if not self.accept("punct", ","):
-                    break
-        self.expect("punct", ")")
+        self.expect("(")
+        params = [] if self.tok.text == ")" else [self.parse_param()]
+        while params and self.accept(","):
+            params.append(self.parse_param())
+        self.expect(")")
         body = self.parse_block()
         return FuncDecl(base, depth, name, params, body, pos=pos, cls=in_class)
 
     def parse_class(self) -> ClassDecl:
-        pos = self.expect("kw", "class").pos
-        name = self.expect("id").text
+        pos = self.expect("class").pos
+        name = self.expect_kind("id").text
         self.class_names.add(name)
-        self.expect("punct", "{")
+        self.expect("{")
         members, methods, constructs = [], [], []
         access = "private"
-        while not self.at("punct", "}"):
-            if self.at("kw", "private") or self.at("kw", "public"):
+        while self.tok.text != "}":
+            if self.tok.text in ("private", "public"):
                 access = self.advance().text
-                self.expect("punct", ":")
+                self.expect(":")
                 continue
             if self.starts_decl():
                 d = self.parse_decl_or_func(in_class=name)
@@ -184,39 +182,36 @@ class Parser:
             else:
                 c = self.parse_construct(scope=name)
                 constructs.append(c)
-        self.expect("punct", "}")
-        self.expect("punct", ";")
+        self.expect("}")
+        self.expect(";")
         return ClassDecl(name, members, methods, constructs, pos=pos)
 
     # ------------------------------------------------------------- constructs
 
     def parse_construct(self, scope=None):
-        pos = self.tok.pos
+        t = self.tok
         e = self.parse_expr()
-        if self.accept("op", ":="):
+        pos, op = start_pos(t, e), self.tok.text
+        if op not in CONSTRUCTS:
+            self.error("expected ':=', '::=' or '??' after expression")
+        self.advance()
+        if op == ":=":
             rhs = self.parse_expr()
-            guard = None
-            if self.accept("kw", "given"):
-                guard = self.parse_expr()
-            self.expect("punct", ";")
+            guard = self.parse_expr() if self.accept("given") else None
+            self.expect(";")
             return Constraint(e, rhs, guard, pos=pos, scope=scope,
                               ordinal=self.next_ordinal())
-        if self.accept("op", "::="):
-            body = self.parse_block()
-            return Monitor(e, body, pos=pos, scope=scope, ordinal=self.next_ordinal())
-        if self.accept("op", "??"):
-            body = self.parse_block()
-            return Precond(e, body, pos=pos, scope=scope, ordinal=self.next_ordinal())
-        self.error("expected ':=', '::=' or '??' after expression")
+        body = self.parse_block()
+        return CONSTRUCTS[op](e, body, pos=pos, scope=scope, ordinal=self.next_ordinal())
 
     # ------------------------------------------------------------- statements
 
     def parse_block(self) -> Block:
-        pos = self.expect("punct", "{").pos
+        pos = self.expect("{").pos
         stmts = []
-        while not self.at("punct", "}"):
+        while self.tok.text != "}":
             stmts.append(self.parse_stmt())
-        self.expect("punct", "}")
+        self.advance()
         return Block(stmts, pos=pos)
 
     def parse_stmt(self):
@@ -227,42 +222,36 @@ class Parser:
         return s
 
     def parse_stmt_at(self):
-        pos = self.tok.pos
-        if self.at("punct", "{"):
+        t = self.tok
+        if t.text == "{":
             return self.parse_block()
-        if self.accept("kw", "if"):
-            self.expect("punct", "(")
+        if t.text in ("if", "while"):
+            self.advance()
+            self.expect("(")
             cond = self.parse_expr()
-            self.expect("punct", ")")
-            then = self.parse_stmt()
-            orelse = None
-            if self.accept("kw", "else"):
-                orelse = self.parse_stmt()
-            return If(cond, then, orelse, pos=pos)
-        if self.accept("kw", "while"):
-            self.expect("punct", "(")
-            cond = self.parse_expr()
-            self.expect("punct", ")")
+            self.expect(")")
             body = self.parse_stmt()
-            return While(cond, body, pos=pos)
-        if self.accept("kw", "return"):
-            value = None
-            if not self.at("punct", ";"):
-                value = self.parse_expr()
-            self.expect("punct", ";")
-            return Return(value, pos=pos)
+            if t.text == "while":
+                return While(cond, body, pos=t.pos)
+            orelse = self.parse_stmt() if self.accept("else") else None
+            return If(cond, body, orelse, pos=t.pos)
+        if t.text == "return":
+            self.advance()
+            value = None if self.tok.text == ";" else self.parse_expr()
+            self.expect(";")
+            return Return(value, pos=t.pos)
         if self.starts_decl():
             d = self.parse_decl_or_func()
             if isinstance(d, FuncDecl):
                 self.error("nested functions are not supported")
             return d
         e = self.parse_expr()
-        if self.accept("op", "="):
+        if self.accept("="):
             value = self.parse_expr()
-            self.expect("punct", ";")
-            return Assign(e, value, pos=pos)
-        self.expect("punct", ";")
-        return ExprStmt(e, pos=pos)
+            self.expect(";")
+            return Assign(e, value, pos=start_pos(t, e))
+        self.expect(";")
+        return ExprStmt(e, pos=start_pos(t, e))
 
     # ------------------------------------------------------------ expressions
 
@@ -289,57 +278,63 @@ class Parser:
     def parse_unary(self):
         """Prefix operators, then a primary and its postfix operators."""
         t = self.tok
-        if t.kind == "op" and t.text in ("*", "&", "-", "!"):
+        level = self.depth
+        if t.kind == "id":
+            self.advance()
+            e = Name(t.text, pos=t.pos)
+        elif t.kind == "int":
+            e = IntLit(self.int_literal(), pos=t.pos)
+        elif t.text in PREFIX:
             self.advance()
             self.nest()
             operand = self.parse_unary()
             if t.text in "-!":
                 return Unary(t.text, operand, pos=t.pos)
-            return (Deref if t.text == "*" else AddrOf)(operand, pos=t.pos)
-        level = self.depth
-        e = self.parse_primary()
-        while True:
-            if self.accept("punct", "("):
+            return PREFIX[t.text](operand, pos=t.pos)
+        else:
+            e = self.parse_primary()
+        while self.tok.text in POSTFIX:
+            text = self.tok.text
+            if text == "(":
+                self.advance()
                 self.nest()
-                args = []
-                if not self.at("punct", ")"):
-                    while True:
-                        args.append(self.below(level + 1, self.parse_binary, 1))
-                        if not self.accept("punct", ","):
-                            break
-                self.expect("punct", ")")
+                args = [] if self.tok.text == ")" else [self.below(level + 1, self.parse_binary, 1)]
+                while args and self.accept(","):
+                    args.append(self.below(level + 1, self.parse_binary, 1))
+                self.expect(")")
                 e = Call(e, args, pos=e.pos)
-            elif self.accept("punct", "["):
+            elif text == "[":
+                self.advance()
                 self.nest()
                 idx = self.below(level + 1, self.parse_binary, 1)
-                self.expect("punct", "]")
+                self.expect("]")
                 e = Index(e, idx, pos=e.pos)
-            elif (self.tok.kind == "op" and self.tok.text in (".", "->")
-                  and self.tokens[self.i + 1].kind == "id"):
-                arrow = self.advance().text == "->"
+            elif self.tokens[self.i + 1].kind == "id":  # "." or "->"
+                self.advance()
                 self.nest()
-                member = self.expect("id").text
-                e = (Arrow if arrow else Dot)(e, member, pos=e.pos)
+                e = (Arrow if text == "->" else Dot)(e, self.advance().text, pos=e.pos)
             else:
-                return e
+                break
+        return e
 
     def parse_primary(self):
-        pos = self.tok.pos
-        if self.accept("punct", "("):
+        """A parenthesized expression or a keyword literal."""
+        t = self.tok
+        if t.text == "(":
+            self.advance()
             e = self.parse_binary(1)
-            self.expect("punct", ")")
+            self.expect(")")
             return e
-        if self.tok.kind == "int":
-            return IntLit(self.int_literal(), pos=pos)
-        if self.accept("kw", "true"):
-            return BoolLit(True, pos=pos)
-        if self.accept("kw", "false"):
-            return BoolLit(False, pos=pos)
-        if self.accept("kw", "null"):
-            return NullLit(pos=pos)
-        if self.tok.kind == "id":
-            return Name(self.expect("id").text, pos=pos)
-        self.error(f"expected an expression, got {self.tok.text!r}")
+        if t.text in ("true", "false", "null"):
+            self.advance()
+            return NullLit(pos=t.pos) if t.text == "null" else BoolLit(t.text == "true", pos=t.pos)
+        self.error(f"expected an expression, got {t.text!r}")
+
+
+def start_pos(t: Token, e) -> Pos:
+    """The position of t, where e starts: e's own Pos when e's leftmost
+    operand is t, so that a statement and that operand share one object."""
+    return e.pos if e.pos == (t.line, t.col) else t.pos
 
 
 def parse_unit(tokens: list[Token]) -> Unit:

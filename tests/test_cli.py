@@ -46,7 +46,27 @@ def test_parse_reports_syntax_errors(tmp_path, capsys):
     bad = tmp_path / "syntax.hc"
     bad.write_text("int x = ;")
     code, _, err = run_cli(capsys, "parse", str(bad))
-    assert code == 1 and "error" in err
+    assert code == 1
+    # the same FILE:LINE:COL form as a check error's
+    assert err == f"{bad}:1:9: error: expected an expression, got ';'\n"
+
+
+@pytest.mark.parametrize("source,error", [
+    ("int y = z;\nint z = 5;", "1:9: error: 'z' is used before its declaration"),
+    ("int *p = &w;\nint w;", "1:11: error: 'w' is used before its declaration"),
+], ids=["value", "address-of"])
+def test_global_initializer_naming_a_later_global_is_a_source_error(
+        tmp_path, capsys, source, error):
+    path = tmp_path / "later.hc"
+    path.write_text(source + "\nvoid main() { }\n")
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert (code, out, err) == (1, "", f"{path}:{error}\n")
+
+
+def test_global_initializer_naming_an_earlier_global_runs():
+    m = matches_oracle("int z = 5;\nint y = z;\nint *p = &z;\nint x = x + 1;\n"
+                       "void main() { }")
+    assert [m.memory_snapshot()[k] for k in "zypx"] == ["5", "5", "&z", "1"]
 
 
 def test_missing_file(capsys):
@@ -273,7 +293,7 @@ def test_nesting_past_the_bound_is_a_source_error(tmp_path, capsys, shape):
     path.write_text(make(size + 1))
     code, out, err = run_cli(capsys, "run", str(path))
     assert code == 1 and out == ""
-    assert err.startswith(f"{path}: 2:") and err.endswith("error: nesting too deep\n")
+    assert err.startswith(f"{path}:2:") and err.endswith("error: nesting too deep\n")
 
 
 @pytest.mark.parametrize("group", ["({} + 1 + 1 + 1)", "(1 + {} + 1 + 1)"])

@@ -1,8 +1,12 @@
+import dataclasses
+import re
+
 import pytest
 
 from conftest import PROGRAMS
 from declc import ast
 from declc.errors import ParseError
+from declc.lexer import tokenize
 from declc.parser import parse_source
 from declc.printer import expr_str, unit_str
 from declc.randgen import generate
@@ -168,3 +172,49 @@ def test_error_message_has_position():
         assert "error" in str(e)
     else:
         pytest.fail("expected ParseError")
+
+
+# --------------------------------------------------------------- positions
+
+POSITION_SOURCES = ([p.name for p in sorted(PROGRAMS.glob("*.hc"))]
+                    + [f"seed{k}" for k in range(200)])
+
+# the node field holding each form's left operand
+LEFT = {ast.Binary: "left", ast.Call: "callee", ast.Index: "base",
+        ast.Dot: "obj", ast.Arrow: "obj"}
+
+
+def tree_nodes(x):
+    """Every syntax-tree node below x, x included."""
+    if isinstance(x, list):
+        for y in x:
+            yield from tree_nodes(y)
+    elif dataclasses.is_dataclass(x):
+        yield x
+        for f in dataclasses.fields(x):
+            if f.name not in ("pos", "ty", "binding"):
+                yield from tree_nodes(getattr(x, f.name))
+
+
+@pytest.mark.parametrize("name", POSITION_SOURCES)
+def test_positions_index_the_source(name):
+    """Whatever a token is made of, its (line, col) and those of the nodes
+    built from it point at their own text."""
+    source = (generate(int(name[4:])) if name.startswith("seed")
+              else (PROGRAMS / name).read_text())
+    lines = source.split("\n")
+
+    def at(line, col, text):
+        return lines[line - 1].startswith(text, col - 1)
+
+    for t in tokenize(source)[:-1]:
+        assert at(t.line, t.col, t.text) and t.pos == (t.line, t.col), t
+    for node in tree_nodes(parse_source(source)):
+        if isinstance(node, ast.Name):
+            rest = lines[node.pos.line - 1][node.pos.col - 1:]
+            assert re.match(r"[A-Za-z_]\w*", rest)[0] == node.name, node
+        elif isinstance(node, ast.IntLit):
+            rest = lines[node.pos.line - 1][node.pos.col - 1:]
+            assert int(re.match(r"[0-9]+", rest)[0]) == node.value, node
+        elif type(node) in LEFT:
+            assert node.pos == getattr(node, LEFT[type(node)]).pos, node

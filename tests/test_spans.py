@@ -27,3 +27,16 @@ def test_every_request_is_seen_on_the_write_path(program):
     assert len(res.latency) == 5
     for name in WRITE_PATH:
         assert tracer.calls[name] >= len(res.latency), name
+
+
+FRONT_END = ["lexer", "parser", "checker", "lvgraph", "codegen"]
+
+
+def test_the_front_end_is_seen_by_the_spans():
+    """Set-up compiles the program through each wrapped front-end name."""
+    tracer = spans.Tracer()
+    program = workloads.ChainProgram(2, 5)
+    plain, res, _ = workloads.ProgramWorkload("tiny", program, 20, 5).traced(1, tracer)
+    assert plain.failed == res.failed == 0
+    for name in FRONT_END:
+        assert name in tracer.names, name

@@ -211,15 +211,12 @@ class Unit:
 
     decls: list  # VarDecl | FuncDecl | ClassDecl
     constructs: list[Construct]  # all constructs (file scope and class scope), source order
+    # the decls of each kind, in source order, split once
+    globals: list[VarDecl] = field(init=False, repr=False, compare=False)
+    functions: list[FuncDecl] = field(init=False, repr=False, compare=False)
+    classes: list[ClassDecl] = field(init=False, repr=False, compare=False)
 
-    @property
-    def globals(self) -> list[VarDecl]:
-        return [d for d in self.decls if isinstance(d, VarDecl)]
-
-    @property
-    def functions(self) -> list[FuncDecl]:
-        return [d for d in self.decls if isinstance(d, FuncDecl)]
-
-    @property
-    def classes(self) -> list[ClassDecl]:
-        return [d for d in self.decls if isinstance(d, ClassDecl)]
+    def __post_init__(self):
+        self.globals = [d for d in self.decls if isinstance(d, VarDecl)]
+        self.functions = [d for d in self.decls if isinstance(d, FuncDecl)]
+        self.classes = [d for d in self.decls if isinstance(d, ClassDecl)]

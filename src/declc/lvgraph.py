@@ -24,10 +24,10 @@ class LvNode:
     expr: ast.Expr             # representative typed occurrence
     redef: list["LvNode"] = field(default_factory=list)
     dependents: list["LvNode"] = field(default_factory=list)
+    str: str = field(init=False)  # the canonical string, joined once
 
-    @property
-    def str(self) -> str:
-        return "".join(self.tokens)
+    def __post_init__(self):
+        self.str = "".join(self.tokens)
 
     @property
     def key(self):

@@ -17,7 +17,7 @@ _N = ("n:", str)  # trace detail of Suspend/Resume: the suspension count
 
 # ------------------------------------------------------------------- entries
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Entry:
     """One registered involvement: identity is the (function, owner) pair."""
 
@@ -37,7 +37,7 @@ class Entry:
         return self.fn == other.fn and self.owner is other.owner
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class ConstraintEntry(Entry):
     seq: int = -1                  # instantiation order, fixed at first install
     target: object = None          # () -> Cell, evaluated lazily at fire time
@@ -47,19 +47,25 @@ class ConstraintEntry(Entry):
 
 # --------------------------------------------------------------------- cells
 
-@dataclass(eq=False)
 class Cell:
-    name: str
-    value: object = None
-    redefinitions: list[Entry] = field(default_factory=list)
-    monitors: list[Entry] = field(default_factory=list)
-    preconditions: list[Entry] = field(default_factory=list)
-    constraints: list[ConstraintEntry] = field(default_factory=list)
-    dependencies: list[DepEdge] = field(default_factory=list)  # by DepEdge.order
-    update_hooks: list = field(default_factory=list)  # object-update notifications
-    monitors_enabled: bool = True
-    block: object = None           # owning Block for array elements / scalars
-    index: int = 0
+    """One storage location.  Its four registration lists, its dependency
+    edges (in `DepEdge.order`) and its object-update hooks start as the
+    shared empty tuple and become a list at their first add (`Engine.handle_*`,
+    `DependencyGraph.add`, `Machine._construct_instance`); readers test them
+    for truthiness only.  `name` is stored: every store emits it."""
+
+    __slots__ = ("name", "value", "redefinitions", "monitors", "preconditions",
+                 "constraints", "dependencies", "update_hooks", "monitors_enabled",
+                 "block", "index")
+
+    def __init__(self, name: str, value=None, block=None, index: int = 0):
+        self.name = name
+        self.value = value
+        self.redefinitions = self.monitors = self.preconditions = ()
+        self.constraints = self.dependencies = self.update_hooks = ()
+        self.monitors_enabled = True
+        self.block = block  # owning Block; a scalar's is made when its address is taken
+        self.index = index
 
     def registration_count(self) -> int:
         return (len(self.redefinitions) + len(self.monitors)
@@ -106,8 +112,11 @@ class DependencyGraph:
         if edge.order in self.edges:
             raise RuntimeFault(f"dependency edge registered twice ({entry.fn})")
         self.edges[edge.order] = edge
-        # a reinstall keeps its seq, so the edge may belong mid-list
-        insort(from_cell.dependencies, edge, key=_order)
+        if from_cell.dependencies.__class__ is list:
+            # a reinstall keeps its seq, so the edge may belong mid-list
+            insort(from_cell.dependencies, edge, key=_order)
+        else:
+            from_cell.dependencies = [edge]
 
     def remove(self, from_cell: Cell, entry: ConstraintEntry, lv_ordinal: int):
         edge = self.edges.pop((entry.seq, lv_ordinal), None)
@@ -123,6 +132,24 @@ class DependencyGraph:
 
 # -------------------------------------------------------------------- engine
 
+def _pushed(lst, entry: Entry) -> list:
+    """A cell's registration list with entry on top; made at its first add."""
+    entry.registered += 1
+    if lst.__class__ is list:
+        lst.append(entry)
+        return lst
+    return [entry]
+
+
+def _cancel(lst, entry: Entry):
+    """Remove the topmost registration matching entry."""
+    for i in range(len(lst) - 1, -1, -1):
+        if lst[i].matches(entry):
+            lst.pop(i).registered -= 1
+            return
+    raise RuntimeFault(f"cancel of unregistered entry {entry.fn}")
+
+
 class Engine:
     """The per-machine reactive core.  The host (vm) supplies entry callbacks
     and emits Install/Cancel events; the engine owns the change protocol."""
@@ -134,28 +161,29 @@ class Engine:
 
     # --- registration -----------------------------------------------------
 
-    def _handle(self, lst: list, entry: Entry, add: bool):
-        if add:
-            lst.append(entry)
-            entry.registered += 1
-        else:
-            for i in range(len(lst) - 1, -1, -1):
-                if lst[i].matches(entry):
-                    lst.pop(i).registered -= 1
-                    return
-            raise RuntimeFault(f"cancel of unregistered entry {entry.fn}")
-
     def handle_monitor(self, cell: Cell, entry: Entry, add: bool):
-        self._handle(cell.monitors, entry, add)
+        if add:
+            cell.monitors = _pushed(cell.monitors, entry)
+        else:
+            _cancel(cell.monitors, entry)
 
     def handle_precondition(self, cell: Cell, entry: Entry, add: bool):
-        self._handle(cell.preconditions, entry, add)
+        if add:
+            cell.preconditions = _pushed(cell.preconditions, entry)
+        else:
+            _cancel(cell.preconditions, entry)
 
     def handle_constraint(self, cell: Cell, entry: ConstraintEntry, add: bool):
-        self._handle(cell.constraints, entry, add)
+        if add:
+            cell.constraints = _pushed(cell.constraints, entry)
+        else:
+            _cancel(cell.constraints, entry)
 
     def handle_redefinition(self, cell: Cell, entry: Entry, add: bool):
-        self._handle(cell.redefinitions, entry, add)
+        if add:
+            cell.redefinitions = _pushed(cell.redefinitions, entry)
+        else:
+            _cancel(cell.redefinitions, entry)
 
     def handle_dependency(self, cell_from: Cell, entry: ConstraintEntry,
                           lv_ordinal: int, add: bool):

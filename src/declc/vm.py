@@ -67,9 +67,9 @@ def _leaf(leaves: list, v) -> int:
     return len(leaves) - 1
 
 
-def _eval_details(ordinal) -> dict[bool, str]:
-    """The GuardEval/PrecondEval details of one construct, by outcome."""
-    return {v: f"construct:{ordinal}:{value_str(v)}" for v in (False, True)}
+def _eval_details(ordinal) -> tuple[str, str]:
+    """The GuardEval/PrecondEval details of one construct, indexed by outcome."""
+    return (f"construct:{ordinal}:false", f"construct:{ordinal}:true")
 
 
 def default_value(t):
@@ -82,16 +82,17 @@ def default_value(t):
 
 def _array(name: str, size: int, value) -> Block:
     block = Block(name, [])
-    block.cells = [Cell(f"{name}[{k}]", value, block=block, index=k)
-                   for k in range(size)]
+    block.cells = [Cell(f"{name}[{k}]", value, block, k) for k in range(size)]
     return block
 
 
-def _scalar(name: str, value) -> Cell:
-    """A storage cell in a block of its own."""
-    block = Block(name, [])
-    block.cells = [Cell(name, value, block=block, index=0)]
-    return block.cells[0]
+def _address(cell: Cell) -> CellPtr:
+    """A pointer to cell.  A scalar's one-cell block is made here, the first
+    time its address is taken, and kept, so its pointers compare equal."""
+    block = cell.block
+    if block is None:
+        block = cell.block = Block(cell.name, [cell])
+    return CellPtr(block, cell.index)
 
 
 def _cells(v, objects: bool):
@@ -141,7 +142,7 @@ class Machine:
         elif isinstance(t, ClassType):
             self.globals[d.name] = self._alloc_instance(d.base_type, d.name)
         else:
-            self.globals[d.name] = _scalar(d.name, default_value(t))
+            self.globals[d.name] = Cell(d.name, default_value(t))
 
     def _alloc_instance(self, cls_name: str, name: str) -> Instance:
         ci = self.info.classes[cls_name]
@@ -151,7 +152,7 @@ class Machine:
             if isinstance(mt, ClassType):
                 inst.members[m] = self._alloc_instance(mt.name, f"{name}.{m}")
             else:
-                inst.members[m] = _scalar(f"{name}.{m}", default_value(mt))
+                inst.members[m] = Cell(f"{name}.{m}", default_value(mt))
         return inst
 
     def _construct_instance(self, inst: Instance):
@@ -160,10 +161,13 @@ class Machine:
         for m in inst.members.values():
             if isinstance(m, Instance):
                 self._construct_instance(m)
+        hook = partial(Machine._object_update, self, inst)
         for m in inst.members.values():
             cell = m.obj_cell if isinstance(m, Instance) else m
-            hook = self._make_update_hook(inst)
-            cell.update_hooks.append(hook)
+            if cell.update_hooks.__class__ is list:
+                cell.update_hooks.append(hook)
+            else:
+                cell.update_hooks = [hook]
             inst.hooks.append((cell, hook))
         plan = self.gen.classes.get(inst.cls)
         if plan is not None:
@@ -184,20 +188,19 @@ class Machine:
         if inst in self.instances:
             self.instances.remove(inst)
 
-    def _make_update_hook(self, inst: Instance):
-        def hook():
-            if inst.header.n > 0:
-                self.engine.set_updated(inst.header, inst.obj_cell)
-            else:
-                # member changed outside any method (constraint/monitor body):
-                # the update is externally visible immediately
-                self.trace.emit(tr.BEFORE_CHANGE, "", inst.obj_cell.name,
-                                "object-update")
-                self.engine.actions_before_change(inst.obj_cell)
-                self.trace.emit(tr.AFTER_CHANGE, "", inst.obj_cell.name,
-                                "object-update")
-                self.engine.actions_after_change(inst.obj_cell)
-        return hook
+    def _object_update(self, inst: Instance):
+        """The update hook of inst's members."""
+        if inst.header.n > 0:
+            self.engine.set_updated(inst.header, inst.obj_cell)
+        else:
+            # member changed outside any method (constraint/monitor body):
+            # the update is externally visible immediately
+            self.trace.emit(tr.BEFORE_CHANGE, "", inst.obj_cell.name,
+                            "object-update")
+            self.engine.actions_before_change(inst.obj_cell)
+            self.trace.emit(tr.AFTER_CHANGE, "", inst.obj_cell.name,
+                            "object-update")
+            self.engine.actions_after_change(inst.obj_cell)
 
     def func_cell(self, name: str) -> Cell:
         if name not in self.func_cells:
@@ -302,23 +305,25 @@ class Machine:
         leaves = []
         return partial(self._cell(e, leaves, None, False), tuple(leaves))
 
-    def _evaluator(self, e: ast.Expr, fr: GenFrame) -> list:
-        """A one-slot list holding `(Frame) -> value` of e, a right side,
-        guard or precondition condition of fr's owner.  The first evaluation
-        walks e; the second binds e's leaves in one tuple and puts its
-        shape's evaluator in the slot, so an expression evaluated once (a
-        right side applied only at install) is never compiled."""
-        def walk(frame):
-            slot[0] = bind
-            return self.eval(e, frame)
-
-        def bind(frame):
-            leaves = []
-            shape = self._value(e, leaves, None if fr.owner is None else fr.owner.members)
-            slot[0] = partial(shape, tuple(leaves))
-            return slot[0](frame)
-        slot = [walk]
+    def _evaluator(self, e: ast.Expr) -> list:
+        """A slot `[evaluator, walked]` whose evaluator is `(Frame) -> value`
+        of e, a right side, guard or precondition condition of one owner:
+        first `_evaluate`, which walks e at the first evaluation, and at the
+        second binds e's leaves in one tuple and puts its shape's evaluator in
+        the slot.  An expression evaluated once (a right side applied only at
+        install) is never compiled."""
+        slot = [None, False]
+        slot[0] = partial(Machine._evaluate, self, slot, e)
         return slot
+
+    def _evaluate(self, slot: list, e: ast.Expr, frame: Frame):
+        if not slot[1]:
+            slot[1] = True
+            return self.eval(e, frame)
+        leaves = []
+        shape = self._value(e, leaves, None if frame.owner is None else frame.owner.members)
+        slot[0] = partial(shape, tuple(leaves))
+        return slot[0](frame)
 
     # Shapes (compiled in shapes.py).  `_value` and `_cell` walk an
     # expression for its value or for the cell it denotes, append each leaf
@@ -493,12 +498,11 @@ class Machine:
             if isinstance(v, Instance):
                 return ObjPtr(v)
             if isinstance(v, Cell):
-                return CellPtr(v.block, v.index)
+                return _address(v)
             raise RuntimeFault("cannot take this address", e.pos)
         if isinstance(op.ty, ClassType):
             return ObjPtr(self.instance_of(op, fr))
-        cell = self.lv_cell(op, fr)
-        return CellPtr(cell.block, cell.index)
+        return _address(self.lv_cell(op, fr))
 
     def _eval_unary(self, e: ast.Unary, fr: Frame):
         op = e.operand
@@ -557,7 +561,7 @@ class Machine:
         seq = self._call_seq
         frame = Frame(decl.name, owner=owner)
         for p, v in zip(decl.params, args):
-            frame.locals[p.name] = _scalar(f"{decl.name}@{seq}:{p.name}", v)
+            frame.locals[p.name] = Cell(f"{decl.name}@{seq}:{p.name}", v)
         ret = self._exec_body(decl.body, frame)
         ret = None if ret is None else ret[0]
         if ret is None and decl.ret_type != "void":
@@ -638,7 +642,7 @@ class Machine:
             fr.instances.append(inst)
             return
         else:
-            fr.locals[d.name] = _scalar(f"{prefix}:{d.name}", default_value(t))
+            fr.locals[d.name] = Cell(f"{prefix}:{d.name}", default_value(t))
         if d.init is not None:
             self.store(fr.locals[d.name], self.eval(d.init, fr))
 
@@ -697,12 +701,13 @@ class Machine:
                     engine.handle_monitor(cell, entry, b)
                 else:
                     engine.handle_precondition(cell, entry, b)
-                emit(tr.INSTALL if b else tr.CANCEL, lvstr, cell.name, detail)
+                emit(tr.INSTALL if b else tr.CANCEL, lvstr, cell.name, detail, construct)
 
     def _lower(self, name: str) -> tuple:
         """Lower a generated function to a flat tuple of steps, CallGen callees
-        spliced in: (kind, entry function, l-value string, Install/Cancel detail,
-        construct, dependency ordinal, resolver), each unique, so a dormant key."""
+        spliced in: (kind, entry function, l-value string, Install/Cancel detail
+        as a `(prefix, render)` pair of the construct, construct, dependency
+        ordinal, resolver), each unique, so a dormant key."""
         fn = self.gen.functions[name]
         plan = self.gen.plans.get(fn.construct)
         steps = []
@@ -718,8 +723,7 @@ class Machine:
                 efn = (ins.fn if kind is RegRedefinition else plan.monitor_fn
                        if kind is RegMonitor else plan.tester_fn
                        if kind is RegPrecondition else plan.assign_fn)
-                steps.append((kind, efn, lv.str,
-                              f"{kind.__name__[3:].lower()}:construct:{fn.construct}",
+                steps.append((kind, efn, lv.str, _INSTALL_DETAILS[kind],
                               fn.construct, getattr(ins, "lv_ordinal", None),
                               self._resolver(lv.expr)))
         steps = self._steps[name] = tuple(steps)
@@ -737,42 +741,50 @@ class Machine:
         """The runtime entry `fn` of fr's owner, made on first use."""
         owner, c = fr.owner, self.gen.graph.constructs[ordinal].construct
         if kind is RegRedefinition:
-            entry = Entry(fn, owner, invoke=lambda fns, b: self.run_genfn(fns, owner, b),
+            entry = Entry(fn, owner, invoke=partial(Machine._redefine, self, owner),
                           lvalue=lvstr, construct=ordinal)
         elif kind is RegMonitor:
             entry = Entry(fn, owner, lvalue=lvstr, construct=ordinal,
-                          invoke=lambda: self._exec_body(c.body, Frame(fn, owner=owner)))
+                          invoke=partial(Machine._monitor, self, c.body, fn, owner))
         elif kind is RegPrecondition:
             condstr = self.gen.graph.constructs[ordinal].cond_str
-            details = _eval_details(ordinal)
-            test = self._evaluator(c.cond, fr)
-
-            def invoke():
-                frame = Frame(fn, owner=owner)
-                v = bool(test[0](frame))
-                self.trace.emit(tr.PRECOND_EVAL, condstr, "", details[v])
-                if v:
-                    self._exec_body(c.body, frame)
-
-            entry = Entry(fn, owner, invoke=invoke, lvalue=condstr, construct=ordinal)
+            entry = Entry(fn, owner, lvalue=condstr, construct=ordinal, invoke=partial(
+                Machine._precondition, self, self._evaluator(c.cond), c.body, fn, owner,
+                condstr, _eval_details(ordinal)))
         else:
             lhs = self.gen.plans[ordinal].lhs
             guard = None
             if c.guard is not None:
-                guard_details = _eval_details(ordinal)
-                test = self._evaluator(c.guard, fr)
-
-                def guard():
-                    v = bool(test[0](fr))
-                    self.trace.emit(tr.GUARD_EVAL, lhs.str, "", guard_details[v])
-                    return v
+                guard = partial(Machine._guard, self, self._evaluator(c.guard), fr,
+                                lhs.str, _eval_details(ordinal))
             self._seq += 1
             entry = ConstraintEntry(
                 fn, owner, lvalue=lhs.str, construct=ordinal, seq=self._seq,
                 target=partial(self._resolver(lhs.expr), fr), guard=guard,
-                apply=partial(self._apply, self._evaluator(c.rhs, fr), fr))
+                apply=partial(Machine._apply, self, self._evaluator(c.rhs), fr))
         fr.entries[fn] = entry
         return entry
+
+    # The callables of runtime entries: partials of these, bound in `_entry`.
+
+    def _redefine(self, owner, fns, b: bool):
+        self.run_genfn(fns, owner, b)
+
+    def _monitor(self, body: ast.Block, fn: str, owner):
+        self._exec_body(body, Frame(fn, owner=owner))
+
+    def _precondition(self, test: list, body: ast.Block, fn: str, owner, condstr: str,
+                      details: tuple[str, str]):
+        frame = Frame(fn, owner=owner)
+        v = bool(test[0](frame))
+        self.trace.emit(tr.PRECOND_EVAL, condstr, "", details[v])
+        if v:
+            self._exec_body(body, frame)
+
+    def _guard(self, test: list, fr: GenFrame, lvstr: str, details: tuple[str, str]) -> bool:
+        v = bool(test[0](fr))
+        self.trace.emit(tr.GUARD_EVAL, lvstr, "", details[v])
+        return v
 
     def _apply(self, rhs: list, fr: GenFrame, cell: Cell):
         """A constraint application: store its right side's value in `cell`."""
@@ -812,6 +824,11 @@ class Machine:
 _LITERALS = (ast.IntLit, ast.BoolLit, ast.NullLit)
 
 _OLD, _NEW = ("old:", value_str), ("new:", value_str)  # trace details of a store
+
+# The Install/Cancel detail of a step, by kind, rendered from its construct.
+_INSTALL_DETAILS = {kind: (f"{kind.__name__[3:].lower()}:construct:", str)
+                    for kind in (RegConstraint, RegDependency, RegMonitor,
+                                 RegPrecondition, RegRedefinition)}
 
 # `_eval_binary` does `&&`, `||` (short circuit), `/`, `%` (may fault) and
 # pointer `+`/`-` itself; every other operator goes through this table.

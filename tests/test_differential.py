@@ -9,12 +9,18 @@ from declc import trace as tr
 from declc.checker import check_or_raise
 from declc.oracle import Oracle, diff_memory, diff_traces
 from declc.parser import parse_source
-from declc.randgen import generate
+from declc.randgen import GenConfig, generate
 from declc.vm import load_source
 
 
-def run_pair(seed: int):
-    source = generate(seed)
+# More constructs, writes and objects per program than the default: the
+# object-cell and update-hook paths of the vm.
+CLASS_HEAVY = GenConfig(max_constraints=10, max_monitors=5, max_preconds=4,
+                        max_writes=60, class_prob=0.6)
+
+
+def run_pair(seed: int, config: GenConfig | None = None):
+    source = generate(seed, config)
     m = load_source(source, tr.TraceSink())
     m.call_function("main", [])
     unit = parse_source(source)
@@ -31,6 +37,17 @@ def test_vm_matches_reference(seed):
     dm = diff_memory(m.memory_snapshot(), o.memory_snapshot())
     assert dt.ok and dm.ok, (
         f"seed {seed} diverged: {dt.message or dm.message}\n{source}")
+
+
+@pytest.mark.parametrize("seed", range(0, 150))
+def test_vm_matches_reference_on_class_heavy_programs(seed):
+    source, m, o = run_pair(seed, CLASS_HEAVY)
+    dt = diff_traces(m.trace.events, o.trace.events)
+    dm = diff_memory(m.memory_snapshot(), o.memory_snapshot())
+    assert dt.ok and dm.ok, (
+        f"seed {seed} diverged: {dt.message or dm.message}\n{source}")
+    m.teardown()
+    assert m.registration_count() == 0, f"seed {seed}"
 
 
 def test_generator_is_deterministic():

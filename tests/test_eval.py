@@ -17,7 +17,7 @@ from declc.errors import RuntimeFault
 from declc.oracle import Oracle
 from declc.parser import parse_source
 from declc.runtime import ConstraintEntry
-from declc.vm import CellPtr
+from declc.vm import CellPtr, Machine
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
@@ -276,9 +276,11 @@ def test_chain_right_sides_share_one_evaluator():
     entries = [e for e in m._gen_frames[id(None)].entries.values()
                if isinstance(e, ConstraintEntry)]
     assert len(entries) == 320
-    slots = [e.apply.args[0] for e in entries]
-    assert not any(isinstance(s[0], partial) for s in slots)  # only walked so far
+    slots = [e.apply.args[1] for e in entries]  # (machine, slot, frame)
+    # only walked so far: each slot still holds its `_evaluate`
+    assert all(s[0].func is Machine._evaluate and s[1] for s in slots)
     m.call_function("main", [])
-    assert all(isinstance(s[0], partial) for s in slots)
+    assert all(isinstance(s[0], partial) and s[0].func is not Machine._evaluate
+               for s in slots)
     assert len({s[0].func for s in slots}) == 1
     assert len({id(s[0].args[0]) for s in slots}) == 320

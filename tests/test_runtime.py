@@ -84,7 +84,7 @@ def test_stack_against_list_model():
     e, c = engine(), Cell("x")
     handlers = [e.handle_monitor, e.handle_precondition,
                 e.handle_redefinition, e.handle_constraint]
-    lists = [c.monitors, c.preconditions, c.redefinitions, c.constraints]
+    lists = ["monitors", "preconditions", "redefinitions", "constraints"]
     models = [[], [], [], []]
     for _ in range(500):
         which = rng.randrange(4)
@@ -106,7 +106,7 @@ def test_stack_against_list_model():
                     if model[i] == fn:
                         del model[i]
                         break
-        assert [x.fn for x in lists[which]] == model
+        assert [x.fn for x in getattr(c, lists[which])] == model
 
 
 # ------------------------------------------------------------- dependencies
@@ -116,6 +116,7 @@ def test_dependency_graph_orders_by_instantiation():
     whatever order they were added in."""
     g = DependencyGraph()
     c1, c2 = Cell("a"), Cell("a2")
+    c2.dependencies = []
     e1 = ConstraintEntry("f1", None, seq=2)
     e2 = ConstraintEntry("f2", None, seq=1)
     g.add(c1, e1, 0)
@@ -130,6 +131,7 @@ def test_dependency_graph_orders_by_instantiation():
 def test_dependency_double_add_and_missing_remove_fault():
     g = DependencyGraph()
     c, other = Cell("a"), Cell("b")
+    other.dependencies = []
     e = ConstraintEntry("f", None, seq=0)
     g.add(c, e, 0)
     with pytest.raises(RuntimeFault):
@@ -312,7 +314,7 @@ def test_resolution_applies_once_per_wave():
     en = ConstraintEntry("assign_0", None, seq=0,
                          target=lambda: dst,
                          apply=lambda cell: fired.append("hit"))
-    dst.constraints.append(en)
+    e.handle_constraint(dst, en, True)
     e.deps.add(src, en, 0)
     e.wave.enter()
     e.resolve(src)
@@ -329,7 +331,7 @@ def test_fire_respects_top_constraint():
                             apply=lambda cell: fired.append("old"))
     newer = ConstraintEntry("assign_1", None, seq=1, target=lambda: dst,
                             apply=lambda cell: fired.append("new"))
-    dst.constraints += [older, newer]
+    dst.constraints = [older, newer]
     e.wave.enter()
     e.fire(older, via_resolution=True)
     e.fire(newer, via_resolution=True)
@@ -355,7 +357,7 @@ def test_false_guard_blocks_application():
     en = ConstraintEntry("assign_0", None, seq=0, target=lambda: dst,
                          guard=lambda: False,
                          apply=lambda cell: fired.append("hit"))
-    dst.constraints.append(en)
+    e.handle_constraint(dst, en, True)
     e.fire(en, via_resolution=False)
     assert fired == []
 
@@ -381,7 +383,7 @@ def test_fire_hands_apply_the_resolved_target():
         resolved.clear()
         en = ConstraintEntry("assign_0", None, seq=0, target=target,
                              guard=guard, apply=applied.append)
-        first.constraints[:] = [en]
+        first.constraints = [en]
         e.fire(en, via_resolution=False)
         assert resolved == (["first"] if guard is None else ["first", "second"])
     assert applied == [first, second]
@@ -393,8 +395,8 @@ def test_only_top_monitor_fires():
     e = engine()
     c = Cell("x", 0)
     fired = []
-    c.monitors.append(Entry("m0", None, invoke=lambda: fired.append("m0")))
-    c.monitors.append(Entry("m1", None, invoke=lambda: fired.append("m1")))
+    e.handle_monitor(c, Entry("m0", None, invoke=lambda: fired.append("m0")), True)
+    e.handle_monitor(c, Entry("m1", None, invoke=lambda: fired.append("m1")), True)
     e.actions_after_change(c)
     assert fired == ["m1"]
 
@@ -409,7 +411,7 @@ def test_monitor_not_reentrant():
         if len(fired) < 5:
             e.actions_after_change(c)   # a monitor body writing its own cell
 
-    c.monitors.append(Entry("m", None, invoke=body))
+    e.handle_monitor(c, Entry("m", None, invoke=body), True)
     e.actions_after_change(c)
     assert fired == ["m"]
 
@@ -418,8 +420,8 @@ def test_preconditions_all_fire_in_order():
     e = engine()
     c = Cell("x", 0)
     fired = []
-    c.preconditions.append(Entry("t0", None, invoke=lambda: fired.append(0)))
-    c.preconditions.append(Entry("t1", None, invoke=lambda: fired.append(1)))
+    e.handle_precondition(c, Entry("t0", None, invoke=lambda: fired.append(0)), True)
+    e.handle_precondition(c, Entry("t1", None, invoke=lambda: fired.append(1)), True)
     e.actions_after_change(c)
     assert fired == [0, 1]
 
@@ -453,7 +455,7 @@ def test_suspend_resume_accumulates():
     e = engine()
     h, c = ObjectHeader(), Cell("obj")
     notified = []
-    c.monitors.append(Entry("m", None, invoke=lambda: notified.append(1)))
+    e.handle_monitor(c, Entry("m", None, invoke=lambda: notified.append(1)), True)
     e.suspend(h, c)
     e.suspend(h, c)
     e.set_updated(h, c)
@@ -469,7 +471,7 @@ def test_resume_without_update_is_silent():
     e = engine()
     h, c = ObjectHeader(), Cell("obj")
     notified = []
-    c.monitors.append(Entry("m", None, invoke=lambda: notified.append(1)))
+    e.handle_monitor(c, Entry("m", None, invoke=lambda: notified.append(1)), True)
     e.suspend(h, c)
     e.resume(h, c)
     assert notified == []

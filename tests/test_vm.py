@@ -1,8 +1,13 @@
+import gc
+
 import pytest
 
 from conftest import events_of, machine, matches_oracle, program, run
 from declc import ast, trace as tr
+from declc.checker import check_or_raise
 from declc.errors import RuntimeFault
+from declc.oracle import Oracle
+from declc.parser import parse_source
 from declc.vm import Machine, compile_source
 
 
@@ -281,6 +286,76 @@ def test_huge_ints_render_in_hex():
     assert value_str(huge) == _vstr(huge) == hex(huge)
     assert value_str(-huge) == hex(-huge)
     assert value_str(12345) == _vstr(12345) == "12345"
+
+
+# ------------------------------------------------------------------ storage
+# A scalar's one-cell block is made the first time its address is taken.
+
+@pytest.mark.parametrize("src,expect", [
+    ("int x; int *p; int y;\nvoid main() { p = &x; *p = 5; y = *p + 1; }",
+     {"x": "5", "p": "&x", "y": "6"}),
+    ("int y;\nint f() { int x = 3; int *p = &x; *p = *p + 4; return x; }\n"
+     "void main() { y = f(); }", {"y": "7"}),
+    ("class C { private: int m; public: int *at() { return &m; } };\n"
+     "C c; int *p; int y;\nvoid main() { p = c.at(); *p = 4; y = *p + 1; }",
+     {"c.m": "4", "p": "&c.m", "y": "5"}),
+    ("class C { private: int m; public: int *at(C *o) { return &o->m; } };\n"
+     "C c; C d; int *p; int y;\nvoid main() { p = c.at(&d); *p = 4; y = *p + 1; }",
+     {"c.m": "0", "d.m": "4", "p": "&d.m", "y": "5"}),
+], ids=["global", "local", "member", "member through ->"])
+def test_pointers_to_scalars(src, expect):
+    assert matches_oracle(src).memory_snapshot() == expect
+
+
+def test_a_scalars_address_is_one_pointer():
+    """`&x` twice in one expression, in a constraint evaluated again and
+    again, and a stored `&x` against a fresh one: all equal."""
+    m = matches_oracle("int x; int src; int *p; bool b; bool c; bool d;\n"
+                       "d := p == &x && &x == &x && src > 0;\n"
+                       "void main() { b = &x == &x; p = &x; c = p == &x;"
+                       " src = 1; src = 2; }")
+    snap = m.memory_snapshot()
+    assert (snap["b"], snap["c"], snap["d"], snap["p"]) == ("true", "true", "true", "&x")
+    assert [(e.cell, e.detail) for e in events_of(m, tr.AFTER_CHANGE)
+            if e.cell == "p"] == [("p", "new:&x")]
+
+
+def test_pointer_past_a_scalar_faults_at_its_position():
+    source = "int x; int y;\nvoid main() { y = *(&x + 1); }"
+    faults = []
+    for route in ("vm", "oracle"):
+        with pytest.raises(RuntimeFault) as info:
+            if route == "vm":
+                machine(source).call_function("main", [])
+            else:
+                unit = parse_source(source)
+                o = Oracle(unit, check_or_raise(unit))
+                o.load()
+                o.run()
+        faults.append(str(info.value))
+    assert faults == ["2:19: fault: pointer outside storage 'x'"] * 2
+
+
+@pytest.mark.parametrize("source", [
+    "int a[1000];\nvoid main() { }",
+    "".join(f"int v{k};\n" for k in range(1000)) + "void main() { }",
+], ids=["array", "scalars"])
+def test_a_load_allocates_about_one_object_per_cell(source):
+    """A cell without registrations is one GC-tracked object: its lists are
+    the shared empty tuple, and a scalar has no block until its address is
+    taken."""
+    gen, info = compile_source(source)
+    m = Machine(gen, info, tr.TraceSink())
+    gc.collect()
+    gc.disable()
+    try:
+        old = gc.get_objects()  # kept alive, so no new object reuses an id
+        ids = {id(o) for o in old}
+        m.load()
+        made = sum(id(o) not in ids for o in gc.get_objects())
+    finally:
+        gc.enable()
+    assert made <= 2 * 1000
 
 
 # ---------------------------------------------------------------- conservation

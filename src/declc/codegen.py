@@ -12,6 +12,11 @@ assign_ function families):
 plus one unit init function per scope that installs every construct in
 declaration order.
 
+An init function body is a list of `Reg` records, each naming its kind,
+l-value and entry function once; the vm lowers them to its steps and the
+renderer prints them.  Init, redef and unit init bodies call one another
+through `CallGen`.
+
 Dependency edges are registered inside the *constraining* l-value's init
 function, so rebinding the constraining side re-registers the edge at its
 new storage (the constrained side is re-resolved lazily at fire time).
@@ -23,47 +28,27 @@ import re
 from dataclasses import dataclass, field
 
 from . import ast
-from .lvgraph import Analyzer, LvNode, RedefGraph
+from .lvgraph import LvNode, RedefGraph
 
 # --------------------------------------------------------------- instructions
 
-
 @dataclass(slots=True)
-class RegRedefinition:
+class Reg:
+    """One registration of l-value `lv` in an init function.  `kind` names the
+    cell's registration list (`constraint`, `dependency`, `monitor`,
+    `precondition`, `redefinition`) and is the Install/Cancel detail prefix;
+    `fn` is the entry function; a dependency's `ordinal` numbers its
+    constraining l-value.  Kind `apply` is the install-time application of
+    the constraint `fn` on its left side `lv`."""
+    kind: str
     lv: LvNode
     fn: str
-
-
-@dataclass(slots=True)
-class RegConstraint:
-    lv: LvNode
-
-
-@dataclass(slots=True)
-class RegDependency:
-    constrained: LvNode
-    from_lv: LvNode
-    lv_ordinal: int
-
-
-@dataclass(slots=True)
-class RegMonitor:
-    lv: LvNode
-
-
-@dataclass(slots=True)
-class RegPrecondition:
-    lv: LvNode
+    ordinal: int | None = None
 
 
 @dataclass(slots=True)
 class CallGen:
     fn: str
-
-
-@dataclass(slots=True)
-class ApplyOnInstall:
-    pass
 
 
 # ------------------------------------------------------------------ functions
@@ -90,22 +75,13 @@ class GenFunction:
 
 @dataclass(slots=True)
 class ConstructPlan:
-    ordinal: int
-    kind: str                  # "constraint" | "monitor" | "precond"
-    scope: str | None
-    lhs: LvNode | None
-    rhs_lvs: list[LvNode]
+    """The names of the functions generated for one construct."""
     assign_fn: str | None = None
     guard_fn: str | None = None
     monitor_fn: str | None = None
     tester_fn: str | None = None
-    init_fns: list[str] = field(default_factory=list)  # install order
-
-
-@dataclass(slots=True)
-class ClassPlan:
-    name: str
-    unit_init: str
+    init_fns: list[str] = field(default_factory=list)   # install order
+    redef_fns: list[str] = field(default_factory=list)
 
 
 @dataclass(slots=True)
@@ -115,7 +91,7 @@ class GenUnit:
     functions: dict[str, GenFunction]
     unit_init: str
     plans: dict[int, ConstructPlan]
-    classes: dict[str, ClassPlan]
+    classes: dict[str, str]    # class name -> its class-scope unit init
 
 
 # -------------------------------------------------------------------- mangler
@@ -203,48 +179,41 @@ class Emitter:
     def emit_unit(self) -> GenUnit:
         for c in self.unit.constructs:
             self.emit_construct(c)
-        classes = {}
-        for cls in self.unit.classes:
-            classes[cls.name] = self.emit_class(cls)
-        unit_init = self.emit_scope_init(None, "init_0")
-        return GenUnit(self.unit, self.graph, self.functions, unit_init.name,
-                       self.plans, classes)
+        classes = {cls.name: self.emit_scope_init(cls.name, f"init_0_{cls.name}")
+                   for cls in self.unit.classes}
+        return GenUnit(self.unit, self.graph, self.functions,
+                       self.emit_scope_init(None, "init_0"), self.plans, classes)
 
     # ---------------------------------------------------------- per-construct
 
     def emit_construct(self, c: ast.Construct):
         info = self.graph.constructs[c.ordinal]
+        plan = self.plans[c.ordinal] = ConstructPlan()
+        # kind and entry function of the construct, the l-values registered
+        # under that kind, and those a constraint depends on
         if isinstance(c, ast.Constraint):
-            plan = ConstructPlan(c.ordinal, "constraint", c.scope, info.lhs,
-                                 list(info.rhs_lvs))
-            plan.assign_fn = self.names.fresh(f"assign_{c.ordinal}")
-            self.add(GenFunction(plan.assign_fn, ASSIGN, c.ordinal,
-                                 lhs=info.lhs, expr=c.rhs))
+            fn = plan.assign_fn = self.names.fresh(f"assign_{c.ordinal}")
+            self.add(GenFunction(fn, ASSIGN, c.ordinal, lhs=info.lhs, expr=c.rhs))
             if c.guard is not None:
                 plan.guard_fn = self.names.fresh(f"guard_{c.ordinal}")
                 self.add(GenFunction(plan.guard_fn, GUARD_TESTER, c.ordinal,
                                      expr=c.guard))
-            roots = [info.lhs] + info.rhs_lvs
+            kind, regd, deps = "constraint", [info.lhs], info.rhs_lvs
         elif isinstance(c, ast.Monitor):
-            plan = ConstructPlan(c.ordinal, "monitor", c.scope, info.lhs, [])
-            plan.monitor_fn = self.names.fresh(f"monitor_{c.ordinal}")
-            self.add(GenFunction(plan.monitor_fn, MONITOR_BODY, c.ordinal,
-                                 stmts=c.body))
-            roots = [info.lhs]
+            fn = plan.monitor_fn = self.names.fresh(f"monitor_{c.ordinal}")
+            self.add(GenFunction(fn, MONITOR_BODY, c.ordinal, stmts=c.body))
+            kind, regd, deps = "monitor", [info.lhs], []
         elif isinstance(c, ast.Precond):
-            plan = ConstructPlan(c.ordinal, "precond", c.scope, None,
-                                 list(info.cond_lvs))
-            plan.tester_fn = self.names.fresh(f"tester_{c.ordinal}")
-            self.add(GenFunction(plan.tester_fn, PRECOND_TESTER, c.ordinal,
+            fn = plan.tester_fn = self.names.fresh(f"tester_{c.ordinal}")
+            self.add(GenFunction(fn, PRECOND_TESTER, c.ordinal,
                                  expr=c.cond, stmts=c.body))
-            roots = list(info.cond_lvs)
+            kind, regd, deps = "precondition", info.cond_lvs, []
         else:
             raise TypeError(type(c).__name__)
-        self.plans[c.ordinal] = plan
 
         # distinct l-values of the construct, innermost redefining ones first
         nodes: list[LvNode] = []
-        for root in roots:
+        for root in regd + deps:
             _collect(root, nodes)
 
         # what each l-value redefines in this construct (only one with
@@ -258,19 +227,14 @@ class Emitter:
 
         # init functions, one per distinct l-value that has any registration
         init_name = {}
-        lhs, kind = plan.lhs, plan.kind
         for n in nodes:
-            instrs = []
-            if n is lhs:
-                instrs.append(RegConstraint(n) if kind == "constraint" else RegMonitor(n))
-            if kind == "precond" and n in plan.rhs_lvs:
-                instrs.append(RegPrecondition(n))
-            if kind == "constraint":
-                instrs += [RegDependency(lhs, x, k) for k, x in enumerate(plan.rhs_lvs) if x is n]
+            instrs = [Reg(kind, n, fn)] if n in regd else []
+            if n in deps:
+                instrs.append(Reg("dependency", n, fn, deps.index(n)))
             if n in redef_name:
-                instrs.append(RegRedefinition(n, redef_name[n]))
-            if n is lhs and kind == "constraint":
-                instrs.append(ApplyOnInstall())
+                instrs.append(Reg("redefinition", n, redef_name[n]))
+            if kind == "constraint" and n in regd:
+                instrs.append(Reg("apply", n, fn))
             if instrs:
                 name = init_name[n] = self.names.fresh("init_" + mangle(n))
                 self.add(GenFunction(name, INIT, c.ordinal, instrs=instrs))
@@ -285,21 +249,17 @@ class Emitter:
                 if d in redef_name:
                     instrs.append(CallGen(redef_name[d]))
             self.add(GenFunction(rn, REDEF, c.ordinal, instrs=instrs))
+            plan.redef_fns.append(rn)
 
     # --------------------------------------------------------------- per-scope
 
-    def emit_scope_init(self, scope: str | None, name: str) -> GenFunction:
-        instrs = []
-        for c in self.unit.constructs:
-            if c.scope == scope:
-                for fn in self.plans[c.ordinal].init_fns:
-                    instrs.append(CallGen(fn))
-        fn = GenFunction(self.names.fresh(name), UNIT_INIT, -1, instrs=instrs)
-        return self.add(fn)
-
-    def emit_class(self, cls: ast.ClassDecl) -> ClassPlan:
-        unit_init = self.emit_scope_init(cls.name, f"init_0_{cls.name}")
-        return ClassPlan(cls.name, unit_init.name)
+    def emit_scope_init(self, scope: str | None, name: str) -> str:
+        """The unit init of a scope: the name of a function that calls the
+        init functions of its constructs in declaration order."""
+        instrs = [CallGen(fn) for c in self.unit.constructs if c.scope == scope
+                  for fn in self.plans[c.ordinal].init_fns]
+        return self.add(GenFunction(self.names.fresh(name), UNIT_INIT, -1,
+                                    instrs=instrs)).name
 
 
 def lower(unit: ast.Unit, graph: RedefGraph) -> GenUnit:

@@ -2,43 +2,37 @@
 
 The output shows what the compiler generates for each declarative construct:
 registration calls on the affected l-values plus the action functions, in a
-readable C-like surface.  It is documentation/debug output; execution
-interprets the GenUnit directly.
+readable C-like surface.  It is documentation/debug output: the vm runs the
+same registrations as step tuples it lowers from the GenUnit (see vm.py).
+Every registration prints as `(lv).Handle<Kind>(fn, b, owner);` but a
+dependency, which is registered on the constrained side from the
+constraining l-value.
 """
 
 from __future__ import annotations
 
-from . import ast, codegen
-from .codegen import (
-    ApplyOnInstall, CallGen, GenFunction, GenUnit, RegConstraint,
-    RegDependency, RegMonitor, RegPrecondition, RegRedefinition,
-)
+from . import codegen
+from .codegen import CallGen, GenFunction, GenUnit
 from .printer import construct_lines, expr_str, stmt_lines
 
 
-def _lv(node) -> str:
-    return node.str
-
-
-def _reg_line(fn: GenFunction, ins, plan) -> str:
-    if isinstance(ins, RegRedefinition):
-        return f"({_lv(ins.lv)}).HandleRedefinition({ins.fn}, b, owner);"
-    if isinstance(ins, RegConstraint):
-        return f"({_lv(ins.lv)}).HandleConstraint({plan.assign_fn}, b, owner);"
-    if isinstance(ins, RegDependency):
-        return f"({_lv(ins.constrained)}).HandleDependency(&({_lv(ins.from_lv)}), b, owner);"
-    if isinstance(ins, RegMonitor):
-        return f"({_lv(ins.lv)}).HandleMonitor({plan.monitor_fn}, b, owner);"
-    if isinstance(ins, RegPrecondition):
-        return f"({_lv(ins.lv)}).HandlePrecondition({plan.tester_fn}, b, owner);"
-    raise TypeError(type(ins).__name__)
+def _instr_line(gen: GenUnit, fn: GenFunction, ins) -> str:
+    if ins.__class__ is CallGen:
+        return f"{ins.fn}(b, owner);"
+    if ins.kind == "apply":
+        guard = gen.plans[fn.construct].guard_fn
+        return (f"if (b && {guard}(owner)) {ins.fn}(owner);" if guard
+                else f"if (b) {ins.fn}(owner);")
+    if ins.kind == "dependency":  # on the constrained side, from the constraining
+        lhs = gen.graph.constructs[fn.construct].lhs
+        return f"({lhs.str}).HandleDependency(&({ins.lv.str}), b, owner);"
+    return f"({ins.lv.str}).Handle{ins.kind.capitalize()}({ins.fn}, b, owner);"
 
 
 def _fn_lines(gen: GenUnit, fn: GenFunction) -> list[str]:
-    plan = gen.plans.get(fn.construct)
     if fn.kind == codegen.ASSIGN:
         return [f"void {fn.name}(void* owner) {{",
-                f"    {_lv(fn.lhs)} = {expr_str(fn.expr)};",
+                f"    {fn.lhs.str} = {expr_str(fn.expr)};",
                 "}"]
     if fn.kind == codegen.GUARD_TESTER:
         return [f"bool {fn.name}(void* owner) {{",
@@ -56,17 +50,7 @@ def _fn_lines(gen: GenUnit, fn: GenFunction) -> list[str]:
         return lines
     # Init / Redef / UnitInit bodies
     lines = [f"void {fn.name}(bool b, void* owner) {{"]
-    for ins in fn.instrs:
-        if isinstance(ins, CallGen):
-            lines.append(f"    {ins.fn}(b, owner);")
-        elif isinstance(ins, ApplyOnInstall):
-            if plan is not None and plan.guard_fn:
-                lines.append(f"    if (b && {plan.guard_fn}(owner)) "
-                             f"{plan.assign_fn}(owner);")
-            else:
-                lines.append(f"    if (b) {plan.assign_fn}(owner);")
-        else:
-            lines.append("    " + _reg_line(fn, ins, plan))
+    lines.extend("    " + _instr_line(gen, fn, ins) for ins in fn.instrs)
     lines.append("}")
     return lines
 
@@ -90,19 +74,13 @@ def render(gen: GenUnit) -> str:
                       plan.tester_fn]:
             if fname:
                 emit_fn(fname)
-        for fname in plan.init_fns:
-            emit_fn(fname)
-        for fname in sorted(set(_redefs_of(gen, plan))):
+        for fname in plan.init_fns + sorted(plan.redef_fns):
             emit_fn(fname)
 
     for cls_name in sorted(gen.classes):
         out.append(f"// class {cls_name} unit init")
-        emit_fn(gen.classes[cls_name].unit_init)
+        emit_fn(gen.classes[cls_name])
     out.append("// file scope unit init")
     emit_fn(gen.unit_init)
     return "\n".join(out).rstrip() + "\n"
 
-
-def _redefs_of(gen: GenUnit, plan) -> list[str]:
-    return [name for name, fn in gen.functions.items()
-            if fn.kind == codegen.REDEF and fn.construct == plan.ordinal]

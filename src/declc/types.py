@@ -88,7 +88,7 @@ def is_assignable_storage(t: Type) -> bool:
     return t in (INT, BOOL) or isinstance(t, Ptr)
 
 
-def make_type(base: str, ptr_depth: int, array_size=None, classes=()) -> Type:
+def make_type(base: str, ptr_depth: int, array_size=None) -> Type:
     if base == "int":
         t: Type = INT
     elif base == "bool":

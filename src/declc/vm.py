@@ -4,10 +4,12 @@ Every user-visible store routes through the cell write protocol
 (before-actions, write, after-actions).  Statements and expressions run in
 one walk that dispatches each node by its class through a handler table
 (`_EVAL`, `_EXEC`), one Python frame per node; a `return` is a value handed
-up, not an exception.  Each generated init/redef function is lowered once per
-machine into a flat tuple of steps.  A redefined cell's rebinding phase runs
-the steps of each owner's run of redefinitions in one step loop, which
-resolves an l-value once per run until a step can store.
+up, not an exception.  A generated function that runs by name, a unit init
+or a `redef_*` function, is lowered once per machine into a flat tuple of
+steps, one per `codegen.Reg` of the init functions it calls, spliced in; the
+init functions keep no steps of their own.  A redefined cell's rebinding
+phase runs the steps of each owner's run of redefinitions in one step loop,
+which resolves an l-value once per run until a step can store.
 
 Constraint right sides, guards, precondition conditions and l-values compile
 to shape evaluators `(leaves, frame) -> value` (or cell): one per expression
@@ -26,10 +28,7 @@ from functools import partial
 
 from . import ast, codegen, trace as tr
 from .checker import UnitInfo
-from .codegen import (
-    ApplyOnInstall, CallGen, GenUnit, RegConstraint, RegDependency, RegMonitor,
-    RegPrecondition, RegRedefinition,
-)
+from .codegen import CallGen, GenUnit
 from .contract import c_div, c_mod
 from .errors import RuntimeFault
 from .runtime import Cell, ConstraintEntry, Engine, Entry, ObjectHeader
@@ -122,7 +121,7 @@ class Machine:
         self.frames: list[Frame] = []
         self.instances: list[Instance] = []
         self._gen_frames: dict[int, GenFrame] = {}  # by id(owner), while it lives
-        self._steps: dict[str, tuple] = {}      # lowered generated functions
+        self._steps: dict[str, tuple] = {}      # the steps of functions run by name
         self._resolvers: dict[int, object] = {}  # id(l-value expr) -> resolver
         self._shapes: dict[tuple, object] = {}   # shape key -> evaluator
         self._decls: dict[tuple, ast.FuncDecl] = {
@@ -169,15 +168,15 @@ class Machine:
             else:
                 cell.update_hooks = [hook]
             inst.hooks.append((cell, hook))
-        plan = self.gen.classes.get(inst.cls)
-        if plan is not None:
-            self.run_genfn((plan.unit_init,), inst, True)
+        unit_init = self.gen.classes.get(inst.cls)
+        if unit_init is not None:
+            self.run_genfn((unit_init,), inst, True)
         self.instances.append(inst)
 
     def _destroy_instance(self, inst: Instance):
-        plan = self.gen.classes.get(inst.cls)
-        if plan is not None:
-            self.run_genfn((plan.unit_init,), inst, False)
+        unit_init = self.gen.classes.get(inst.cls)
+        if unit_init is not None:
+            self.run_genfn((unit_init,), inst, False)
         self._gen_frames.pop(id(inst), None)
         for cell, hook in inst.hooks:
             cell.update_hooks.remove(hook)
@@ -666,7 +665,7 @@ class Machine:
             for step in steps:
                 kind, efn, lvstr, detail, construct, ordinal, resolve = step
                 entry = entries.get(efn) or self._entry(kind, efn, construct, lvstr, fr)
-                if kind is ApplyOnInstall:
+                if kind == "apply":
                     if b:
                         cells.clear()
                         engine.fire(entry, via_resolution=False)
@@ -691,42 +690,42 @@ class Machine:
                         cells[resolve] = cell
                     else:  # it ran user code, which may have stored
                         cells.clear()
-                if kind is RegDependency:
+                if kind == "dependency":
                     engine.handle_dependency(cell, entry, ordinal, b)
-                elif kind is RegConstraint:
+                elif kind == "constraint":
                     engine.handle_constraint(cell, entry, b)
-                elif kind is RegRedefinition:
+                elif kind == "redefinition":
                     engine.handle_redefinition(cell, entry, b)
-                elif kind is RegMonitor:
+                elif kind == "monitor":
                     engine.handle_monitor(cell, entry, b)
                 else:
                     engine.handle_precondition(cell, entry, b)
                 emit(tr.INSTALL if b else tr.CANCEL, lvstr, cell.name, detail, construct)
 
     def _lower(self, name: str) -> tuple:
-        """Lower a generated function to a flat tuple of steps, CallGen callees
-        spliced in: (kind, entry function, l-value string, Install/Cancel detail
-        as a `(prefix, render)` pair of the construct, construct, dependency
-        ordinal, resolver), each unique, so a dormant key."""
+        """Lower a generated function that runs by name (a unit init or a
+        `redef_*` function) to a flat tuple of steps, kept per machine."""
+        steps = self._steps[name] = tuple(self._splice(name, []))
+        return steps
+
+    def _splice(self, name: str, steps: list) -> list:
+        """Append the steps of a generated function to `steps`, its CallGen
+        callees spliced in: one (kind, entry function, l-value string,
+        Install/Cancel detail as a `(prefix, render)` pair of the construct,
+        construct, dependency ordinal, resolver) per registration.  A callee
+        lowered twice gives equal steps, so a dormant key matches in both."""
         fn = self.gen.functions[name]
-        plan = self.gen.plans.get(fn.construct)
-        steps = []
         for ins in fn.instrs:
-            kind = type(ins)
-            if kind is CallGen:
-                steps += (self._steps[ins.fn] if ins.fn in self._steps
-                          else self._lower(ins.fn))
-            elif kind is ApplyOnInstall:
-                steps.append((kind, plan.assign_fn, None, None, fn.construct, None, None))
+            if ins.__class__ is CallGen:
+                known = self._steps.get(ins.fn)
+                if known is None:
+                    self._splice(ins.fn, steps)
+                else:
+                    steps += known
             else:
-                lv = ins.from_lv if kind is RegDependency else ins.lv
-                efn = (ins.fn if kind is RegRedefinition else plan.monitor_fn
-                       if kind is RegMonitor else plan.tester_fn
-                       if kind is RegPrecondition else plan.assign_fn)
-                steps.append((kind, efn, lv.str, _INSTALL_DETAILS[kind],
-                              fn.construct, getattr(ins, "lv_ordinal", None),
-                              self._resolver(lv.expr)))
-        steps = self._steps[name] = tuple(steps)
+                lv = ins.lv
+                steps.append((ins.kind, ins.fn, lv.str, _INSTALL_DETAILS[ins.kind],
+                              fn.construct, ins.ordinal, self._resolver(lv.expr)))
         return steps
 
     # ------------------------------------------------------ runtime entries
@@ -739,20 +738,21 @@ class Machine:
 
     def _entry(self, kind, fn: str, ordinal, lvstr, fr: GenFrame) -> Entry:
         """The runtime entry `fn` of fr's owner, made on first use."""
-        owner, c = fr.owner, self.gen.graph.constructs[ordinal].construct
-        if kind is RegRedefinition:
+        owner, info = fr.owner, self.gen.graph.constructs[ordinal]
+        c = info.construct
+        if kind == "redefinition":
             entry = Entry(fn, owner, invoke=partial(Machine._redefine, self, owner),
                           lvalue=lvstr, construct=ordinal)
-        elif kind is RegMonitor:
+        elif kind == "monitor":
             entry = Entry(fn, owner, lvalue=lvstr, construct=ordinal,
                           invoke=partial(Machine._monitor, self, c.body, fn, owner))
-        elif kind is RegPrecondition:
-            condstr = self.gen.graph.constructs[ordinal].cond_str
+        elif kind == "precondition":
+            condstr = info.cond_str
             entry = Entry(fn, owner, lvalue=condstr, construct=ordinal, invoke=partial(
                 Machine._precondition, self, self._evaluator(c.cond), c.body, fn, owner,
                 condstr, _eval_details(ordinal)))
-        else:
-            lhs = self.gen.plans[ordinal].lhs
+        else:  # a constraint's: its registration, dependency or application
+            lhs = info.lhs
             guard = None
             if c.guard is not None:
                 guard = partial(Machine._guard, self, self._evaluator(c.guard), fr,
@@ -825,10 +825,11 @@ _LITERALS = (ast.IntLit, ast.BoolLit, ast.NullLit)
 
 _OLD, _NEW = ("old:", value_str), ("new:", value_str)  # trace details of a store
 
-# The Install/Cancel detail of a step, by kind, rendered from its construct.
-_INSTALL_DETAILS = {kind: (f"{kind.__name__[3:].lower()}:construct:", str)
-                    for kind in (RegConstraint, RegDependency, RegMonitor,
-                                 RegPrecondition, RegRedefinition)}
+# The Install/Cancel detail of a step, by kind, rendered from its construct
+# (an `apply` step emits none).
+_INSTALL_DETAILS = {kind: (f"{kind}:construct:", str)
+                    for kind in ("constraint", "dependency", "monitor",
+                                 "precondition", "redefinition", "apply")}
 
 # `_eval_binary` does `&&`, `||` (short circuit), `/`, `%` (may fault) and
 # pointer `+`/`-` itself; every other operator goes through this table.

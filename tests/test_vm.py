@@ -417,6 +417,18 @@ void main() { c1.aim(true); c2.aim(true); c1.put(3); c1.aim(false); c1.put(4); c
     assert [snap[k] for k in ("c1.a", "c1.b", "c2.a", "c2.b")] == ["3", "4", "9", "0"]
 
 
+def test_only_functions_run_by_name_keep_their_steps():
+    """The unit init splices in every init callee, and a rebinding runs the
+    `redef_*` functions of the written variable: only those keep steps."""
+    m = machine("int s[4]; int *p = &s[0]; int i; int f0; int f1;\n"
+                "f0 := *p + 1;\nf1 := s[i] + 2;\n"
+                "void retarget(int k) { p = &s[k]; }\nvoid main() { }")
+    assert set(m._steps) == {m.gen.unit_init}
+    m.call_function("retarget", [1])
+    assert set(m._steps) == {m.gen.unit_init, "redef_sim_p"}
+    assert [s[0] for s in m._steps["redef_sim_p"]] == ["dependency"]  # of f0 on *p
+
+
 def test_generated_functions_are_lowered_once_per_machine(monkeypatch):
     m = machine("int s[4]; int *p = &s[0]; int f0; int f1;\n"
                 "f0 := *p + 1;\nf1 := *p + 2;\n"

@@ -88,6 +88,8 @@ class Checker:
                         self.error(m.pos, f"redeclaration of member '{m.name}'")
                     if m.array_size is not None:
                         self.error(m.pos, "array data members are not supported")
+                    if m.base_type == d.name and m.ptr_depth == 0:
+                        self.error(m.pos, f"'{m.name}': class '{d.name}' cannot contain itself")
                     ci.members[m.name] = make_type(m.base_type, m.ptr_depth)
                     ci.member_order.append(m.name)
                 for f in d.methods:
@@ -342,6 +344,8 @@ class Checker:
                     or (isinstance(rt, Ptr) and lt == NULL_T)
                 if not ok:
                     self.error(e.pos, f"cannot compare '{lt}' with '{rt}'")
+                elif isinstance(lt, ClassType):
+                    self.error(e.pos, f"operator '{op}' on objects ('{lt}')")
             return BOOL
         if op in ("&&", "||"):
             for t in (lt, rt):

@@ -30,10 +30,6 @@ class LvNode:
         self.str = "".join(self.tokens)
 
     @property
-    def key(self):
-        return (self.scope, self.str)
-
-    @property
     def assignable(self) -> bool:
         return self.expr.ty is not None and is_assignable_storage(self.expr.ty)
 

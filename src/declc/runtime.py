@@ -48,21 +48,23 @@ class ConstraintEntry(Entry):
 # --------------------------------------------------------------------- cells
 
 class Cell:
-    """One storage location.  Its four registration lists, its dependency
-    edges (in `DepEdge.order`) and its object-update hooks start as the
-    shared empty tuple and become a list at their first add (`Engine.handle_*`,
-    `DependencyGraph.add`, `Machine._construct_instance`); readers test them
-    for truthiness only.  `name` is stored: every store emits it."""
+    """One storage location.  Its four registration lists and its dependency
+    edges (in `DepEdge.order`) start as the shared empty tuple and become a
+    list at their first add (`Engine.handle_*`, `DependencyGraph.add`);
+    readers test them for truthiness only.  A data member's `update_hook` is
+    its object's update notification while the object lives.  `name` is
+    stored: every store emits it."""
 
     __slots__ = ("name", "value", "redefinitions", "monitors", "preconditions",
-                 "constraints", "dependencies", "update_hooks", "monitors_enabled",
+                 "constraints", "dependencies", "update_hook", "monitors_enabled",
                  "block", "index")
 
     def __init__(self, name: str, value=None, block=None, index: int = 0):
         self.name = name
         self.value = value
         self.redefinitions = self.monitors = self.preconditions = ()
-        self.constraints = self.dependencies = self.update_hooks = ()
+        self.constraints = self.dependencies = ()
+        self.update_hook = None
         self.monitors_enabled = True
         self.block = block  # owning Block; a scalar's is made when its address is taken
         self.index = index
@@ -70,7 +72,7 @@ class Cell:
     def registration_count(self) -> int:
         return (len(self.redefinitions) + len(self.monitors)
                 + len(self.preconditions) + len(self.constraints)
-                + len(self.update_hooks))
+                + (self.update_hook is not None))
 
     def __repr__(self):
         return f"Cell({self.name}={self.value!r})"
@@ -212,9 +214,8 @@ class Engine:
                 m.invoke()
             finally:
                 cell.monitors_enabled = True
-        if cell.update_hooks:
-            for hook in list(cell.update_hooks):
-                hook()
+        if cell.update_hook is not None:
+            cell.update_hook()
         # phase 3: constraint resolution
         if cell.dependencies:
             self.resolve(cell)

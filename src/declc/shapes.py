@@ -145,10 +145,10 @@ def _ptr_elem(m, x, base, p, value):
     return pointee
 
 
-def _member(m, i, value):
+def _member(m, obj, i, value):
     def member(a, fr):
         e = a[i]
-        cell = m._member_cell(m.instance_of(e.obj, fr), e.member, e.pos)
+        cell = m._member_cell(obj(a, fr), e.member, e.pos)
         return cell.value if value else cell
     return member
 

@@ -4,7 +4,7 @@ renders in traces and memory snapshots."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import NOPOS, RuntimeFault
 from .runtime import Cell, ObjectHeader
@@ -62,14 +62,19 @@ class BoundMethod:
     name: str
 
 
-@dataclass(eq=False)
 class Instance:
-    cls: str
-    name: str
-    header: ObjectHeader
-    obj_cell: Cell
-    members: dict = field(default_factory=dict)   # name -> Cell | Instance
-    hooks: list = field(default_factory=list)     # (cell, hook) pairs
+    """An object: its members by name (a Cell or a nested Instance) and its
+    own cell, whose value is the object, as a function's cell holds its
+    FuncVal."""
+
+    __slots__ = ("cls", "name", "header", "obj_cell", "members")
+
+    def __init__(self, cls: str, name: str):
+        self.cls = cls
+        self.name = name
+        self.header = ObjectHeader()
+        self.obj_cell = Cell(name, self)
+        self.members: dict = {}
 
 
 def value_str(v) -> str:

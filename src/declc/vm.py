@@ -31,7 +31,7 @@ from .checker import UnitInfo
 from .codegen import CallGen, GenUnit
 from .contract import c_div, c_mod
 from .errors import RuntimeFault
-from .runtime import Cell, ConstraintEntry, Engine, Entry, ObjectHeader
+from .runtime import Cell, ConstraintEntry, Engine, Entry
 from .shapes import SHAPES
 from .types import BOOL, Array, ClassType, FuncType, Ptr, make_type
 from .values import Block, BoundMethod, CellPtr, FuncVal, Instance, ObjPtr, value_str
@@ -119,7 +119,6 @@ class Machine:
         self.globals: dict[str, object] = {}
         self.func_cells: dict[str, Cell] = {}
         self.frames: list[Frame] = []
-        self.instances: list[Instance] = []
         self._gen_frames: dict[int, GenFrame] = {}  # by id(owner), while it lives
         self._steps: dict[str, tuple] = {}      # the steps of functions run by name
         self._resolvers: dict[int, object] = {}  # id(l-value expr) -> resolver
@@ -134,25 +133,18 @@ class Machine:
 
     # ----------------------------------------------------------- allocation
 
-    def _alloc_global(self, d: ast.VarDecl):
-        t = self.info.globals[d.name]
-        if d.array_size is not None:
-            self.globals[d.name] = _array(d.name, d.array_size, default_value(t.elem))
-        elif isinstance(t, ClassType):
-            self.globals[d.name] = self._alloc_instance(d.base_type, d.name)
-        else:
-            self.globals[d.name] = Cell(d.name, default_value(t))
-
-    def _alloc_instance(self, cls_name: str, name: str) -> Instance:
-        ci = self.info.classes[cls_name]
-        inst = Instance(cls_name, name, ObjectHeader(), Cell(name))
-        for m in ci.member_order:
-            mt = ci.members[m]
-            if isinstance(mt, ClassType):
-                inst.members[m] = self._alloc_instance(mt.name, f"{name}.{m}")
-            else:
-                inst.members[m] = Cell(f"{name}.{m}", default_value(mt))
-        return inst
+    def _alloc(self, name: str, t):
+        """The storage of a variable of type t: a block of cells for an
+        array, an object (its members allocated in turn), or else a cell."""
+        if isinstance(t, Array):
+            return _array(name, t.size, default_value(t.elem))
+        if isinstance(t, ClassType):
+            inst = Instance(t.name, name)
+            ci = self.info.classes[t.name]
+            for m in ci.member_order:
+                inst.members[m] = self._alloc(f"{name}.{m}", ci.members[m])
+            return inst
+        return Cell(name, default_value(t))
 
     def _construct_instance(self, inst: Instance):
         """Constructor protocol: nested ctors, member update monitors, then
@@ -162,30 +154,21 @@ class Machine:
                 self._construct_instance(m)
         hook = partial(Machine._object_update, self, inst)
         for m in inst.members.values():
-            cell = m.obj_cell if isinstance(m, Instance) else m
-            if cell.update_hooks.__class__ is list:
-                cell.update_hooks.append(hook)
-            else:
-                cell.update_hooks = [hook]
-            inst.hooks.append((cell, hook))
+            (m.obj_cell if isinstance(m, Instance) else m).update_hook = hook
         unit_init = self.gen.classes.get(inst.cls)
         if unit_init is not None:
             self.run_genfn((unit_init,), inst, True)
-        self.instances.append(inst)
 
     def _destroy_instance(self, inst: Instance):
         unit_init = self.gen.classes.get(inst.cls)
         if unit_init is not None:
             self.run_genfn((unit_init,), inst, False)
         self._gen_frames.pop(id(inst), None)
-        for cell, hook in inst.hooks:
-            cell.update_hooks.remove(hook)
-        inst.hooks.clear()
+        for m in inst.members.values():
+            (m.obj_cell if isinstance(m, Instance) else m).update_hook = None
         for m in inst.members.values():
             if isinstance(m, Instance):
                 self._destroy_instance(m)
-        if inst in self.instances:
-            self.instances.remove(inst)
 
     def _object_update(self, inst: Instance):
         """The update hook of inst's members."""
@@ -212,7 +195,7 @@ class Machine:
         """Allocate globals, run initializers and constructors in declaration
         order, then install file-scope constructs (applying constraints)."""
         for d in self.unit.globals:
-            self._alloc_global(d)
+            self.globals[d.name] = self._alloc(d.name, self.info.globals[d.name])
         fr = Frame("<global>")
         for d in self.unit.globals:
             target = self.globals[d.name]
@@ -227,9 +210,9 @@ class Machine:
     def teardown(self):
         """Cancel every installed registration (reverse of install order)."""
         self.run_genfn((self.gen.unit_init,), None, False)
-        for inst in [i for i in reversed(self.instances)
-                     if "." not in i.name]:  # nested members via their parent
-            self._destroy_instance(inst)
+        for v in reversed(self.globals.values()):
+            if v.__class__ is Instance:
+                self._destroy_instance(v)
 
     def run(self) -> int:
         if not self.loaded:
@@ -395,7 +378,8 @@ class Machine:
                 block = self._shape(("block", _leaf(leaves, base)))
             return self._shape(("elem", index, block, _leaf(leaves, e.pos), value))
         if cls is ast.Dot:
-            return self._shape(("member", _leaf(leaves, e), value))
+            return self._shape(("member", self._cell(e.obj, leaves, members, True),
+                                _leaf(leaves, e), value))
         if cls is ast.Arrow:
             return self._shape(("arrow", self._value(e.obj, leaves, members),
                                 _leaf(leaves, e), value))
@@ -430,30 +414,6 @@ class Machine:
             return inst.obj_cell
         raise RuntimeFault(f"no member '{member}' in class '{inst.cls}'", pos)
 
-    def instance_of(self, e: ast.Expr, fr: Frame) -> Instance:
-        if isinstance(e, ast.Name):
-            v = self._lookup(e.binding, fr)
-            if isinstance(v, Instance):
-                return v
-        elif isinstance(e, ast.Dot):
-            inst = self.instance_of(e.obj, fr)
-            m = inst.members.get(e.member)
-            if isinstance(m, Instance):
-                return m
-        elif isinstance(e, ast.Arrow):
-            v = self.eval(e.obj, fr)
-            if isinstance(v, ObjPtr):
-                m = v.instance.members.get(e.member)
-                if isinstance(m, Instance):
-                    return m
-        elif isinstance(e, ast.Deref):
-            v = self.eval(e.operand, fr)
-            if v is None:
-                raise RuntimeFault("null pointer dereference", e.pos)
-            if isinstance(v, ObjPtr):
-                return v.instance
-        raise RuntimeFault("expression does not denote an object", e.pos)
-
     # Expression handlers `(machine, node, frame) -> value`, by node class in
     # `_EVAL`; each dispatches its children through the table too.
 
@@ -483,7 +443,7 @@ class Machine:
         if not isinstance(e.ty, FuncType):
             return self._eval_storage(e, fr)
         if e.__class__ is ast.Dot:
-            return BoundMethod(self.instance_of(e.obj, fr), e.member)
+            return BoundMethod(self.lv_cell(e.obj, fr).value, e.member)
         obj = e.obj
         v = _EVAL[obj.__class__](self, obj, fr)
         if v is None:
@@ -491,17 +451,8 @@ class Machine:
         return BoundMethod(v.instance, e.member)
 
     def _eval_addr(self, e: ast.AddrOf, fr: Frame):
-        op = e.operand
-        if op.__class__ is ast.Name:
-            v = self._lookup(op.binding, fr)
-            if isinstance(v, Instance):
-                return ObjPtr(v)
-            if isinstance(v, Cell):
-                return _address(v)
-            raise RuntimeFault("cannot take this address", e.pos)
-        if isinstance(op.ty, ClassType):
-            return ObjPtr(self.instance_of(op, fr))
-        return _address(self.lv_cell(op, fr))
+        cell = self.lv_cell(e.operand, fr)
+        return ObjPtr(cell.value) if isinstance(e.operand.ty, ClassType) else _address(cell)
 
     def _eval_unary(self, e: ast.Unary, fr: Frame):
         op = e.operand
@@ -627,23 +578,16 @@ class Machine:
 
     def _local_decl(self, d: ast.VarDecl, fr: Frame):
         self._call_seq += 1
-        prefix = f"{fr.func}@{self._call_seq}"
-        t = make_type(d.base_type, d.ptr_depth)
-        if d.array_size is not None:
-            fr.locals[d.name] = _array(f"{prefix}:{d.name}", d.array_size,
-                                       default_value(t))
-        elif d.ptr_depth == 0 and d.base_type not in ("int", "bool"):
-            inst = self._alloc_instance(d.base_type, f"{prefix}:{d.name}")
-            self._construct_instance(inst)
-            fr.locals[d.name] = inst
+        v = fr.locals[d.name] = self._alloc(
+            f"{fr.func}@{self._call_seq}:{d.name}",
+            make_type(d.base_type, d.ptr_depth, d.array_size))
+        if v.__class__ is Instance:
+            self._construct_instance(v)
             if fr.instances is None:
                 fr.instances = []
-            fr.instances.append(inst)
-            return
-        else:
-            fr.locals[d.name] = Cell(f"{prefix}:{d.name}", default_value(t))
-        if d.init is not None:
-            self.store(fr.locals[d.name], self.eval(d.init, fr))
+            fr.instances.append(v)
+        elif d.init is not None:
+            self.store(v, self.eval(d.init, fr))
 
     # -------------------------------------------------- generated functions
 

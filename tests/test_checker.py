@@ -4,6 +4,7 @@ import pytest
 
 from conftest import program
 from declc.checker import check, check_or_raise
+from declc.cli import main
 from declc.errors import CheckError
 from declc.parser import parse_source
 
@@ -140,6 +141,21 @@ def test_arrays_of_objects_rejected(decl):
     assert_clean(OBJECT_CLASS + decl.replace("W arr[2]", "W *arr[2]"))
 
 
+def test_a_class_cannot_contain_itself():
+    """Only directly: a class name is known from its own `class A {` on."""
+    member = "class A { private: A %s; int v; public: void f() { } };\nA a;\nvoid main() { }"
+    assert errors(member % "inner") == ["'inner': class 'A' cannot contain itself"]
+    assert_clean(member % "*next")
+
+
+@pytest.mark.parametrize("expr", ["a == b", "a != b", "*p == a"])
+def test_objects_do_not_compare(expr):
+    src = OBJECT_CLASS + "W a; W b; W *p; bool r;\nvoid main() { r = %s; }"
+    op = expr.split()[1]
+    assert errors(src % expr) == [f"operator '{op}' on objects ('W')"]
+    assert_clean(src % "p == &a || p != null")
+
+
 def test_arithmetic_is_int_only():
     assert errors("bool b; int x;\nvoid main() { x = b + 1; }")
     assert_clean("int x;\nvoid main() { x = 1 + 2 * 3; }")
@@ -186,3 +202,60 @@ def test_bad_programs_raise():
 def test_good_programs_check(good_programs):
     for name in good_programs:
         check_or_raise(parse_source(program(name)))
+
+
+# ------------------------------------------------------------- diagnostics
+
+DIAGNOSTICS = [
+    ("int x;\nint x;", "2:1: redeclaration of 'x'"),
+    ("void f() { }\nvoid f() { }", "2:1: redeclaration of function 'f'"),
+    ("class A { public: void f() { } };\nclass A { public: void f() { } };",
+     "2:1: redeclaration of class 'A'"),
+    ("class A { private: int m; int m; public: void f() { } };",
+     "1:27: redeclaration of member 'm'"),
+    ("class A { public: void f() { } void f() { } };", "1:32: redeclaration of method 'f'"),
+    ("void main() { int x; int x; }", "1:22: redeclaration of 'x'"),
+    ("class A { private: int m[2]; public: void f() { } };",
+     "1:20: array data members are not supported"),
+    ("void f(int a, int a) { }", "1:1: duplicate parameter 'a'"),
+    (OBJECT_CLASS + "W w = 1;", "2:1: 'w': initializer not allowed for this type"),
+    ("int x = true;", "1:1: cannot initialize 'int' from 'bool'"),
+    ("int a[2];\na := 1;", "2:1: left side of type 'int[2]' is not assignable"),
+    ("int x; bool b;\nx := b;",
+     "2:1: constraint sides are not assignment compatible ('int' := 'bool')"),
+    ("int x; int y;\nx := y given y;", "2:1: constraint guard must be bool, got 'int'"),
+    ("int a[2];\na ::= { }", "2:1: monitored l-value of type 'int[2]' is not assignable"),
+    ("int x; int s;\nx + 1 ?? { s = 1; }", "2:1: precondition must be bool, got 'int'"),
+    ("void main() { void v; }", "1:15: unknown type 'void'"),
+    ("int x;\nvoid main() { x + 1 = 2; }", "2:15: assignment target must be an l-value"),
+    ("int a[2];\nvoid main() { a = 1; }", "2:15: cannot assign to value of type 'int[2]'"),
+    ("int x;\nvoid main() { if (x) { } }", "2:15: condition must be bool, got 'int'"),
+    ("int x;\nvoid main() { while (x > 0) { } while (x) { } }",
+     "2:33: condition must be bool, got 'int'"),
+    ("int f() { return true; }", "1:11: cannot return 'bool' from function returning 'int'"),
+    ("bool b;\nvoid main() { *b = true; }", "2:15: cannot dereference 'bool'"),
+    ("int *p;\nvoid main() { p = &1; }", "2:19: cannot take the address of this expression"),
+    ("int x; bool b;\nvoid main() { x = -b; }", "2:19: operator '-' requires 'int', got 'bool'"),
+    ("int x; bool b;\nvoid main() { b = !x; }", "2:19: operator '!' requires 'bool', got 'int'"),
+    ("int a[2]; bool b;\nvoid main() { a[b] = 1; }", "2:15: array index must be int, got 'bool'"),
+    ("int x; bool b;\nvoid main() { b = x < b; }",
+     "2:19: operator '<' requires int operands, got 'bool'"),
+    ("int x; bool b; bool r;\nvoid main() { r = x == b; }",
+     "2:19: cannot compare 'int' with 'bool'"),
+    ("int f(int a) { return a; }\nbool b;\nvoid main() { f(b); }",
+     "3:17: cannot pass 'bool' as parameter of type 'int'"),
+    ("int x;\nvoid main() { x->m = 1; }", "2:15: '->' requires a pointer to an object, got 'int'"),
+    ("int x;\nvoid main() { x.m = 1; }", "2:15: '.' requires an object, got 'int'"),
+    (OBJECT_CLASS + "W w;\nvoid main() { w.nope(); }", "3:15: class 'W' has no member 'nope'"),
+    (OBJECT_CLASS + "W *q;\nvoid main() { q->nope(); }", "3:15: class 'W' has no member 'nope'"),
+]
+
+
+@pytest.mark.parametrize("source,diagnostic", DIAGNOSTICS,
+                         ids=[d.split(": ", 1)[1] for _, d in DIAGNOSTICS])
+def test_check_error_is_reported_at_its_position(tmp_path, capsys, source, diagnostic):
+    path = tmp_path / "bad.hc"
+    path.write_text(source)
+    assert main(["parse", str(path)]) == 1
+    where, msg = diagnostic.split(": ", 1)
+    assert capsys.readouterr().err == f"{path}:{where}: error: {msg}\n"

@@ -166,6 +166,40 @@ def test_check_agreement(capsys):
     assert "5/5 seeds agree" in out
 
 
+def test_check_reports_a_runtime_fault(monkeypatch, capsys):
+    monkeypatch.setattr("declc.randgen.generate",
+                        lambda seed: "int *p; int x;\nvoid main() { x = *p; }")
+    code, out, err = run_cli(capsys, "check", "--seed", "5", "--count", "2")
+    assert code == 3
+    assert err == ("seed 5: runtime fault: 2:19: fault: null pointer dereference\n"
+                   "seed 6: runtime fault: 2:19: fault: null pointer dereference\n")
+    assert out == "0/2 seeds agree\n"
+
+
+def test_check_reports_a_divergence_and_saves_the_program(monkeypatch, tmp_path, capsys):
+    """A mismatch is forced on both comparisons: the reference's last event
+    is dropped, and memory always differs."""
+    from declc import oracle
+    from declc.oracle import DiffResult
+    from declc.randgen import generate
+
+    diff_traces = oracle.diff_traces
+    monkeypatch.setattr(oracle, "diff_traces", lambda a, b: diff_traces(a, b[:-1]))
+    monkeypatch.setattr(oracle, "diff_memory",
+                        lambda a, b: DiffResult(False, "final memory differs: x=1|2"))
+    saved = tmp_path / "saved"
+    code, out, _ = run_cli(capsys, "check", "--seed", "7", "--count", "1",
+                           "--save-dir", str(saved))
+    assert code == 3
+    lines = out.splitlines()
+    assert lines[0] == "seed 7: DIVERGENCE"
+    assert lines[1].startswith("  trace lengths differ (")
+    assert lines[2] == "  final memory differs: x=1|2"
+    assert lines[3].startswith("    compiled: {") and lines[4].startswith("    reference: {")
+    assert lines[-2:] == [f"  program saved to {saved / 'seed7.hc'}", "0/1 seeds agree"]
+    assert (saved / "seed7.hc").read_text() == generate(7)
+
+
 @pytest.mark.parametrize("seed", [1500452, 10500791, 30601386, 40701388])
 def test_check_huge_int_seeds_agree(seed):
     """These generated programs grow an integer past the interpreter's
@@ -215,8 +249,9 @@ def test_address_of_a_dereferenced_object_pointer_is_an_object_pointer():
 
 OBJECT_CLASS = "class W { private: int m; public: int get() { return m; } };\n"
 
-# Inputs that once ended in a Python traceback: (source, extra run arguments,
-# environment, exit code, expected on stderr).
+# Inputs that once ended in a Python traceback or in a runtime fault for a
+# source error: (source, extra run arguments, environment, exit code,
+# expected on stderr).
 CRASH_INPUTS = {
     "superscript-digit": ("int x = ²;", [], {}, 1, "unrecognizable character '²'"),
     "long-initializer": (f"int x = {'9' * 5000};", [], {}, 1,
@@ -246,6 +281,11 @@ CRASH_INPUTS = {
                             [], {}, 1, "2:1: error: 'arr': arrays of objects"),
     "object-array-local": (OBJECT_CLASS + "int x;\nvoid main() { W arr[2]; x = arr[0].get(); }",
                            [], {}, 1, "3:15: error: 'arr': arrays of objects"),
+    "class-containing-itself": ("class A { private: A inner; int v; public: void f() { } };\n"
+                                "A a;\nvoid main() { }", [], {},
+                                1, "1:20: error: 'inner': class 'A' cannot contain itself"),
+    "object-comparison": (OBJECT_CLASS + "W a; W b; bool r;\nvoid main() { r = a == b; }",
+                          [], {}, 1, "3:19: error: operator '==' on objects ('W')"),
 }
 
 

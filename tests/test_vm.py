@@ -617,3 +617,119 @@ void main() { move(1); arr[1] = 4; }
 ], ids=["reinstalled", "added"])
 def test_resolution_fires_the_edges_its_cell_had_at_the_start(src, var, value):
     assert matches_oracle(src).memory_snapshot()[var] == value
+
+
+# ------------------------------------------------------------------ storage
+# Each program runs paths of the vm's storage model: nested objects, objects
+# reached through `.` and `->`, local arrays and objects, calls between
+# methods, and compiled unary right sides.  The vm must agree with the
+# reference and leave no registration after teardown.
+
+def agrees_and_tears_down(src: str) -> dict:
+    m = matches_oracle(src)
+    snap = m.memory_snapshot()
+    m.teardown()
+    assert m.registration_count() == 0
+    return snap
+
+
+def test_nested_object_members():
+    src = """
+class In {
+private: int v;
+public:
+    void set(int x) { v = x; }
+    int get() { return v; }
+};
+class Out {
+private: In inner; int w;
+public:
+    void put(int x) { inner.set(x); }
+    int total() { return inner.get() + w; }
+    w := inner.get() * 2;
+};
+Out o; int seen;
+seen := o.total();
+void main() { o.put(3); o.put(5); }
+"""
+    snap = agrees_and_tears_down(src)
+    assert (snap["o.inner.v"], snap["o.w"], snap["seen"]) == ("5", "10", "15")
+
+
+def test_objects_reached_through_dot_and_arrow():
+    src = """
+class B {
+private: int v;
+public:
+    void set(int x) { v = x; }
+    int get() { return v; }
+};
+class A {
+private: B b; A *o;
+public:
+    void link(A *p) { o = p; }
+    void put(int x) { b.set(x); }
+    int peer() { return o->b.get(); }
+    int viaglobal() { return a2.b.get(); }
+    void keep() { pb = &o->b; }
+};
+A a1; A a2; B *pb; int r1; int r2; int r3;
+void main() {
+    a1.link(&a2); a2.put(7); a1.keep();
+    r1 = a1.peer(); r2 = a1.viaglobal(); r3 = pb->get();
+}
+"""
+    snap = agrees_and_tears_down(src)
+    assert (snap["r1"], snap["r2"], snap["r3"], snap["pb"]) == ("7", "7", "7", "&a2.b")
+
+
+def test_local_arrays():
+    src = """
+int x; int i;
+void main() { int arr[3]; arr[i] = 4; i = 2; arr[i] = 5; x = arr[0] + arr[i]; }
+"""
+    assert agrees_and_tears_down(src)["x"] == "9"
+
+
+def test_a_method_calls_a_sibling_method_without_a_dot():
+    src = """
+class C {
+private: int m;
+public:
+    void set(int v) { m = v; }
+    int get() { return m; }
+    int twice() { return get() + get(); }
+    void bump() { set(get() + 1); }
+};
+C c; int r;
+r := c.twice();
+void main() { c.set(2); c.bump(); }
+"""
+    assert agrees_and_tears_down(src)["r"] == "6"
+
+
+def test_unary_right_sides_evaluated_more_than_once():
+    src = """
+int y; bool c; int x; bool b; int z;
+x := -y;
+b := !c;
+z := -(y + 1);
+void main() { y = 1; y = 2; y = 3; c = true; c = false; c = true; }
+"""
+    snap = agrees_and_tears_down(src)
+    assert (snap["x"], snap["b"], snap["z"]) == ("-3", "false", "-4")
+
+
+def test_local_objects_with_class_scope_constructs_declared_in_a_loop():
+    src = """
+class W {
+private: int m; int n;
+public:
+    void set(int v) { m = v; }
+    int get() { return n; }
+    n := m * 2;
+};
+int last; int k;
+void main() { while (k < 3) { W w; w.set(k + 1); last = last + w.get(); k = k + 1; } }
+"""
+    assert agrees_and_tears_down(src)["last"] == "12"

@@ -162,6 +162,8 @@ class Constraint(Construct):
     lhs: Expr
     rhs: Expr
     guard: Optional[Expr] = None
+    # set by the checker: no side contains a call, so applying it runs no user code
+    pure: bool = field(default=False, kw_only=True, compare=False, repr=False)
 
 
 @dataclass(slots=True)

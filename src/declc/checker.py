@@ -39,6 +39,7 @@ class Checker:
         self.locals: list[dict[str, Type]] = []
         self.cur_ret: Type | None = VOID  # None in a construct body
         self.declared: set[str] | None = None  # globals so far, in global initializers
+        self.calls = 0  # calls checked so far: a constraint with none is pure
 
     def error(self, pos, msg):
         self.diags.append(Diagnostic(pos, "error", msg))
@@ -121,6 +122,8 @@ class Checker:
 
     def check_func(self, f: ast.FuncDecl):
         self.cur_ret = make_type(f.ret_type, f.ret_ptr_depth)
+        if isinstance(self.cur_ret, ClassType):  # objects do not assign, so none returns
+            self.error(f.pos, f"'{f.name}': an object cannot be returned by value")
         frame = {}
         for p in f.params:
             if p.name in frame:
@@ -134,6 +137,7 @@ class Checker:
         self.locals = []
         self.cur_ret = None
         if isinstance(c, ast.Constraint):
+            calls = self.calls
             lt = self.expr(c.lhs)
             rt = self.expr(c.rhs)
             if lt is not None:
@@ -148,6 +152,7 @@ class Checker:
                 gt = self.expr(c.guard)
                 if gt is not None and gt != BOOL:
                     self.error(c.pos, f"constraint guard must be bool, got '{gt}'")
+            c.pure = self.calls == calls
         elif isinstance(c, ast.Monitor):
             lt = self.expr(c.lhs)
             if lt is not None:
@@ -355,6 +360,7 @@ class Checker:
         raise ValueError(f"unknown operator {op}")
 
     def call(self, e: ast.Call) -> Type | None:
+        self.calls += 1
         ft = self.expr(e.callee)
         if ft is None:
             return None

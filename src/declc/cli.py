@@ -106,6 +106,16 @@ def _print_warnings(sink: tr.TraceSink, filename: str):
         print(f"{filename}: warning: {where}: {e.detail}", file=sys.stderr)
 
 
+def _fault(route) -> str | None:
+    """Run one route of `check`; the text of the runtime fault that ended
+    it, or None when it ran to the end."""
+    try:
+        route()
+    except RuntimeFault as f:
+        return str(f)
+    return None
+
+
 def cmd_check(args) -> int:
     from .oracle import Oracle, diff_memory, diff_traces
     from .randgen import generate
@@ -114,25 +124,21 @@ def cmd_check(args) -> int:
     for k in range(args.count):
         seed = args.seed + k
         source = generate(seed)
-        try:
-            gen, info = compile_source(source)
-            m = Machine(gen, info).load()
-            m.call_function("main", [])
-            o = Oracle(gen.unit, info)
-            o.load()
-            o.run()
-        except RuntimeFault as f:
-            print(f"seed {seed}: runtime fault: {f}", file=sys.stderr)
-            failures += 1
-            continue
+        gen, info = compile_source(source)
+        m = Machine(gen, info)
+        m_fault = _fault(lambda: m.load().call_function("main", []))
+        o = Oracle(gen.unit, info)
+        o_fault = _fault(lambda: (o.load(), o.run()))
         dt = diff_traces(m.trace.events, o.trace.events)
         dm = diff_memory(m.memory_snapshot(), o.memory_snapshot())
-        if not dt.ok or not dm.ok:
+        if not dt.ok or not dm.ok or m_fault != o_fault:
             failures += 1
             print(f"seed {seed}: DIVERGENCE")
             for r in (dt, dm):
                 if not r.ok:
                     print("  " + r.message)
+            if m_fault != o_fault:
+                print(f"  runtime faults differ: {m_fault or 'none'}|{o_fault or 'none'}")
             for a, b in zip(dt.left, dt.right):
                 print(f"    compiled: {a.to_json()}")
                 print(f"    reference: {b.to_json()}")
@@ -143,8 +149,9 @@ def cmd_check(args) -> int:
                     f.write(source)
                 print(f"  program saved to {path}")
         elif args.verbose:
+            ended = "" if m_fault is None else f", both fault: {m_fault}"
             print(f"seed {seed}: ok "
-                  f"({len(tr.filtered(m.trace.events))} visible events)")
+                  f"({len(tr.filtered(m.trace.events))} visible events{ended})")
     total = args.count
     print(f"{total - failures}/{total} seeds agree")
     return EXIT_OK if failures == 0 else EXIT_DIVERGENCE

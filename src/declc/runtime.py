@@ -42,7 +42,9 @@ class ConstraintEntry(Entry):
     seq: int = -1                  # instantiation order, fixed at first install
     target: object = None          # () -> Cell, evaluated lazily at fire time
     guard: object = None           # () -> bool, or None when unguarded
-    apply: object = None           # (Cell) -> None, stores the right side there
+    rhs: object = None             # [evaluator (frame) -> value, ...]: its right side
+    frame: object = None           # the frame the right side is evaluated in
+    pure: bool = False             # no side calls, so an application runs no user code
 
 
 # --------------------------------------------------------------------- cells
@@ -153,11 +155,13 @@ def _cancel(lst, entry: Entry):
 
 
 class Engine:
-    """The per-machine reactive core.  The host (vm) supplies entry callbacks
-    and emits Install/Cancel events; the engine owns the change protocol."""
+    """The per-machine reactive core.  The host (vm) supplies entry callbacks,
+    stores through its `store(cell, value)` and emits Install/Cancel events;
+    the engine owns the change protocol."""
 
-    def __init__(self, sink: tr.TraceSink):
+    def __init__(self, sink: tr.TraceSink, host):
         self.trace = sink
+        self.host = host
         self.deps = DependencyGraph()
         self.wave = Wave()
 
@@ -242,43 +246,83 @@ class Engine:
         """Fire the edges changed has when its resolution starts, in order,
         each one that is still on changed at its turn.  An edge an earlier
         firing cancelled and reinstalled there fires as the new edge; one it
-        moved away or added does not, as in the reference interpreter."""
-        for edge in list(changed.dependencies):
-            if not edge.live:
-                edge = self.deps.edges.get(edge.order)
-                if edge is None or edge.from_cell is not changed:
-                    continue
-            self.fire(edge.entry, via_resolution=True)
+        moved away or added does not, as in the reference interpreter.
+
+        A firing that hands its target back (see `fire`) wrote a cell with no
+        phase-1 or phase-2 work: the target's edges are resolved here next,
+        from a snapshot taken now, and its preconditions run when they are
+        done, before the edges after it.  So a cascade of such writes runs
+        in this one loop, depth first, with a stack of the levels it left."""
+        fire, edges = self.fire, self.deps.edges
+        cell, todo, stack = changed, iter(list(changed.dependencies)), None
+        while True:
+            for edge in todo:
+                if not edge.live:
+                    edge = edges.get(edge.order)
+                    if edge is None or edge.from_cell is not cell:
+                        continue
+                target = fire(edge.entry, True)
+                if target is not None:
+                    if stack is None:
+                        stack = []
+                    stack.append((cell, todo))
+                    cell, todo = target, iter(list(target.dependencies))
+                    break
+            else:  # cell's edges are done
+                if not stack:
+                    return
+                if cell.preconditions:  # phase 4 of a target written here
+                    for p in list(cell.preconditions):
+                        p.invoke()
+                cell, todo = stack.pop()
 
     def fire(self, entry: ConstraintEntry, via_resolution: bool):
         """Attempt one constraint application (used by resolution and by
-        install-time application)."""
+        install-time application).  Within an open wave, a resolution's
+        application of a pure entry to a cell with no redefinitions, monitors
+        or update hook is one write and one `ConstraintApplied` record that
+        reads as the application and the store; its target is returned for
+        `resolve` to carry on from.  Every other application stores through
+        the host and returns None."""
         try:
             target = entry.target()
         except RuntimeFault as f:
             self.trace.emit(tr.WARNING, entry.lvalue, "",
                             f"constrained l-value unresolvable: {f.msg}")
-            return
+            return None
         # the Wave skip and mark steps and the top-of-stack rule, inline
-        in_flight = self.wave.in_flight
-        if via_resolution and id(target) in in_flight:
+        wave = self.wave
+        if via_resolution and id(target) in wave.in_flight:
             self.trace.emit(tr.WARNING, entry.lvalue, target.name,
                             "skipped: already resolved in this wave")
-            return
+            return None
         stack = target.constraints
         if not stack or stack[-1] is not entry:
-            return
+            return None
         guarded = entry.guard is not None
         if guarded and not entry.guard():
-            return
+            return None
         if via_resolution:
-            in_flight.add(id(target))
+            wave.in_flight.add(id(target))
+            if (entry.pure and wave.depth and target.update_hook is None
+                    and not target.redefinitions and not target.monitors):
+                try:
+                    value = entry.rhs[0](entry.frame)
+                except BaseException:  # the application was under way: record it
+                    self.trace.emit(tr.CONSTRAINT_APPLIED, entry.lvalue,
+                                    target.name, entry.detail)
+                    raise
+                self.trace.emit(tr.CONSTRAINT_APPLIED, target.value, target.name,
+                                entry, value)
+                target.value = value
+                return target
         self.trace.emit(tr.CONSTRAINT_APPLIED, entry.lvalue, target.name,
                         entry.detail)
         if guarded:
             # the guard is user code: it may have rebound the constrained side
             target = entry.target()
-        entry.apply(target)
+        self.host.store(target, entry.rhs[0](entry.frame))
+        return None
 
     # --- object protocol --------------------------------------------------
 

@@ -44,6 +44,8 @@ class TraceEvent(NamedTuple):
 
 # A plain store, i.e. on a cell with no redefinitions: one record that reads
 # as `BeforeChange` then `AfterChange` on its cell (see `TraceSink.emit`).
+# A pure constraint's application written in place by `Engine.fire` is one
+# `ConstraintApplied` record that reads as those two after its own event.
 STORE = "Store"
 
 STRIDE = 5  # slots per record: kind, lvalue, cell, detail, value
@@ -72,7 +74,10 @@ class TraceSink:
         A `STORE` record stands for two events on `cell`: `BeforeChange` with
         detail `"old:" + detail(lvalue)` and `AfterChange` with
         `"new:" + detail(value)`; its `lvalue` slot holds the old value and
-        its `detail` the render."""
+        its `detail` the render.  A `CONSTRAINT_APPLIED` record whose detail
+        is the constraint's entry stands for three: the application, with the
+        entry's `lvalue` and `detail`, then that store, rendered by
+        `values.value_str`."""
         self._slots += (kind, lvalue, cell, detail, value)
         if self.stream is not None:
             n = len(self._built)
@@ -84,6 +89,7 @@ class TraceSink:
     def events(self) -> list[TraceEvent]:
         slots, built = self._slots, self._built
         if self._read < len(slots):
+            from .values import value_str  # values imports the engine, which imports this
             append, seq = built.append, len(built)
             new, E = tuple.__new__, TraceEvent  # skips the NamedTuple's Python __new__
             it = iter(slots[self._read:])
@@ -92,10 +98,15 @@ class TraceSink:
                     append(new(E, (seq, BEFORE_CHANGE, "", cell, "old:" + detail(lvalue))))
                     seq += 1
                     append(new(E, (seq, AFTER_CHANGE, "", cell, "new:" + detail(value))))
+                elif detail.__class__ is str:
+                    append(new(E, (seq, kind, lvalue, cell, detail)))
                 elif detail.__class__ is tuple:
                     append(new(E, (seq, kind, lvalue, cell, detail[0] + detail[1](value))))
-                else:
-                    append(new(E, (seq, kind, lvalue, cell, detail)))
+                else:  # a pure constraint's application: detail is its entry
+                    append(new(E, (seq, kind, detail.lvalue, cell, detail.detail)))
+                    append(new(E, (seq + 1, BEFORE_CHANGE, "", cell, "old:" + value_str(lvalue))))
+                    seq += 2
+                    append(new(E, (seq, AFTER_CHANGE, "", cell, "new:" + value_str(value))))
                 seq += 1
             self._read = len(slots)
         return built
@@ -103,13 +114,16 @@ class TraceSink:
     def warnings(self) -> list[TraceEvent]:
         """The `Warning` events, as `events` numbers them, found by scanning
         the kind slots: the rest of the trace is not built."""
-        kinds = self._slots[::STRIDE]
-        out, last, stores = [], 0, 0
+        slots = self._slots
+        kinds = slots[::STRIDE]
+        out, last, extra = [], 0, 0  # extra: events beyond one per record so far
         for _ in range(kinds.count(WARNING)):
             r = kinds.index(WARNING, last)
-            stores += kinds[last:r].count(STORE)
+            extra += kinds[last:r].count(STORE) + 2 * sum(
+                slots[k * STRIDE + 3].__class__ is not str
+                for k in range(last, r) if kinds[k] is CONSTRAINT_APPLIED)
             i = r * STRIDE
-            out.append(TraceEvent(r + stores, WARNING, *self._slots[i + 1:i + 4]))
+            out.append(TraceEvent(r + extra, WARNING, *slots[i + 1:i + 4]))
             last = r + 1
         return out
 

@@ -115,7 +115,7 @@ class Machine:
         self.unit = gen.unit
         self.info = info
         self.trace = sink if sink is not None else tr.TraceSink()
-        self.engine = Engine(self.trace)
+        self.engine = Engine(self.trace, self)
         self.globals: dict[str, object] = {}
         self.func_cells: dict[str, Cell] = {}
         self.frames: list[Frame] = []
@@ -705,7 +705,7 @@ class Machine:
             entry = ConstraintEntry(
                 fn, owner, lvalue=lhs.str, construct=ordinal, seq=self._seq,
                 target=partial(self._resolver(lhs.expr), fr), guard=guard,
-                apply=partial(Machine._apply, self, self._evaluator(c.rhs), fr))
+                rhs=self._evaluator(c.rhs), frame=fr, pure=c.pure)
         fr.entries[fn] = entry
         return entry
 
@@ -729,10 +729,6 @@ class Machine:
         v = bool(test[0](fr))
         self.trace.emit(tr.GUARD_EVAL, lvstr, "", details[v])
         return v
-
-    def _apply(self, rhs: list, fr: GenFrame, cell: Cell):
-        """A constraint application: store its right side's value in `cell`."""
-        self.store(cell, rhs[0](fr))
 
     # ------------------------------------------------------------ inspection
 

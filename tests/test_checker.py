@@ -134,6 +134,15 @@ def test_object_pointers_take_no_arithmetic_or_index(expr):
     assert_clean("int a[2]; int *p; int x;\nvoid main() { p = &a[0]; x = (p + 1)[0]; }")
 
 
+def test_objects_are_returned_by_pointer_only():
+    """No object can be returned by value (objects do not assign), so such a
+    declaration is a source error; a function returning `W *` is legal."""
+    assert errors(OBJECT_CLASS + "W w; int x;\nW f() { }\nvoid main() { x = f().get(); }") \
+        == ["'f': an object cannot be returned by value"]
+    assert_clean(OBJECT_CLASS + "W w; int x;\nW *f() { return &w; }\n"
+                 "void main() { x = f()->get(); }")
+
+
 @pytest.mark.parametrize("decl", ["W arr[2];\nvoid main() { }",
                                   "void main() { W arr[2]; }"], ids=["global", "local"])
 def test_arrays_of_objects_rejected(decl):
@@ -248,6 +257,9 @@ DIAGNOSTICS = [
     ("int x;\nvoid main() { x.m = 1; }", "2:15: '.' requires an object, got 'int'"),
     (OBJECT_CLASS + "W w;\nvoid main() { w.nope(); }", "3:15: class 'W' has no member 'nope'"),
     (OBJECT_CLASS + "W *q;\nvoid main() { q->nope(); }", "3:15: class 'W' has no member 'nope'"),
+    (OBJECT_CLASS + "W f() { }", "2:1: 'f': an object cannot be returned by value"),
+    ("class A { public: A self() { } };",
+     "1:19: 'self': an object cannot be returned by value"),
 ]
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import GOLDEN, PROGRAMS, matches_oracle
 from declc.cli import main
+from declc.errors import RuntimeFault
 from declc.parser import MAX_NESTING
 
 
@@ -167,13 +168,65 @@ def test_check_agreement(capsys):
 
 
 def test_check_reports_a_runtime_fault(monkeypatch, capsys):
+    """Both routes fault alike: same text, same visible trace, so they agree."""
     monkeypatch.setattr("declc.randgen.generate",
                         lambda seed: "int *p; int x;\nvoid main() { x = *p; }")
-    code, out, err = run_cli(capsys, "check", "--seed", "5", "--count", "2")
+    code, out, err = run_cli(capsys, "check", "--seed", "5", "--count", "2", "-v")
+    assert code == 0
+    assert err == ""
+    assert out == ("seed 5: ok (0 visible events, both fault: "
+                   "2:19: fault: null pointer dereference)\n"
+                   "seed 6: ok (0 visible events, both fault: "
+                   "2:19: fault: null pointer dereference)\n"
+                   "2/2 seeds agree\n")
+
+
+NULL_MEMBER_CALL = """\
+class B { private: int v; public: int get() { return v; } };
+class A { private: B b; int r; public: void f(A *o) { r = o->b.get(); } };
+A a;
+void main() { a.f(null); }
+"""
+
+
+def _fault_in(route):
+    def run(*args, **kwargs):
+        raise RuntimeFault(f"{route} fault")
+    return run
+
+
+@pytest.mark.parametrize("patched,faults", [
+    ("declc.vm.Machine.call_function", "fault: vm fault|none"),
+    ("declc.oracle.Oracle.run", "none|fault: oracle fault"),
+], ids=["compiled", "reference"])
+def test_check_reports_a_fault_of_one_route_as_a_divergence(
+        monkeypatch, tmp_path, capsys, patched, faults):
+    """A fault in one route no longer hides the other route's outcome."""
+    from declc.randgen import generate
+
+    monkeypatch.setattr(patched, _fault_in(patched.split(".")[1]))
+    saved = tmp_path / "saved"
+    code, out, err = run_cli(capsys, "check", "--seed", "3", "--count", "1",
+                             "--save-dir", str(saved))
+    assert code == 3 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == "seed 3: DIVERGENCE"
+    assert f"  runtime faults differ: {faults}" in lines
+    assert lines[-2:] == [f"  program saved to {saved / 'seed3.hc'}", "0/1 seeds agree"]
+    assert (saved / "seed3.hc").read_text() == generate(3)
+
+
+def test_check_reports_different_fault_texts_as_a_divergence(monkeypatch, capsys):
+    """Both routes fault at `o->b.get()` with a null `o`, with different
+    texts and the same visible trace: that is a divergence too."""
+    monkeypatch.setattr("declc.randgen.generate", lambda seed: NULL_MEMBER_CALL)
+    code, out, _ = run_cli(capsys, "check", "--seed", "0", "--count", "1")
     assert code == 3
-    assert err == ("seed 5: runtime fault: 2:19: fault: null pointer dereference\n"
-                   "seed 6: runtime fault: 2:19: fault: null pointer dereference\n")
-    assert out == "0/2 seeds agree\n"
+    assert out.splitlines() == [
+        "seed 0: DIVERGENCE",
+        "  runtime faults differ: 2:59: fault: null pointer dereference|"
+        "2:59: fault: expression does not denote an object",
+        "0/1 seeds agree"]
 
 
 def test_check_reports_a_divergence_and_saves_the_program(monkeypatch, tmp_path, capsys):
@@ -286,6 +339,9 @@ CRASH_INPUTS = {
                                 1, "1:20: error: 'inner': class 'A' cannot contain itself"),
     "object-comparison": (OBJECT_CLASS + "W a; W b; bool r;\nvoid main() { r = a == b; }",
                           [], {}, 1, "3:19: error: operator '==' on objects ('W')"),
+    "object-returned-by-value": (OBJECT_CLASS + "W w; int x;\nW f() { }\n"
+                                 "void main() { x = f().get(); }", [], {},
+                                 1, "3:1: error: 'f': an object cannot be returned by value"),
 }
 
 

@@ -276,7 +276,7 @@ def test_chain_right_sides_share_one_evaluator():
     entries = [e for e in m._gen_frames[id(None)].entries.values()
                if isinstance(e, ConstraintEntry)]
     assert len(entries) == 320
-    slots = [e.apply.args[1] for e in entries]  # (machine, slot, frame)
+    slots = [e.rhs for e in entries]
     # only walked so far: each slot still holds its `_evaluate`
     assert all(s[0].func is Machine._evaluate and s[1] for s in slots)
     m.call_function("main", [])

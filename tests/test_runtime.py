@@ -9,8 +9,24 @@ from declc.runtime import (Cell, ConstraintEntry, DependencyGraph, Engine,
                            Entry, ObjectHeader)
 
 
+class Host:
+    """Stands in for the vm: a store writes the cell and records it."""
+
+    def __init__(self):
+        self.stored = []
+
+    def store(self, cell, value):
+        self.stored.append(cell)
+        cell.value = value
+
+
 def engine():
-    return Engine(tr.TraceSink())
+    return Engine(tr.TraceSink(), Host())
+
+
+def applying(effect):
+    """The right-side slot of an entry whose application runs effect()."""
+    return [lambda frame: effect()]
 
 
 def entry(fn, owner=None):
@@ -192,13 +208,13 @@ def _dep_constraint(e, name, seq, fired, effect=None):
     name and then runs `effect`."""
     dst = Cell(name, 0)
 
-    def apply(cell):
+    def apply():
         fired.append(name)
         if effect is not None:
             effect()
 
     en = ConstraintEntry(f"assign_{name}", None, seq=seq, target=lambda: dst,
-                         apply=apply)
+                         rhs=applying(apply))
     e.handle_constraint(dst, en, True)
     return en
 
@@ -313,7 +329,7 @@ def test_resolution_applies_once_per_wave():
     fired = []
     en = ConstraintEntry("assign_0", None, seq=0,
                          target=lambda: dst,
-                         apply=lambda cell: fired.append("hit"))
+                         rhs=applying(lambda: fired.append("hit")))
     e.handle_constraint(dst, en, True)
     e.deps.add(src, en, 0)
     e.wave.enter()
@@ -328,9 +344,9 @@ def test_fire_respects_top_constraint():
     dst = Cell("dst", 0)
     fired = []
     older = ConstraintEntry("assign_0", None, seq=0, target=lambda: dst,
-                            apply=lambda cell: fired.append("old"))
+                            rhs=applying(lambda: fired.append("old")))
     newer = ConstraintEntry("assign_1", None, seq=1, target=lambda: dst,
-                            apply=lambda cell: fired.append("new"))
+                            rhs=applying(lambda: fired.append("new")))
     dst.constraints = [older, newer]
     e.wave.enter()
     e.fire(older, via_resolution=True)
@@ -356,7 +372,7 @@ def test_false_guard_blocks_application():
     fired = []
     en = ConstraintEntry("assign_0", None, seq=0, target=lambda: dst,
                          guard=lambda: False,
-                         apply=lambda cell: fired.append("hit"))
+                         rhs=applying(lambda: fired.append("hit")))
     e.handle_constraint(dst, en, True)
     e.fire(en, via_resolution=False)
     assert fired == []
@@ -368,7 +384,7 @@ def test_fire_hands_apply_the_resolved_target():
     e = engine()
     first, second = Cell("first", 0), Cell("second", 0)
     denoted = [first]
-    resolved, applied = [], []
+    resolved, applied = [], e.host.stored
 
     def target():
         resolved.append(denoted[0].name)
@@ -382,11 +398,100 @@ def test_fire_hands_apply_the_resolved_target():
         denoted[0] = first
         resolved.clear()
         en = ConstraintEntry("assign_0", None, seq=0, target=target,
-                             guard=guard, apply=applied.append)
+                             guard=guard, rhs=applying(lambda: 0))
         first.constraints = [en]
         e.fire(en, via_resolution=False)
         assert resolved == (["first"] if guard is None else ["first", "second"])
     assert applied == [first, second]
+
+
+# --------------------------------------------------------------- work stack
+
+def _pure(e, dst, seq, order, value):
+    """A pure constraint on dst whose right side records dst's name."""
+    en = ConstraintEntry(f"assign_{dst.name}", None, lvalue=dst.name, seq=seq,
+                         target=lambda: dst, pure=True,
+                         rhs=[lambda frame: order.append(dst.name) or value])
+    e.handle_constraint(dst, en, True)
+    return en
+
+
+def _fan_with_a_subtree():
+    """src has edges to a, then b; a has an edge to c and a precondition."""
+    e, order = engine(), []
+    src, a, b, c = Cell("src", 0), Cell("a", 0), Cell("b", 0), Cell("c", 0)
+    to_a, to_b, to_c = (_pure(e, a, 0, order, 1), _pure(e, b, 1, order, 2),
+                        _pure(e, c, 2, order, 3))
+    e.handle_dependency(src, to_a, 0, True)
+    e.handle_dependency(src, to_b, 0, True)
+    e.handle_dependency(a, to_c, 0, True)
+    e.handle_precondition(a, Entry("test_a", None, invoke=lambda: order.append("pre a")),
+                          True)
+    return e, order, src, (a, b, c)
+
+
+def test_a_pure_cascade_runs_depth_first_from_one_loop():
+    """Inside a wave a pure application to a cell with no phase-1 or phase-2
+    work is written in place: the first target's subtree and then its
+    precondition run before the second edge, and nothing goes through the
+    host's store.  Each application is one record read as three events."""
+    e, order, src, (a, b, c) = _fan_with_a_subtree()
+    e.wave.enter()
+    e.resolve(src)
+    e.wave.exit()
+    assert order == ["a", "c", "pre a", "b"]
+    assert (a.value, b.value, c.value) == (1, 2, 3)
+    assert e.host.stored == []
+    assert [(ev.kind, ev.cell) for ev in e.trace.events] == [
+        (k, cell) for cell in "acb"
+        for k in (tr.CONSTRAINT_APPLIED, tr.BEFORE_CHANGE, tr.AFTER_CHANGE)]
+    assert len(e.trace._slots) == 3 * tr.STRIDE
+    assert e.wave.depth == 0 and not e.wave.in_flight
+
+
+def test_a_resolution_outside_a_wave_stores_through_the_host():
+    """At depth 0 (a resolution entered from `Engine.resume`) every
+    application goes through the host's store, whose change protocol runs
+    the target's own edges and preconditions."""
+    e, order, src, (a, b, c) = _fan_with_a_subtree()
+    e.resolve(src)
+    assert order == ["a", "b"]
+    assert e.host.stored == [a, b]
+
+
+def test_a_target_with_a_monitor_is_stored_through_the_host():
+    e, order, src, (a, b, c) = _fan_with_a_subtree()
+    e.handle_monitor(a, entry("m"), True)
+    e.wave.enter()
+    e.resolve(src)
+    e.wave.exit()
+    assert order == ["a", "b"]
+    assert e.host.stored == [a]
+    # a's application is recorded by fire; the host's store records nothing
+    assert [(ev.kind, ev.cell) for ev in e.trace.events] == [(tr.CONSTRAINT_APPLIED, "a")] + [
+        (k, "b") for k in (tr.CONSTRAINT_APPLIED, tr.BEFORE_CHANGE, tr.AFTER_CHANGE)]
+
+
+def test_a_faulting_pure_right_side_emits_its_application():
+    """The right side is evaluated before anything is emitted; when it
+    faults, the application's own event is emitted before the fault goes
+    up, as when the right side ran after it."""
+    e = engine()
+    src, dst = Cell("src", 0), Cell("dst", 0)
+
+    def fault(frame):
+        raise RuntimeFault("division by zero")
+
+    en = ConstraintEntry("assign_dst", None, lvalue="dst", construct=4, seq=0,
+                         target=lambda: dst, rhs=[fault], pure=True)
+    e.handle_constraint(dst, en, True)
+    e.handle_dependency(src, en, 0, True)
+    e.wave.enter()
+    with pytest.raises(RuntimeFault):
+        e.resolve(src)
+    e.wave.exit()
+    assert e.trace.events == [(0, tr.CONSTRAINT_APPLIED, "dst", "dst", "construct:4")]
+    assert dst.value == 0
 
 
 # ----------------------------------------------------------- change protocol

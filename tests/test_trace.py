@@ -10,6 +10,8 @@ import pytest
 from conftest import machine
 from declc import trace as tr, vm
 from declc.errors import RuntimeFault
+from declc.runtime import ConstraintEntry
+from declc.values import value_str
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
@@ -167,3 +169,37 @@ def test_warnings_are_read_without_building_the_trace():
     warnings = m.trace.warnings()
     assert len(warnings) >= 3 and m.trace._built == []
     assert warnings == tr.filtered(m.trace.events, (tr.WARNING,))
+
+
+def _applications(sink: tr.TraceSink, fused: bool):
+    """Two applications of one constraint among stores and warnings, each
+    emitted as one fused record or as the three records it stands for."""
+    en = ConstraintEntry("assign_y", None, lvalue="*p", construct=3)
+    sink.emit(tr.STORE, 0, "x", value_str, 1)
+    sink.emit(tr.WARNING, "a", "", "first")
+    for old, new in ((0, 2), (None, True)):
+        if fused:
+            sink.emit(tr.CONSTRAINT_APPLIED, old, "y", en, new)
+        else:
+            sink.emit(tr.CONSTRAINT_APPLIED, en.lvalue, "y", en.detail)
+            sink.emit(tr.BEFORE_CHANGE, "", "y", ("old:", value_str), old)
+            sink.emit(tr.AFTER_CHANGE, "", "y", ("new:", value_str), new)
+        sink.emit(tr.WARNING, "b", "y", "after an application")
+    return sink
+
+
+def test_a_fused_application_reads_as_its_three_records():
+    fused, split = (_applications(tr.TraceSink(), f) for f in (True, False))
+    assert len(fused._slots) == len(split._slots) - 4 * tr.STRIDE
+    assert fused.warnings() == split.warnings() == tr.filtered(split.events, (tr.WARNING,))
+    assert [w.seq for w in fused.warnings()] == [2, 6, 10]
+    assert fused.events == split.events
+    assert [(e.seq, e.kind, e.lvalue, e.cell, e.detail) for e in fused.events[3:6]] == [
+        (3, tr.CONSTRAINT_APPLIED, "*p", "y", "construct:3"),
+        (4, tr.BEFORE_CHANGE, "", "y", "old:0"), (5, tr.AFTER_CHANGE, "", "y", "new:2")]
+    assert [e.detail for e in fused.events[8:10]] == ["old:null", "new:true"]
+    streams = io.StringIO(), io.StringIO()
+    for stream, f in zip(streams, (True, False)):
+        _applications(tr.TraceSink(stream=stream), f)
+    assert streams[0].getvalue() == streams[1].getvalue() \
+        == "".join(e.to_json() + "\n" for e in split.events)

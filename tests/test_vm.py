@@ -1,12 +1,14 @@
 import gc
+import sys
 
 import pytest
 
 from conftest import events_of, machine, matches_oracle, program, run
 from declc import ast, trace as tr
 from declc.checker import check_or_raise
+from declc.cli import main as cli_main
 from declc.errors import RuntimeFault
-from declc.oracle import Oracle
+from declc.oracle import Oracle, diff_traces
 from declc.parser import parse_source
 from declc.vm import Machine, compile_source
 
@@ -733,3 +735,148 @@ int last; int k;
 void main() { while (k < 3) { W w; w.set(k + 1); last = last + w.get(); k = k + 1; } }
 """
     assert agrees_and_tears_down(src)["last"] == "12"
+
+
+# --------------------------------------------------------------- work stack
+# A pure cascade (no call in any side of its constraints) runs from one loop
+# in `Engine.resolve`; these pin its order, its faults and its wave state
+# against the reference interpreter.
+
+def _both_fault(src: str):
+    """Run main on the vm and on the reference; both must fault alike, with
+    the same visible trace.  Returns the machine and the fault text."""
+    m = machine(src)
+    with pytest.raises(RuntimeFault) as vm_fault:
+        m.call_function("main", [])
+    unit = parse_source(src)
+    o = Oracle(unit, check_or_raise(unit))
+    o.load()
+    with pytest.raises(RuntimeFault) as ref_fault:
+        o.run()
+    assert str(vm_fault.value) == str(ref_fault.value)
+    assert diff_traces(m.trace.events, o.trace.events).ok
+    return m, str(vm_fault.value)
+
+
+def _events_of_main(src: str, kinds) -> list[tuple[str, str]]:
+    m = machine(src)
+    n = len(m.trace.events)
+    m.call_function("main", [])
+    return [(e.kind, e.lvalue) for e in m.trace.events[n:] if e.kind in kinds]
+
+
+FAN_WITH_A_SUBTREE = """int s; int a; int b; int c; int seen;
+a := s + 1;
+b := s + 2;
+c := a + 1;
+a > 1 ?? { seen = b; }
+void main() { s = 5; }
+"""
+
+
+def test_a_cascade_finishes_a_targets_subtree_and_preconditions_first():
+    """s has edges to a, then b; a has an edge to c and a precondition,
+    which reads b before b's edge fires."""
+    assert _events_of_main(FAN_WITH_A_SUBTREE, (tr.CONSTRAINT_APPLIED, tr.PRECOND_EVAL)) == [
+        (tr.CONSTRAINT_APPLIED, "a"), (tr.CONSTRAINT_APPLIED, "c"),
+        (tr.PRECOND_EVAL, "a>1"), (tr.CONSTRAINT_APPLIED, "b")]
+    mem = matches_oracle(FAN_WITH_A_SUBTREE).memory_snapshot()
+    assert (mem["a"], mem["b"], mem["c"], mem["seen"]) == ("6", "7", "7", "2")
+
+
+def test_a_pure_right_side_that_faults_mid_cascade(tmp_path, capsys):
+    src = "int x = 1; int y; int z;\ny := 10 / x;\nz := y + 1;\nvoid main() { x = 0; }\n"
+    m, fault = _both_fault(src)
+    assert fault == "2:6: fault: division by zero"
+    assert [(e.kind, e.cell, e.detail) for e in m.trace.events[-3:]] == [
+        (tr.BEFORE_CHANGE, "x", "old:1"), (tr.AFTER_CHANGE, "x", "new:0"),
+        (tr.CONSTRAINT_APPLIED, "y", "construct:0")]
+    assert m.trace.events[-1].seq == 14
+    assert m.memory_snapshot() == {"x": "0", "y": "10", "z": "11"}
+    path = tmp_path / "p.hc"
+    path.write_text(src)
+    assert cli_main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == f"{path}: runtime fault: {fault}\n"
+
+
+def test_a_fault_in_a_deferred_precondition_closes_the_wave():
+    """a is written in place, so its precondition runs from the resolution
+    loop; its fault still leaves no wave open and no cell marked."""
+    src = """int s; int a; int b; int *p;
+a := s + 1;
+b := a + 1;
+a > 1 ?? { b = *p; }
+void main() { s = 5; }
+"""
+    m, fault = _both_fault(src)
+    assert fault == "4:16: fault: null pointer dereference"
+    wave = m.engine.wave
+    assert wave.depth == 0 and not wave.in_flight
+    m.store(m.globals["s"], 0)   # a later wave applies both again
+    assert (m.memory_snapshot()["a"], m.memory_snapshot()["b"]) == ("1", "2")
+    assert not m.trace.warnings()
+
+
+def test_a_resolution_at_depth_0_applies_each_edge():
+    """`y := x + *p` with `p = &x` has two edges from x.  A resolution
+    entered outside any store (as from `Engine.resume`) applies y at each:
+    every application's own store ends the wave.  Inside a store the second
+    edge is skipped."""
+    m = machine("int x; int *p = &x; int y;\ny := x + *p;\nvoid main() { }")
+    x = m.globals["x"]
+    n = len(m.trace.events)
+    m.engine.resolve(x)
+    assert [e.kind for e in m.trace.events[n:]].count(tr.CONSTRAINT_APPLIED) == 2
+    assert m.engine.wave.depth == 0 and not m.engine.wave.in_flight
+    n = len(m.trace.events)
+    m.store(x, 3)
+    assert [e.kind for e in m.trace.events[n:] if e.kind in (
+        tr.CONSTRAINT_APPLIED, tr.WARNING)] == [tr.CONSTRAINT_APPLIED, tr.WARNING]
+    assert m.memory_snapshot()["y"] == "6"
+
+
+def test_a_method_return_applies_each_edge_of_its_object():
+    """The program form of the rule above: a method returning outside any
+    store resolves its object at depth 0, one returning inside a monitor's
+    store at depth 1."""
+    src = """class W { private: int m; public: int get() { return m; }
+                  void set(int v) { m = v; } };
+W w; W *q = &w; int y; int t;
+y := w.get() + q->get();
+t ::= { w.set(t); }
+void main() { %s }
+"""
+    kinds = (tr.CONSTRAINT_APPLIED, tr.WARNING)
+    assert _events_of_main(src % "w.set(2);", kinds) == [(tr.CONSTRAINT_APPLIED, "y")] * 2
+    assert [k for k, _ in _events_of_main(src % "t = 3;", kinds)] == list(kinds)
+    assert matches_oracle(src % "w.set(2); t = 3;").memory_snapshot()["y"] == "6"
+
+
+def test_a_5000_link_pure_chain_runs_without_recursion():
+    """Each level of a pure chain is one turn of the resolution loop, so the
+    chain's length is not bounded by Python's recursion limit.  (The
+    reference interpreter still recurses per level, so it is not run.)"""
+    n = 5000
+    assert sys.getrecursionlimit() <= 1000
+    src = ("".join(f"int c{k}; " for k in range(n)) + "\n"
+           + "".join(f"c{k} := c{k - 1} + 1;\n" for k in range(1, n))
+           + "void main() { c0 = 7; }\n")
+    m = machine(src)
+    m.call_function("main", [])
+    assert m.memory_snapshot() == {f"c{k}": str(7 + k) for k in range(n)}
+    assert not m.trace.warnings()
+
+
+def test_a_pure_application_to_a_monitored_cell_stores_through_the_host():
+    """y has a monitor, so y's application is not written in place: it is
+    one `ConstraintApplied` record and then the host's own store record."""
+    src = "int x; int y; int seen;\ny := x + 1;\ny ::= { seen = y; }\nvoid main() { x = 4; }\n"
+    m = matches_oracle(src)
+    assert m.memory_snapshot()["seen"] == "5"
+    m = machine(src)
+    n = len(m.trace._slots)
+    m.call_function("main", [])
+    records = m.trace._slots[n:]
+    assert [(records[i], records[i + 2]) for i in range(0, 3 * tr.STRIDE, tr.STRIDE)] == [
+        (tr.STORE, "x"), (tr.CONSTRAINT_APPLIED, "y"), (tr.STORE, "y")]
+    assert records[tr.STRIDE + 3] == "construct:0"

@@ -79,12 +79,22 @@ def _make_sink(trace_arg) -> tuple[tr.TraceSink, object]:
     return tr.TraceSink(stream=stream), close
 
 
+def _runtime(step):
+    """Run a runtime step of a route (load or run).  Python's recursion
+    limit, reached by user recursion or by a deep cascade, is that route's
+    runtime fault."""
+    try:
+        return step()
+    except RecursionError:
+        raise RuntimeFault("recursion limit exceeded") from None
+
+
 def cmd_run(args) -> int:
     gen, info = compile_source(_read(args.file))
     sink, close = _make_sink(args.trace)
     try:
         machine = Machine(gen, info, sink)
-        machine.run()
+        _runtime(machine.run)
         for name, value in sorted(machine.memory_snapshot().items()):
             print(f"{name} = {value}")
         _print_warnings(sink, args.file)
@@ -110,7 +120,7 @@ def _fault(route) -> str | None:
     """Run one route of `check`; the text of the runtime fault that ended
     it, or None when it ran to the end."""
     try:
-        route()
+        _runtime(route)
     except RuntimeFault as f:
         return str(f)
     return None

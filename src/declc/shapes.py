@@ -5,9 +5,15 @@ of its shape, the operator tree plus the kind and leaf index of each leaf,
 and `Machine._shape` compiles a key it has not seen through `SHAPES`: a
 compiler per kind, `(machine, *rest of the key) -> evaluator`.  An evaluator
 is `(leaves, frame) -> value`, or the cell an l-value denotes; the tuple of
-leaves is bound per runtime entry or per resolver.  A key holds its
-children's evaluators, so an evaluator closes over them and over leaf
+leaves is bound per runtime entry, per resolver or per body.  A key holds
+its children's evaluators, so an evaluator closes over them and over leaf
 indices only, never over a cell.
+
+`Machine._stmt` does the same for the statements of a body: a statement's
+evaluator gives None, or `(value,)` for a `return`, which is handed up.  A
+call's evaluator runs its callee's body through the machine, and an
+assignment stores through `Machine.store`; both are looked up on the machine
+at each run, so a wrapper put on them later sees every call.
 """
 
 from __future__ import annotations
@@ -56,6 +62,22 @@ def _or(m, left, right):
 
 def _divmod(m, f, left, right, p):
     return lambda a, fr: f(left(a, fr), right(a, fr), a[p])
+
+
+def _local(m, i, value):
+    """A scalar local of the frame (a parameter or a local declaration)."""
+    return (lambda a, fr: fr.locals[a[i]].value) if value else (lambda a, fr: fr.locals[a[i]])
+
+
+def _own(m, i, value):
+    """A scalar data member of the frame's owner."""
+    def own(a, fr):
+        owner = fr.owner
+        if owner is None:
+            raise RuntimeFault(f"member '{a[i]}' accessed without owner")
+        cell = owner.members[a[i]]
+        return cell.value if value else cell
+    return own
 
 
 def _name(m, i, value):
@@ -165,6 +187,88 @@ def _arrow(m, obj, i, value):
     return arrow
 
 
+def _owner(m, p):
+    """The object an own method is called on: the frame's owner."""
+    def owner(a, fr):
+        inst = fr.owner
+        if inst is None:
+            raise RuntimeFault("method call without owner", a[p])
+        return inst
+    return owner
+
+
+def _pointee(m, x, p):
+    """The object a `->` callee's pointer points to."""
+    def pointee(a, fr):
+        v = x(a, fr)
+        if v is None:
+            raise RuntimeFault("null pointer dereference", a[p])
+        return v.instance
+    return pointee
+
+
+def _call(m, d, args):
+    """A free function's call: its arguments, then the body of `a[d]`."""
+    def call(a, fr):
+        return m._run_body(a[d], [x(a, fr) for x in args], None)
+    return call
+
+
+def _call_method(m, obj, d, args):
+    """A method's call: the object, its arguments, then the body of `a[d]`."""
+    def call(a, fr):
+        inst = obj(a, fr)
+        return m._call_method(inst, a[d], [x(a, fr) for x in args])
+    return call
+
+
+# Statements.  A block of one statement is that statement's evaluator.
+
+def _stmts(m, stmts):
+    def block(a, fr):
+        for s in stmts:
+            r = s(a, fr)
+            if r is not None:
+                return r
+    return block
+
+
+def _assign(m, target, x):
+    def assign(a, fr):
+        m.store(target(a, fr), x(a, fr))
+    return assign
+
+
+def _expr(m, x):
+    def expr(a, fr):
+        x(a, fr)
+    return expr
+
+
+def _if(m, cond, then):
+    def if_(a, fr):
+        if cond(a, fr):
+            return then(a, fr)
+    return if_
+
+
+def _if_else(m, cond, then, orelse):
+    return lambda a, fr: then(a, fr) if cond(a, fr) else orelse(a, fr)
+
+
+def _while(m, cond, body):
+    def while_(a, fr):
+        while cond(a, fr):
+            r = body(a, fr)
+            if r is not None:
+                return r
+    return while_
+
+
+def _return(m, x):
+    return lambda a, fr: (x(a, fr),)
+
+
 def _deref_other(v, pos, value: bool):
     """`*v` of a value that is no cell pointer: an object's cell, or a fault."""
     if isinstance(v, ObjPtr):
@@ -182,4 +286,9 @@ SHAPES = {
     "elem cell": _elem_cell, "elem": _elem,
     "block": _block, "ptr elem": _ptr_elem,
     "member": _member, "arrow": _arrow,
+    "local": _local, "own": _own,
+    "owner": _owner, "pointee": _pointee,
+    "call": _call, "call method": _call_method,
+    "stmts": _stmts, "assign": _assign, "expr": _expr,
+    "if": _if, "if else": _if_else, "while": _while, "return": _return,
 }

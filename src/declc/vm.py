@@ -1,23 +1,24 @@
 """Executor for lowered programs.
 
 Every user-visible store routes through the cell write protocol
-(before-actions, write, after-actions).  Statements and expressions run in
-one walk that dispatches each node by its class through a handler table
-(`_EVAL`, `_EXEC`), one Python frame per node; a `return` is a value handed
-up, not an exception.  A generated function that runs by name, a unit init
-or a `redef_*` function, is lowered once per machine into a flat tuple of
-steps, one per `codegen.Reg` of the init functions it calls, spliced in; the
-init functions keep no steps of their own.  A redefined cell's rebinding
-phase runs the steps of each owner's run of redefinitions in one step loop,
-which resolves an l-value once per run until a step can store.
+(before-actions, write, after-actions).  A generated function that runs by
+name, a unit init or a `redef_*` function, is lowered once per machine into
+a flat tuple of steps, one per `codegen.Reg` of the init functions it calls,
+spliced in; the init functions keep no steps of their own.  A redefined
+cell's rebinding phase runs the steps of each owner's run of redefinitions in
+one step loop, which resolves an l-value once per run until a step can store.
 
-Constraint right sides, guards, precondition conditions and l-values compile
-to shape evaluators `(leaves, frame) -> value` (or cell): one per expression
-shape, the operator tree plus the kind of each leaf, kept per machine in
-`_shapes`.  The leaves (bound cells, blocks, literals, positions, and nodes
-left to their `_EVAL` handler) are bound in one tuple per runtime entry, or
-per l-value for its resolver; a right side, guard or condition is walked at
-its first evaluation and bound at its second.  Reads of a dereference, an
+User code compiles to shape evaluators `(leaves, frame) -> value` (or cell):
+one per expression or statement shape, the operator tree plus the kind of
+each leaf, kept per machine in `_shapes` (see shapes.py).  The leaves (bound
+cells, blocks, literals, names, positions, a callee's declaration, and nodes
+left to their `_EVAL` or `_EXEC` handler) are bound in one tuple per runtime
+entry, per l-value for its resolver, or per body.  Each piece of user code is
+walked at its first run and compiled at its second: a constraint's right
+side, guard or condition per entry, and a function, method, monitor or
+tester body once per machine.  A walk dispatches each node by its class
+through a handler table (`_EVAL`, `_EXEC`), one Python frame per node; a
+`return` is a value handed up, not an exception.  Reads of a dereference, an
 element or a data member in a walk go through the l-value's resolver.
 """
 
@@ -33,7 +34,7 @@ from .contract import c_div, c_mod
 from .errors import RuntimeFault
 from .runtime import Cell, ConstraintEntry, Engine, Entry
 from .shapes import SHAPES
-from .types import BOOL, Array, ClassType, FuncType, Ptr, make_type
+from .types import BOOL, Array, ClassType, Ptr, Scalar, make_type
 from .values import Block, BoundMethod, CellPtr, FuncVal, Instance, ObjPtr, value_str
 
 
@@ -123,6 +124,7 @@ class Machine:
         self._steps: dict[str, tuple] = {}      # the steps of functions run by name
         self._resolvers: dict[int, object] = {}  # id(l-value expr) -> resolver
         self._shapes: dict[tuple, object] = {}   # shape key -> evaluator
+        self._bodies: dict[int, object] = {}     # id(body) -> its runner, once it has run
         self._decls: dict[tuple, ast.FuncDecl] = {
             (None, f.name): f for f in self.unit.functions}
         self._decls.update({(c.name, f.name): f for c in self.unit.classes
@@ -259,8 +261,6 @@ class Machine:
             if fr.owner is None:
                 raise RuntimeFault(f"member '{binding[2]}' accessed without owner")
             return fr.owner.members[binding[2]]
-        if kind == "func":
-            return FuncVal(binding[1])
         if kind == "method":
             if fr.owner is None:
                 raise RuntimeFault(f"method '{binding[2]}' accessed without owner")
@@ -319,8 +319,10 @@ class Machine:
         cls = e.__class__
         if cls is ast.Name:
             i = self._bound(e, leaves, members, False)
-            return self._shape(("cell", i, True) if i is not None
-                               else ("eval", _EVAL[cls], _leaf(leaves, e)))
+            if i is not None:
+                return self._shape(("cell", i, True))
+            return (self._frame_name(e, leaves, True)
+                    or self._shape(("eval", _EVAL[cls], _leaf(leaves, e))))
         if cls in _LITERALS:
             return self._shape(("lit", _leaf(leaves, e.value)))
         if cls is ast.Binary and not isinstance(e.ty, Ptr):  # pointer +/-: a node
@@ -341,18 +343,42 @@ class Machine:
                 return self._shape(("lit", _leaf(leaves, -v if e.op == "-" else not v)))
             return self._shape(("neg" if e.op == "-" else "not",
                                 self._value(e.operand, leaves, members)))
-        if cls is ast.Deref or cls is ast.Index or (
-                (cls is ast.Dot or cls is ast.Arrow) and not isinstance(e.ty, FuncType)):
+        if cls is ast.Deref or cls is ast.Index or cls is ast.Dot or cls is ast.Arrow:
             return self._cell(e, leaves, members, True)
+        if cls is ast.Call:
+            return self._call(e, leaves, members)
         return self._shape(("eval", _EVAL[cls], _leaf(leaves, e)))
+
+    def _call(self, e: ast.Call, leaves: list, members):
+        """A call's evaluator.  Its callee's declaration is a leaf, bound once:
+        there is no inheritance and no function value.  The object a method
+        is called on is evaluated before the arguments."""
+        callee = e.callee
+        decl = self._callee(callee)
+        d = _leaf(leaves, decl)
+        cls = callee.__class__
+        if decl.cls is None:
+            return self._shape(("call", d, tuple(self._value(x, leaves, members)
+                                                 for x in e.args)))
+        if cls is ast.Name:
+            obj = self._shape(("owner", _leaf(leaves, e.pos)))
+        elif cls is ast.Dot:
+            obj = self._cell(callee.obj, leaves, members, True)
+        else:
+            obj = self._shape(("pointee", self._value(callee.obj, leaves, members),
+                               _leaf(leaves, callee.pos)))
+        return self._shape(("call method", obj, d, tuple(self._value(x, leaves, members)
+                                                         for x in e.args)))
 
     def _cell(self, e: ast.Expr, leaves: list, members, value: bool):
         """The evaluator of l-value e's cell, or of its value with `value`."""
         cls = e.__class__
         if cls is ast.Name:
             i = self._bound(e, leaves, members)
-            return self._shape(("cell", i, value) if i is not None
-                               else ("name", _leaf(leaves, e), value))
+            if i is not None:
+                return self._shape(("cell", i, value))
+            return (self._frame_name(e, leaves, value)
+                    or self._shape(("name", _leaf(leaves, e), value)))
         if cls is ast.Deref:
             i = self._bound(e.operand, leaves, members)
             if i is not None:
@@ -399,6 +425,15 @@ class Machine:
             v = v.obj_cell
         return _leaf(leaves, v) if v.__class__ is Cell else None
 
+    def _frame_name(self, e: ast.Name, leaves: list, value: bool):
+        """The evaluator of a scalar local or data member, read from the
+        frame at each run, or None for any other name."""
+        kind = e.binding[0]
+        if (kind == "local" or kind == "member") and isinstance(e.ty, (Scalar, Ptr)):
+            return self._shape(("local" if kind == "local" else "own",
+                                _leaf(leaves, e.name), value))
+        return None
+
     def _shape(self, key: tuple):
         fn = self._shapes.get(key)
         if fn is None:
@@ -429,8 +464,6 @@ class Machine:
              self.globals[b[1]] if b[0] == "global" else self._lookup(b, fr))
         if v.__class__ is Cell:
             return v.value
-        if isinstance(v, (FuncVal, BoundMethod)):
-            return v
         if isinstance(v, Instance):
             raise RuntimeFault(f"object '{e.name}' used as a value", e.pos)
         raise RuntimeFault(f"array '{e.name}' used as a value", e.pos)
@@ -438,17 +471,6 @@ class Machine:
     def _eval_storage(self, e, fr: Frame):
         """The value of the cell an l-value denotes, read by its resolver."""
         return (self._resolvers.get(id(e)) or self._resolver(e))(fr).value
-
-    def _eval_member(self, e, fr: Frame):
-        if not isinstance(e.ty, FuncType):
-            return self._eval_storage(e, fr)
-        if e.__class__ is ast.Dot:
-            return BoundMethod(self.lv_cell(e.obj, fr).value, e.member)
-        obj = e.obj
-        v = _EVAL[obj.__class__](self, obj, fr)
-        if v is None:
-            raise RuntimeFault("null pointer dereference", e.pos)
-        return BoundMethod(v.instance, e.member)
 
     def _eval_addr(self, e: ast.AddrOf, fr: Frame):
         cell = self.lv_cell(e.operand, fr)
@@ -481,22 +503,27 @@ class Machine:
         return _BINARY_OPS[op](a, b)
 
     def _eval_call(self, e: ast.Call, fr: Frame):
+        """A call in a walk, bound as the `call` shapes bind it."""
         callee = e.callee
-        kind = callee.binding[0] if callee.__class__ is ast.Name else None
-        if kind == "method" and fr.owner is None:
-            raise RuntimeFault("method call without owner", e.pos)
-        target = (None if kind == "func" or kind == "method"
-                  else _EVAL[callee.__class__](self, callee, fr))
-        args = [_EVAL[a.__class__](self, a, fr) for a in e.args]
-        if kind == "func":
-            return self.call_function(callee.binding[1], args)
-        if kind == "method":
-            return self.call_method(fr.owner, callee.binding[2], args)
-        if isinstance(target, FuncVal):
-            return self.call_function(target.name, args)
-        if isinstance(target, BoundMethod):
-            return self.call_method(target.instance, target.name, args)
-        raise RuntimeFault("call of a non-function value", e.pos)
+        decl = self._callee(callee)
+        cls = callee.__class__
+        if decl.cls is None:
+            return self._run_body(decl, [_EVAL[a.__class__](self, a, fr) for a in e.args],
+                                  None)
+        if cls is ast.Name:
+            inst = fr.owner
+            if inst is None:
+                raise RuntimeFault("method call without owner", e.pos)
+        elif cls is ast.Dot:
+            inst = self.lv_cell(callee.obj, fr).value
+        else:
+            obj = callee.obj
+            v = _EVAL[obj.__class__](self, obj, fr)
+            if v is None:
+                raise RuntimeFault("null pointer dereference", callee.pos)
+            inst = v.instance
+        return self._call_method(inst, decl, [_EVAL[a.__class__](self, a, fr)
+                                              for a in e.args])
 
     # ----------------------------------------------------------------- calls
 
@@ -505,6 +532,18 @@ class Machine:
         if decl is None:
             raise RuntimeFault(f"undefined function '{name}'")
         return decl
+
+    def _callee(self, callee: ast.Expr) -> ast.FuncDecl:
+        """The declaration a callee names: a free function, or a method of
+        the class its type names.  Only a tree changed after checking has a
+        callee name bound to no function."""
+        if callee.__class__ is ast.Name:
+            if callee.binding[0] not in ("func", "method"):
+                raise RuntimeFault("call of a non-function value", callee.pos)
+            name = callee.name
+        else:
+            name = callee.member
+        return self._decls[(callee.ty.cls, name)]
 
     def _run_body(self, decl: ast.FuncDecl, args, owner):
         self._call_seq += 1
@@ -519,21 +558,36 @@ class Machine:
         return ret
 
     def _exec_body(self, body: ast.Block, frame: Frame):
-        """Run a function, monitor or tester body in its own frame."""
+        """Run a function, method, monitor or tester body in its own frame:
+        walked at its first run, and compiled at its second (`_compile_body`)."""
+        run = self._bodies.get(id(body))
         self.frames.append(frame)
         try:
-            return self._exec_block(body, frame)
+            if run is None:
+                self._bodies[id(body)] = partial(Machine._compile_body, self, body)
+                return self._exec_block(body, frame)
+            return run(frame)
         finally:
             if frame.instances:
                 for inst in reversed(frame.instances):
                     self._destroy_instance(inst)
             self.frames.pop()
 
+    def _compile_body(self, body: ast.Block, frame: Frame):
+        """Bind body's leaves in one tuple, keep its statement shape's runner
+        for every later run, and run it."""
+        leaves = []
+        run = self._bodies[id(body)] = partial(self._stmt(body, leaves), tuple(leaves))
+        return run(frame)
+
     def call_function(self, name: str, args):
         return self._run_body(self._func_decl(name, None), args, None)
 
     def call_method(self, inst: Instance, name: str, args):
-        decl = self._func_decl(name, inst.cls)
+        return self._call_method(inst, self._func_decl(name, inst.cls), args)
+
+    def _call_method(self, inst: Instance, decl: ast.FuncDecl, args):
+        """Run a method's body on inst, suspended for the call."""
         self.engine.suspend(inst.header, inst.obj_cell)
         try:
             return self._run_body(decl, args, inst)
@@ -575,6 +629,34 @@ class Machine:
     def _exec_return(self, s: ast.Return, fr: Frame):
         e = s.value
         return (None if e is None else _EVAL[e.__class__](self, e, fr),)
+
+    def _stmt(self, s: ast.Stmt, leaves: list):
+        """The evaluator of statement s of a body.  A body is shared by every
+        owner, so a data member is read from the frame at each run.  A
+        statement form with no compiler (a local declaration) is a leaf left
+        to its `_EXEC` handler."""
+        cls = s.__class__
+        if cls is ast.Block:
+            stmts = tuple(self._stmt(t, leaves) for t in s.stmts)
+            return stmts[0] if len(stmts) == 1 else self._shape(("stmts", stmts))
+        if cls is ast.Assign:
+            return self._shape(("assign", self._cell(s.target, leaves, None, False),
+                                self._value(s.value, leaves, None)))
+        if cls is ast.ExprStmt:
+            return self._shape(("expr", self._value(s.expr, leaves, None)))
+        if cls is ast.If:
+            cond, then = self._value(s.cond, leaves, None), self._stmt(s.then, leaves)
+            if s.orelse is None:
+                return self._shape(("if", cond, then))
+            return self._shape(("if else", cond, then, self._stmt(s.orelse, leaves)))
+        if cls is ast.While:
+            return self._shape(("while", self._value(s.cond, leaves, None),
+                                self._stmt(s.body, leaves)))
+        if cls is ast.Return:
+            x = (self._shape(("lit", _leaf(leaves, None))) if s.value is None
+                 else self._value(s.value, leaves, None))
+            return self._shape(("return", x))
+        return self._shape(("eval", _EXEC[cls], _leaf(leaves, s)))
 
     def _local_decl(self, d: ast.VarDecl, fr: Frame):
         self._call_seq += 1
@@ -781,7 +863,7 @@ _EVAL = {
     ast.IntLit: Machine._eval_literal, ast.BoolLit: Machine._eval_literal,
     ast.NullLit: Machine._eval_literal, ast.Name: Machine._eval_name,
     ast.Deref: Machine._eval_storage, ast.Index: Machine._eval_storage,
-    ast.Dot: Machine._eval_member, ast.Arrow: Machine._eval_member,
+    ast.Dot: Machine._eval_storage, ast.Arrow: Machine._eval_storage,
     ast.AddrOf: Machine._eval_addr, ast.Unary: Machine._eval_unary,
     ast.Binary: Machine._eval_binary, ast.Call: Machine._eval_call,
 }

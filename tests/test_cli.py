@@ -229,6 +229,26 @@ def test_check_reports_different_fault_texts_as_a_divergence(monkeypatch, capsys
         "0/1 seeds agree"]
 
 
+def pure_chain(n: int) -> str:
+    """`c{k} := c{k-1} + 1` for n links, written once from `main`."""
+    return ("".join(f"int c{k};\n" for k in range(n + 1))
+            + "".join(f"c{k} := c{k - 1} + 1;\n" for k in range(1, n + 1))
+            + "void main() { c0 = 1; }\n")
+
+
+def test_check_reports_a_recursion_limit_as_that_routes_fault(monkeypatch, capsys):
+    """The vm runs a 300-link pure chain in one loop; the reference
+    recurses once per link and reaches Python's recursion limit.  That is
+    the reference's runtime fault, a divergence, and no traceback."""
+    monkeypatch.setattr("declc.randgen.generate", lambda seed: pure_chain(300))
+    code, out, err = run_cli(capsys, "check", "--seed", "0", "--count", "1")
+    assert code == 3 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == "seed 0: DIVERGENCE"
+    assert "  runtime faults differ: none|fault: recursion limit exceeded" in lines
+    assert lines[-1] == "0/1 seeds agree"
+
+
 def test_check_reports_a_divergence_and_saves_the_program(monkeypatch, tmp_path, capsys):
     """A mismatch is forced on both comparisons: the reference's last event
     is dropped, and memory always differs."""
@@ -342,6 +362,9 @@ CRASH_INPUTS = {
     "object-returned-by-value": (OBJECT_CLASS + "W w; int x;\nW f() { }\n"
                                  "void main() { x = f().get(); }", [], {},
                                  1, "3:1: error: 'f': an object cannot be returned by value"),
+    "unbounded-recursion": ("int x;\nint f(int n) { return f(n + 1); }\n"
+                            "void main() { x = f(0); }", [], {},
+                            2, "runtime fault: fault: recursion limit exceeded"),
 }
 
 
@@ -355,6 +378,18 @@ def test_run_ends_without_a_traceback(tmp_path, name):
     assert "Traceback" not in proc.stderr
     assert proc.returncode == code, proc.stderr
     assert err in proc.stderr
+
+
+def test_a_120_deep_recursion_runs_on_its_third_call(tmp_path):
+    """Under Python's default recursion limit.  The third call runs f's
+    compiled body at every level."""
+    path = tmp_path / "deep.hc"
+    path.write_text("int r0; int r1; int r2;\n"
+                    "int f(int n) { if (n == 0) { return 0; } return f(n - 1) + 1; }\n"
+                    "void main() { r0 = f(120); r1 = f(120); r2 = f(120); }\n")
+    proc = declc("run", str(path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "r0 = 120\nr1 = 120\nr2 = 120\n"
 
 
 # Each shape of nesting with the largest size the parser accepts.  The

@@ -284,3 +284,160 @@ def test_chain_right_sides_share_one_evaluator():
                for s in slots)
     assert len({s[0].func for s in slots}) == 1
     assert len({id(s[0].args[0]) for s in slots}) == 320
+
+
+# ---------------------------------------------------------- compiled bodies
+# A function, method, monitor or tester body is walked at its first run,
+# compiled at its second and runs compiled from then on.  Each program below
+# runs the body under test at least three times, so each case is met in all
+# three, and compares the whole run with the reference interpreter.
+
+def assert_compiled(m: Machine, *bodies):
+    for body in bodies:
+        run = m._bodies[id(body)]
+        assert isinstance(run, partial) and run.func is not Machine._compile_body
+
+
+def body_of(m: Machine, name: str, cls: str | None = None):
+    return m._decls[(cls, name)].body
+
+
+def test_compiled_bodies_store_to_their_parameters():
+    """`g`'s call of `f` evaluates its arguments left to right, before f's
+    call is numbered."""
+    m = matches_oracle("""
+int n; int r0; int r1; int r2;
+int next() { n = n + 1; return n; }
+int f(int a, int b) { a = a * 10 + b; b = a - b; return a + b; }
+int g() { return f(next(), next()); }
+void main() { r0 = g(); r1 = g(); r2 = g(); }
+""")
+    mem = m.memory_snapshot()
+    assert (mem["r0"], mem["r1"], mem["r2"]) == ("22", "64", "106")
+    # main is call 1; each call names its parameter cells by its own number
+    assert [(e.cell, e.detail) for e in m.trace.events
+            if e.kind == tr.AFTER_CHANGE and "@" in e.cell] == [
+        ("f@5:a", "new:12"), ("f@5:b", "new:10"), ("f@9:a", "new:34"),
+        ("f@9:b", "new:30"), ("f@13:a", "new:56"), ("f@13:b", "new:50")]
+    assert_compiled(m, body_of(m, "f"), body_of(m, "g"), body_of(m, "next"))
+
+
+def test_compiled_while_returns_from_inside_the_loop():
+    m = matches_oracle("""
+int r0; int r1; int r2; int r3;
+int root(int k) { int i = 0; while (true) { if (i * i >= k) { return i; } i = i + 1; } return -1; }
+void main() { r0 = root(10); r1 = root(26); r2 = root(0); r3 = root(49); }
+""")
+    mem = m.memory_snapshot()
+    assert [mem[f"r{k}"] for k in range(4)] == ["4", "6", "0", "7"]
+    assert_compiled(m, body_of(m, "root"))
+
+
+def test_compiled_if_without_else():
+    m = matches_oracle("""
+int r0; int r1; int r2; int r3;
+int clamp(int v) { if (v > 10) { v = 10; } return v; }
+void main() { r0 = clamp(20); r1 = clamp(5); r2 = clamp(30); r3 = clamp(7); }
+""")
+    mem = m.memory_snapshot()
+    assert [mem[f"r{k}"] for k in range(4)] == ["10", "5", "10", "7"]
+    assert_compiled(m, body_of(m, "clamp"))
+
+
+LOCALS = """
+class C {
+private: int m0; int m1;
+public:
+    void set(int v) { m0 = v; }
+    int get() { return m1; }
+    m1 := m0 + 1;
+};
+int r0; int r1; int r2;
+int use(int k) { int t = k * 2; C c; c.set(t); return c.get() + t; }
+void main() { r0 = use(1); r1 = use(2); r2 = use(3); }
+"""
+
+
+def test_compiled_bodies_destroy_their_local_objects_at_exit():
+    m = matches_oracle(LOCALS)
+    mem = m.memory_snapshot()
+    assert (mem["r0"], mem["r1"], mem["r2"]) == ("5", "9", "13")
+    # each call's object (numbered after the call, `t`, and itself) installs
+    # its class-scope constraint and its dependency and cancels both on the
+    # way out, so only the globals' registrations are left
+    local = [(e.kind, e.cell) for e in m.trace.events
+             if e.kind in (tr.INSTALL, tr.CANCEL) and e.cell.startswith("use@")]
+    assert local == [(kind, f"use@{seq}:c.{member}") for seq in (4, 9, 14)
+                     for kind in (tr.INSTALL, tr.CANCEL) for member in ("m1", "m0")]
+    assert m.registration_count() == machine(LOCALS).registration_count()
+    assert m.frames == []
+    assert_compiled(m, body_of(m, "use"), body_of(m, "set", "C"), body_of(m, "get", "C"))
+
+
+def test_compiled_call_of_the_objects_own_method():
+    m = matches_oracle("""
+class W {
+private: int m;
+public:
+    void set(int v) { m = v; }
+    int get() { return m; }
+    int twice() { return get() + get(); }
+};
+W w; int r0; int r1; int r2;
+void main() { w.set(1); r0 = w.twice(); w.set(2); r1 = w.twice(); w.set(3); r2 = w.twice(); }
+""")
+    mem = m.memory_snapshot()
+    assert (mem["r0"], mem["r1"], mem["r2"]) == ("2", "4", "6")
+    assert_compiled(m, body_of(m, "twice", "W"), body_of(m, "get", "W"))
+
+
+NULL_ARROW_CALL = """
+class W { private: int m; public: int get() { return m; } };
+W w; W *q; int x;
+int via(W *o) { return o->get(); }
+void main() { x = via(q); }
+"""
+
+
+def test_compiled_arrow_call_on_null_faults_alike_on_every_call():
+    m = machine(NULL_ARROW_CALL)
+    unit = parse_source(NULL_ARROW_CALL)
+    o = Oracle(unit, check_or_raise(unit))
+    o.load()
+    with pytest.raises(RuntimeFault) as info:
+        o.call_function("via", [None])
+    texts = []
+    for _ in range(3):
+        with pytest.raises(RuntimeFault) as f:
+            m.call_function("via", [None])
+        texts.append(str(f.value))
+        assert m.frames == [] and m.globals["w"].header.n == 0
+    assert texts == 3 * [str(info.value)] == 3 * ["4:24: fault: null pointer dereference"]
+    assert_compiled(m, body_of(m, "via"))
+
+
+def test_calls_in_a_compiled_right_side_and_guard():
+    m = matches_oracle("""
+int src; int x;
+int twice(int v) { return v * 2; }
+bool positive(int v) { return v > 0; }
+x := twice(src) + 1 given positive(src);
+void main() { src = 1; src = -2; src = 3; src = 4; }
+""")
+    assert m.memory_snapshot()["x"] == "9"
+    entry, = [e for e in m._gen_frames[id(None)].entries.values()
+              if isinstance(e, ConstraintEntry)]
+    assert entry.rhs[0].func is not Machine._evaluate
+    assert_compiled(m, body_of(m, "twice"), body_of(m, "positive"))
+
+
+def test_compiled_monitor_and_tester_bodies():
+    m = matches_oracle("""
+int src; int seen; int big; int total;
+src ::= { seen = seen + 1; if (src > 2) { big = big + 1; } }
+src > 1 ?? { total = total + src; }
+void main() { src = 1; src = 2; src = 3; src = 4; }
+""")
+    mem = m.memory_snapshot()
+    assert (mem["seen"], mem["big"], mem["total"]) == ("4", "2", "9")
+    assert_compiled(m, *(c.body for c in m.unit.constructs))

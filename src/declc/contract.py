@@ -29,10 +29,11 @@ within each scope.
 
 from __future__ import annotations
 
+from .errors import RuntimeFault
+
 
 def c_div(a: int, b: int, pos=None) -> int:
     """Integer division truncating toward zero."""
-    from .errors import RuntimeFault
     if b == 0:
         raise RuntimeFault("division by zero", pos)
     q = abs(a) // abs(b)
@@ -41,7 +42,6 @@ def c_div(a: int, b: int, pos=None) -> int:
 
 def c_mod(a: int, b: int, pos=None) -> int:
     """Remainder matching truncating division: a == c_div(a,b)*b + c_mod(a,b)."""
-    from .errors import RuntimeFault
     if b == 0:
         raise RuntimeFault("modulo by zero", pos)
     return a - c_div(a, b) * b

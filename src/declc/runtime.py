@@ -1,6 +1,10 @@
 """Reactive-cell engine: registration lists, before/after change actions,
 constraint dependency edges kept on their constraining cells, and the object
-suspend/resume protocol.  Phase ordering follows the contract module."""
+suspend/resume protocol.  Phase ordering follows the contract module.
+
+A dependency edge is made once per (constraint entry, constraining l-value
+ordinal), at its first install, and held by the entry: a rebinding cancels
+and reinstalls the same edge, moving it from cell to cell."""
 
 from __future__ import annotations
 
@@ -45,6 +49,7 @@ class ConstraintEntry(Entry):
     rhs: object = None             # [evaluator (frame) -> value, ...]: its right side
     frame: object = None           # the frame the right side is evaluated in
     pure: bool = False             # no side calls, so an application runs no user code
+    edges: tuple = ()              # its DepEdges by l-value ordinal, made at first install
 
 
 # --------------------------------------------------------------------- cells
@@ -89,13 +94,20 @@ class ObjectHeader:
 # --------------------------------------------------------------- dependencies
 
 class DepEdge:
+    """The dependency of one constraint on one of its constraining l-values,
+    `(entry, lv_ordinal)`.  It is made at the first install of that pair,
+    held by its entry (`ConstraintEntry.edges`, indexed by ordinal) and kept
+    for the entry's life: a cancel unlinks it from its cell and clears
+    `live`, and a reinstall links it to the cell the l-value now denotes and
+    sets `live` again.  `from_cell` is the cell it is, or was last, on."""
+
     __slots__ = ("from_cell", "entry", "lv_ordinal", "live", "order")
 
     def __init__(self, from_cell: Cell, entry: ConstraintEntry, lv_ordinal: int):
         self.from_cell = from_cell
         self.entry = entry
         self.lv_ordinal = lv_ordinal
-        self.live = True           # cleared when the edge is removed
+        self.live = True
         self.order = (entry.seq, lv_ordinal)
 
 
@@ -103,35 +115,53 @@ _order = attrgetter("order")
 
 
 class DependencyGraph:
-    """Constraining-cell -> constraint edges.  Each edge lives on its
+    """Constraining-cell -> constraint edges.  Each live edge is on its
     constraining cell (`Cell.dependencies`), kept in firing order: instantiation
-    order (entry seq, then constraining l-value ordinal).  `edges` indexes the
-    live edges by that order for add/remove checks and whole-program views."""
+    order (entry seq, then constraining l-value ordinal).  There is no
+    graph-wide index: an edge is found through its entry, and the graph keeps
+    only the number of live edges."""
 
     def __init__(self):
-        self.edges: dict[tuple[int, int], DepEdge] = {}
+        self.live = 0
 
     def add(self, from_cell: Cell, entry: ConstraintEntry, lv_ordinal: int):
-        edge = DepEdge(from_cell, entry, lv_ordinal)
-        if edge.order in self.edges:
+        edges = entry.edges
+        edge = edges[lv_ordinal] if lv_ordinal < len(edges) else None
+        if edge is None:  # the first install of this (entry, ordinal)
+            edge = DepEdge(from_cell, entry, lv_ordinal)
+            pad = (None,) * (lv_ordinal - len(edges))
+            entry.edges = edges[:lv_ordinal] + pad + (edge,) + edges[lv_ordinal + 1:]
+        elif edge.live:
             raise RuntimeFault(f"dependency edge registered twice ({entry.fn})")
-        self.edges[edge.order] = edge
-        if from_cell.dependencies.__class__ is list:
-            # a reinstall keeps its seq, so the edge may belong mid-list
-            insort(from_cell.dependencies, edge, key=_order)
         else:
+            edge.from_cell = from_cell
+            edge.live = True
+        self.live += 1
+        deps = from_cell.dependencies
+        if deps.__class__ is not list:
             from_cell.dependencies = [edge]
+        elif not deps or deps[-1].order < edge.order:
+            deps.append(edge)
+        else:  # a reinstall keeps its seq, so the edge may belong mid-list
+            insort(deps, edge, key=_order)
 
     def remove(self, from_cell: Cell, entry: ConstraintEntry, lv_ordinal: int):
-        edge = self.edges.pop((entry.seq, lv_ordinal), None)
-        if edge is None:
+        edges = entry.edges
+        edge = edges[lv_ordinal] if lv_ordinal < len(edges) else None
+        if edge is None or not edge.live:
             raise RuntimeFault(f"cancel of unregistered dependency ({entry.fn})")
         edge.live = False
+        self.live -= 1
         deps = edge.from_cell.dependencies
-        del deps[bisect_left(deps, edge.order, key=_order)]
+        if deps[-1] is edge:
+            deps.pop()
+        elif deps[0] is edge:  # a run cancels its cell's edges in order
+            del deps[0]
+        else:
+            del deps[bisect_left(deps, edge.order, key=_order)]
 
     def __len__(self):
-        return len(self.edges)
+        return self.live
 
 
 # -------------------------------------------------------------------- engine
@@ -244,23 +274,21 @@ class Engine:
 
     def resolve(self, changed: Cell):
         """Fire the edges changed has when its resolution starts, in order,
-        each one that is still on changed at its turn.  An edge an earlier
-        firing cancelled and reinstalled there fires as the new edge; one it
-        moved away or added does not, as in the reference interpreter.
+        each one that is live on changed at its turn.  An edge an earlier
+        firing cancelled and reinstalled there still fires; one it moved
+        away or added does not, as in the reference interpreter.
 
         A firing that hands its target back (see `fire`) wrote a cell with no
         phase-1 or phase-2 work: the target's edges are resolved here next,
         from a snapshot taken now, and its preconditions run when they are
         done, before the edges after it.  So a cascade of such writes runs
         in this one loop, depth first, with a stack of the levels it left."""
-        fire, edges = self.fire, self.deps.edges
+        fire = self.fire
         cell, todo, stack = changed, iter(list(changed.dependencies)), None
         while True:
             for edge in todo:
-                if not edge.live:
-                    edge = edges.get(edge.order)
-                    if edge is None or edge.from_cell is not cell:
-                        continue
+                if not (edge.live and edge.from_cell is cell):
+                    continue
                 target = fire(edge.entry, True)
                 if target is not None:
                     if stack is None:

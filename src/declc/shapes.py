@@ -21,7 +21,7 @@ from __future__ import annotations
 from . import ast
 from .errors import RuntimeFault
 from .runtime import Cell
-from .values import Block, BoundMethod, CellPtr, Instance, ObjPtr
+from .values import Block, BoundMethod, CellPtr, Instance, ObjPtr, address
 
 
 def _lit(m, i):
@@ -187,6 +187,13 @@ def _arrow(m, obj, i, value):
     return arrow
 
 
+def _addr(m, x, obj):
+    """`&x`: a pointer to x's cell, or for an object the object itself."""
+    if obj:
+        return lambda a, fr: ObjPtr(x(a, fr).value)
+    return lambda a, fr: address(x(a, fr))
+
+
 def _owner(m, p):
     """The object an own method is called on: the frame's owner."""
     def owner(a, fr):
@@ -285,7 +292,7 @@ SHAPES = {
     "deref cell": _deref_cell, "deref": _deref,
     "elem cell": _elem_cell, "elem": _elem,
     "block": _block, "ptr elem": _ptr_elem,
-    "member": _member, "arrow": _arrow,
+    "member": _member, "arrow": _arrow, "addr": _addr,
     "local": _local, "own": _own,
     "owner": _owner, "pointee": _pointee,
     "call": _call, "call method": _call_method,

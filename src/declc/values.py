@@ -38,6 +38,15 @@ class CellPtr:
         return self.block.cells[self.offset]
 
 
+def address(cell: Cell) -> CellPtr:
+    """A pointer to cell.  A scalar's one-cell block is made here, the first
+    time its address is taken, and kept, so its pointers compare equal."""
+    block = cell.block
+    if block is None:
+        block = cell.block = Block(cell.name, [cell])
+    return CellPtr(block, cell.index)
+
+
 class ObjPtr:
     __slots__ = ("instance",)
 

@@ -35,7 +35,8 @@ from .errors import RuntimeFault
 from .runtime import Cell, ConstraintEntry, Engine, Entry
 from .shapes import SHAPES
 from .types import BOOL, Array, ClassType, Ptr, Scalar, make_type
-from .values import Block, BoundMethod, CellPtr, FuncVal, Instance, ObjPtr, value_str
+from .values import (Block, BoundMethod, CellPtr, FuncVal, Instance, ObjPtr, address,
+                     value_str)
 
 
 # -------------------------------------------------------------------- frames
@@ -84,15 +85,6 @@ def _array(name: str, size: int, value) -> Block:
     block = Block(name, [])
     block.cells = [Cell(f"{name}[{k}]", value, block, k) for k in range(size)]
     return block
-
-
-def _address(cell: Cell) -> CellPtr:
-    """A pointer to cell.  A scalar's one-cell block is made here, the first
-    time its address is taken, and kept, so its pointers compare equal."""
-    block = cell.block
-    if block is None:
-        block = cell.block = Block(cell.name, [cell])
-    return CellPtr(block, cell.index)
 
 
 def _cells(v, objects: bool):
@@ -347,6 +339,9 @@ class Machine:
             return self._cell(e, leaves, members, True)
         if cls is ast.Call:
             return self._call(e, leaves, members)
+        if cls is ast.AddrOf and ast.is_lvalue_form(e.operand):
+            return self._shape(("addr", self._cell(e.operand, leaves, members, False),
+                                isinstance(e.operand.ty, ClassType)))
         return self._shape(("eval", _EVAL[cls], _leaf(leaves, e)))
 
     def _call(self, e: ast.Call, leaves: list, members):
@@ -474,7 +469,7 @@ class Machine:
 
     def _eval_addr(self, e: ast.AddrOf, fr: Frame):
         cell = self.lv_cell(e.operand, fr)
-        return ObjPtr(cell.value) if isinstance(e.operand.ty, ClassType) else _address(cell)
+        return ObjPtr(cell.value) if isinstance(e.operand.ty, ClassType) else address(cell)
 
     def _eval_unary(self, e: ast.Unary, fr: Frame):
         op = e.operand
@@ -827,10 +822,15 @@ class Machine:
                 + len(self.engine.deps))
 
     def dependency_links(self) -> list[tuple[str, str]]:
-        """Current (constraining cell, constrained cell) pairs; the constrained
-        side is resolved lazily, mirroring fire-time behavior."""
+        """Current (constraining cell, constrained cell) pairs in firing
+        order, read off the live edges of the owners' constraint entries; the
+        constrained side is resolved lazily, mirroring fire-time behavior."""
+        live = sorted((edge for fr in self._gen_frames.values()
+                       for entry in fr.entries.values() if entry.__class__ is ConstraintEntry
+                       for edge in entry.edges if edge is not None and edge.live),
+                      key=operator.attrgetter("order"))
         out = []
-        for key, edge in sorted(self.engine.deps.edges.items()):
+        for edge in live:
             try:
                 target = edge.entry.target()
                 out.append((edge.from_cell.name, target.name))

@@ -441,3 +441,27 @@ void main() { src = 1; src = 2; src = 3; src = 4; }
     mem = m.memory_snapshot()
     assert (mem["seen"], mem["big"], mem["total"]) == ("4", "2", "9")
     assert_compiled(m, *(c.body for c in m.unit.constructs))
+
+
+ADDRESSES = """
+class W { private: int m; public: void set(int v) { m = v; } int get() { return m; } };
+int s[4]; W w0; W w1; int *p = &s[3]; W *q = &w1; int x; int y; int r;
+x := *p + 1;
+y := q->get() * 2;
+void aim(int k) { p = &s[k]; if (k % 2 == 0) { q = &w0; } else { q = &w1; } s[k] = k * 10; }
+void main() { w0.set(5); w1.set(7); aim(1); aim(2); aim(3); aim(0); w0.set(9); r = *p + q->get(); }
+"""
+
+
+def test_compiled_address_of_an_element_and_an_object():
+    """`&s[k]` and `&w0` in a body: walked, compiled, then run compiled,
+    each moving the dependency edges that read through `p` and `q`: `y`
+    follows the last object `q` was aimed at."""
+    m = matches_oracle(ADDRESSES)
+    mem = m.memory_snapshot()
+    assert (mem["p"], mem["q"], mem["x"], mem["y"], mem["r"]) == (
+        "&s[0]", "&w0", "1", "18", "9")
+    assert_compiled(m, body_of(m, "aim"))
+    # compiled as `addr` shapes over the operands' cells, not left to `_eval_addr`
+    assert [key[2] for key in m._shapes if key[0] == "addr"] == [False, True, True]
+    assert not any(Machine._eval_addr in key for key in m._shapes)

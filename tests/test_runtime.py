@@ -178,7 +178,33 @@ def test_dependency_reinstall_mid_list_keeps_order():
     g.add(c, entries[2], 0)
     assert [d.order for d in c.dependencies] == \
         [(k, j) for k in range(5) for j in (0, 1)]
-    assert c.dependencies[5] is not old and c.dependencies[5].live
+    assert c.dependencies[5] is old and c.dependencies[5].live
+
+
+def test_dependency_edge_moved_away_and_back_keeps_its_place():
+    """An edge is one object for its (constraint, ordinal): moved A -> B -> A
+    it goes back to its place among A's edges, and `len` counts only the
+    live edges."""
+    g = DependencyGraph()
+    a, b = Cell("a"), Cell("b")
+    entries = [ConstraintEntry(f"f{k}", None, seq=k) for k in range(3)]
+    for en in entries:
+        g.add(a, en, 0)
+    edge = a.dependencies[1]
+    g.remove(a, entries[1], 0)
+    assert len(g) == 2 and not edge.live
+    g.add(b, entries[1], 0)
+    assert b.dependencies == [edge] and edge.from_cell is b and edge.live
+    assert [d.entry.fn for d in a.dependencies] == ["f0", "f2"]
+    g.remove(b, entries[1], 0)
+    g.remove(a, entries[2], 0)
+    assert len(g) == 1 and b.dependencies == []
+    g.add(a, entries[1], 0)
+    assert a.dependencies == [entries[0].edges[0], edge] and edge.from_cell is a
+    g.add(a, entries[2], 0)
+    assert [d.entry.fn for d in a.dependencies] == ["f0", "f1", "f2"]
+    assert a.dependencies[1] is edge and entries[1].edges == (edge,)
+    assert len(g) == 3
 
 
 def test_dependency_lists_against_sorted_model():

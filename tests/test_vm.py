@@ -1,5 +1,7 @@
 import gc
+import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,9 @@ from declc.errors import RuntimeFault
 from declc.oracle import Oracle, diff_traces
 from declc.parser import parse_source
 from declc.vm import Machine, compile_source
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import RebindProgram  # noqa: E402
 
 
 # ------------------------------------------------------------- load behavior
@@ -880,3 +885,33 @@ def test_a_pure_application_to_a_monitored_cell_stores_through_the_host():
     assert [(records[i], records[i + 2]) for i in range(0, 3 * tr.STRIDE, tr.STRIDE)] == [
         (tr.STORE, "x"), (tr.CONSTRAINT_APPLIED, "y"), (tr.STORE, "y")]
     assert records[tr.STRIDE + 3] == "construct:0"
+
+
+def test_retargeting_moves_edges_to_a_fresh_machines_state():
+    """200 random moves of p, i, y and q leave the same edges, in the same
+    order on each cell, as a fresh machine driven to the same bindings with
+    one move of p and one of i; teardown then cancels every registration."""
+    prog = RebindProgram("retarget", 8, 2)
+    source = prog.source()
+    m = machine(source)
+    m.call_function("main", [])
+    rng = random.Random(11)
+    moves = [prog.request(rng)[1] for _ in range(200)]
+    for v in moves:
+        m.call_function("retarget", [v])
+    last = {v % 2: k for k, v in enumerate(moves)}  # the last move of p and of i
+    fresh = machine(source)
+    fresh.call_function("main", [])
+    for k in sorted(last.values()):
+        fresh.call_function("retarget", [moves[k]])
+
+    def edges(mc):
+        return [(c.name, [d.order for d in c.dependencies])
+                for c in mc.all_cells() if c.dependencies]
+
+    assert len(m.engine.deps) == len(fresh.engine.deps) > 0
+    assert m.registration_count() == fresh.registration_count()
+    assert m.dependency_links() == fresh.dependency_links()
+    assert edges(m) == edges(fresh)
+    m.teardown()
+    assert m.registration_count() == 0 and len(m.engine.deps) == 0

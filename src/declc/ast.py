@@ -40,7 +40,9 @@ class NullLit(Expr):
 class Name(Expr):
     name: str
     # filled in by the checker: ("global", name) | ("local", name)
-    # | ("member", class_name, name) | ("func", name) | ("method", class_name, name)
+    # | ("member", class_name, name) | ("func", name) | ("method", class_name, name);
+    # a "func" or "method" name is only ever a callee: a call binds its
+    # declaration, and a free function's name is no l-value (contract.py)
     binding: object = field(default=None, compare=False, repr=False)
 
 

@@ -210,7 +210,7 @@ class Checker:
                 elif vt is not None and not assign_compatible(tt, vt):
                     self.error(s.pos, f"cannot assign '{vt}' to '{tt}'")
         elif isinstance(s, ast.ExprStmt):
-            self.expr(s.expr)
+            self.check_value(s.expr, self.expr(s.expr))
         elif isinstance(s, ast.If):
             ct = self.expr(s.cond)
             if ct is not None and ct != BOOL:
@@ -223,16 +223,15 @@ class Checker:
             if ct is not None and ct != BOOL:
                 self.error(s.pos, f"condition must be bool, got '{ct}'")
             self.stmt(s.body)
-        elif isinstance(s, ast.Return):
+        else:  # a Return
             vt = self.expr(s.value) if s.value is not None else VOID
             if self.cur_ret is None:  # a monitor or tester body has no caller
                 self.error(s.pos, "'return' outside a function")
-            elif vt is not None and self.cur_ret != VOID \
-                    and not assign_compatible(self.cur_ret, vt):
+            elif self.cur_ret == VOID:
+                self.check_value(s.value, vt)
+            elif vt is not None and not assign_compatible(self.cur_ret, vt):
                 self.error(s.pos, f"cannot return '{vt}' from function returning "
                                   f"'{self.cur_ret}'")
-        else:
-            raise TypeError(f"unknown statement {type(s).__name__}")
 
     # ------------------------------------------------------------- expressions
 
@@ -259,6 +258,14 @@ class Checker:
         t = self._expr(e)
         e.ty = t
         return t
+
+    def check_value(self, e: ast.Expr | None, t: Type | None):
+        """The value of an expression statement or of a void function's
+        `return` is ignored, but it must be one: an array, an object or a
+        function is not, while any call's result is."""
+        if (e is not None and t is not None and not is_assignable_storage(t)
+                and not isinstance(e, ast.Call)):
+            self.error(e.pos, f"'{expr_str(e)}' is not a value")
 
     def _expr(self, e: ast.Expr) -> Type | None:
         if isinstance(e, ast.IntLit):
@@ -313,11 +320,7 @@ class Checker:
                 return bt.pointee
             self.error(e.pos, f"cannot index a value of type '{bt}'")
             return None
-        if isinstance(e, ast.Dot):
-            return self.member_access(e, e.obj, e.member, arrow=False)
-        if isinstance(e, ast.Arrow):
-            return self.member_access(e, e.obj, e.member, arrow=True)
-        raise TypeError(f"unknown expression {type(e).__name__}")
+        return self.member_access(e, e.obj, e.member, arrow=isinstance(e, ast.Arrow))
 
     def binary(self, e: ast.Binary) -> Type | None:
         lt = self.expr(e.left)
@@ -351,13 +354,13 @@ class Checker:
                     self.error(e.pos, f"cannot compare '{lt}' with '{rt}'")
                 elif isinstance(lt, ClassType):
                     self.error(e.pos, f"operator '{op}' on objects ('{lt}')")
+                elif not is_assignable_storage(lt):  # an array, a function or void
+                    self.error(e.pos, f"operator '{op}' on '{lt}' values")
             return BOOL
-        if op in ("&&", "||"):
-            for t in (lt, rt):
-                if t is not None and t != BOOL:
-                    self.error(e.pos, f"operator '{op}' requires bool operands, got '{t}'")
-            return BOOL
-        raise ValueError(f"unknown operator {op}")
+        for t in (lt, rt):  # `&&` or `||`
+            if t is not None and t != BOOL:
+                self.error(e.pos, f"operator '{op}' requires bool operands, got '{t}'")
+        return BOOL
 
     def call(self, e: ast.Call) -> Type | None:
         self.calls += 1
@@ -389,10 +392,7 @@ class Checker:
                 self.error(e.pos, f"'.' requires an object, got '{ot}'")
                 return None
             cname = ot.name
-        ci = self.info.classes.get(cname)
-        if ci is None:
-            self.error(e.pos, f"unknown class '{cname}'")
-            return None
+        ci = self.info.classes[cname]  # the parser knows every class name
         if member in ci.methods:
             return ci.methods[member]
         if member in ci.members:

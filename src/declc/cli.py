@@ -37,17 +37,11 @@ def cmd_parse(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    from .lvgraph import build_graph, check_acyclic, to_dot
+    from .lvgraph import build_graph, to_dot
 
     unit = parse_source(_read(args.file))
     check_or_raise(unit)
     graph = build_graph(unit)
-    cycle = check_acyclic(graph)
-    if cycle is not None:
-        chain = " -> ".join(n.str for n in cycle)
-        print(f"{args.file}: error: redefinition graph has a cycle: {chain}",
-              file=sys.stderr)
-        return EXIT_SOURCE_ERROR
     if args.dot:
         sys.stdout.write(to_dot(graph))
     else:
@@ -214,9 +208,6 @@ def main(argv=None) -> int:
         for d in e.diagnostics:
             print(d.render(getattr(args, "file", "<input>")), file=sys.stderr)
         return EXIT_SOURCE_ERROR
-    except RuntimeFault as f:
-        print(f"runtime fault: {f}", file=sys.stderr)
-        return EXIT_RUNTIME_FAULT
     except OSError as e:
         print(str(e), file=sys.stderr)
         return EXIT_SOURCE_ERROR

@@ -121,9 +121,7 @@ def mangle_expr(e: ast.Expr) -> str:
         return str(e.value)
     if isinstance(e, ast.BoolLit):
         return "true" if e.value else "false"
-    if isinstance(e, ast.NullLit):
-        return "null"
-    return _sanitize(type(e).__name__.lower())
+    return "null"  # a NullLit
 
 
 def mangle(lv: LvNode) -> str:
@@ -203,13 +201,11 @@ class Emitter:
             fn = plan.monitor_fn = self.names.fresh(f"monitor_{c.ordinal}")
             self.add(GenFunction(fn, MONITOR_BODY, c.ordinal, stmts=c.body))
             kind, regd, deps = "monitor", [info.lhs], []
-        elif isinstance(c, ast.Precond):
+        else:  # a Precond
             fn = plan.tester_fn = self.names.fresh(f"tester_{c.ordinal}")
             self.add(GenFunction(fn, PRECOND_TESTER, c.ordinal,
                                  expr=c.cond, stmts=c.body))
             kind, regd, deps = "precondition", info.cond_lvs, []
-        else:
-            raise TypeError(type(c).__name__)
 
         # distinct l-values of the construct, innermost redefining ones first
         nodes: list[LvNode] = []

@@ -21,6 +21,11 @@ After a value is written into a cell, reactions run in four phases:
   4. Precondition testers.  Every tester registered on the written cell runs,
      once per triggering write, in registration order.
 
+Triggers are the l-values of a construct's sides.  A free function's name is
+not an l-value: `x := f(y);` depends on `y` only, and nothing writes a
+function.  A method's callee (`w.get`, `q->get`, an own `get`) denotes its
+object's cell, so an update of the object re-applies what calls it.
+
 A "wave" is the dynamic extent of the outermost store.  Instantiation order
 is chronological install order: class-scope constructs install at instance
 construction, file-scope constructs at end-of-load, in declaration order

@@ -5,6 +5,9 @@ containment is tested at token granularity, so the identifier `i` never
 matches inside `ii`, only inside larger l-values that contain the whole
 token (`p[i]`).  For class members the canonical form carries the owner
 cast prefix `((A*)owner)->m`, keeping members of distinct classes apart.
+
+Every redefinition edge runs from a proper token sub-list of its target (an
+l-value is redefined by its constituents), so the graph has no cycle.
 """
 
 from __future__ import annotations
@@ -160,18 +163,22 @@ class Analyzer:
             t1, l1 = self.analyze(e.left)
             t2, l2 = self.analyze(e.right)
             return t1 + [e.op] + t2, merge(l1, l2)
-        if isinstance(e, ast.Call):
-            t, lvs = self.analyze(e.callee)
+        # a call: a free function's name is not an l-value (contract.py), a
+        # method's callee denotes its object's cell
+        callee = e.callee
+        if callee.__class__ is ast.Name and callee.binding[0] == "func":
+            tokens, lvs = [callee.name, "("], []
+        else:
+            t, lvs = self.analyze(callee)
             tokens = t + ["("]
-            for k, a in enumerate(e.args):
-                ta, la = self.analyze(a)
-                if k:
-                    tokens.append(",")
-                tokens += ta
-                lvs = merge(lvs, la)
-            tokens.append(")")
-            return tokens, lvs
-        raise TypeError(f"unknown expression {type(e).__name__}")
+        for k, a in enumerate(e.args):
+            ta, la = self.analyze(a)
+            if k:
+                tokens.append(",")
+            tokens += ta
+            lvs = merge(lvs, la)
+        tokens.append(")")
+        return tokens, lvs
 
 
 # ------------------------------------------------------------------ building
@@ -196,50 +203,6 @@ def build_graph(unit: ast.Unit) -> RedefGraph:
             info.cond_str = "".join(tokens)
         g.constructs[c.ordinal] = info
     return g
-
-
-def dependents_closure(g: RedefGraph, node: LvNode) -> list[LvNode]:
-    """All nodes reachable over dependents edges, preorder DFS, node excluded."""
-    out, seen = [], {id(node)}
-
-    def walk(n):
-        for d in n.dependents:
-            if id(d) not in seen:
-                seen.add(id(d))
-                out.append(d)
-                walk(d)
-
-    walk(node)
-    return out
-
-
-def check_acyclic(g: RedefGraph):
-    """Returns None for acyclic graphs, else one offending node sequence."""
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {id(n): WHITE for n in g.nodes.values()}
-    stack_path: list[LvNode] = []
-
-    def visit(n) -> list[LvNode] | None:
-        color[id(n)] = GREY
-        stack_path.append(n)
-        for d in n.dependents:
-            if color[id(d)] == GREY:
-                i = next(k for k, m in enumerate(stack_path) if m is d)
-                return stack_path[i:] + [d]
-            if color[id(d)] == WHITE:
-                cycle = visit(d)
-                if cycle is not None:
-                    return cycle
-        stack_path.pop()
-        color[id(n)] = BLACK
-        return None
-
-    for n in g.nodes.values():
-        if color[id(n)] == WHITE:
-            cycle = visit(n)
-            if cycle is not None:
-                return cycle
-    return None
 
 
 def to_dot(g: RedefGraph) -> str:

@@ -51,9 +51,6 @@ class OPtr:
         return (isinstance(other, OPtr) and other.block is self.block
                 and other.offset == self.offset)
 
-    def __hash__(self):
-        return hash((id(self.block), self.offset))
-
 
 class OObjPtr:
     __slots__ = ("instance",)
@@ -63,14 +60,6 @@ class OObjPtr:
 
     def __eq__(self, other):
         return isinstance(other, OObjPtr) and other.instance is self.instance
-
-    def __hash__(self):
-        return hash(id(self.instance))
-
-
-@dataclass(frozen=True)
-class OFunc:
-    name: str
 
 
 @dataclass(frozen=True)
@@ -133,11 +122,7 @@ def _vstr(v) -> str:
         if 0 <= v.offset < len(v.block.cells):
             return "&" + v.block.cells[v.offset].name
         return f"&{v.block.name}[{v.offset}]"
-    if isinstance(v, OObjPtr):
-        return "&" + v.instance.name
-    if isinstance(v, OFunc):
-        return v.name
-    return repr(v)
+    return "&" + v.instance.name  # an OObjPtr
 
 
 _OLD, _NEW = ("old:", _vstr), ("new:", _vstr)  # trace details of a store
@@ -172,15 +157,13 @@ def lv_tokens(e: ast.Expr) -> list[str]:
         return [e.op] + lv_tokens(e.operand)
     if isinstance(e, ast.Binary):
         return lv_tokens(e.left) + [e.op] + lv_tokens(e.right)
-    if isinstance(e, ast.Call):
-        out = lv_tokens(e.callee) + ["("]
-        for k, a in enumerate(e.args):
-            if k:
-                out.append(",")
-            out += lv_tokens(a)
-        out.append(")")
-        return out
-    raise TypeError(type(e).__name__)
+    out = lv_tokens(e.callee) + ["("]  # a call
+    for k, a in enumerate(e.args):
+        if k:
+            out.append(",")
+        out += lv_tokens(a)
+    out.append(")")
+    return out
 
 
 def lv_str(e: ast.Expr) -> str:
@@ -216,7 +199,12 @@ def _children(e: ast.Expr):
     if isinstance(e, ast.Binary):
         return [e.left, e.right]
     if isinstance(e, ast.Call):
-        return [e.callee] + list(e.args)
+        # a free function's name is no l-value (contract.py); a method's
+        # callee denotes its object
+        callee = e.callee
+        if isinstance(callee, ast.Name) and callee.binding[0] == "func":
+            return list(e.args)
+        return [callee] + list(e.args)
     return []
 
 
@@ -253,7 +241,6 @@ class Oracle:
         self.info = info
         self.trace = sink if sink is not None else tr.TraceSink()
         self.globals: dict[str, object] = {}
-        self.func_cells: dict[str, OCell] = {}
         self.frames: list[OFrame] = []
         self.installed: list[Installed] = []
         self.owner_of: dict[int, OInstance] = {}  # cell id -> notified instance
@@ -323,11 +310,6 @@ class Oracle:
         self.installed.append(inst)
         if isinstance(c, ast.Constraint):
             self._apply(inst, via_resolution=False)
-
-    def func_cell(self, name: str) -> OCell:
-        if name not in self.func_cells:
-            self.func_cells[name] = OCell(f"func:{name}", OFunc(name))
-        return self.func_cells[name]
 
     # -------------------------------------------------------------- top level
 
@@ -452,8 +434,6 @@ class Oracle:
                 if self._try_cell(lv, fr) is cell:
                     edges.append((inst.seq, j, inst, lv))
         for _, _, inst, lv in sorted(edges, key=lambda t: (t[0], t[1])):
-            if inst not in self.installed:
-                continue   # cancelled by an earlier firing in this wave
             if self._try_cell(lv, self._owner_frame(inst)) is not cell:
                 continue   # rebound by an earlier firing in this wave
             self._apply(inst, via_resolution=True)
@@ -529,16 +509,8 @@ class Oracle:
         if kind == "global":
             return self.globals[binding[1]]
         if kind == "member":
-            if fr.owner is None:
-                raise RuntimeFault(f"member '{binding[2]}' accessed without owner")
             return fr.owner.members[binding[2]]
-        if kind == "func":
-            return OFunc(binding[1])
-        if kind == "method":
-            if fr.owner is None:
-                raise RuntimeFault(f"method '{binding[2]}' accessed without owner")
-            return OBound(fr.owner, binding[2])
-        raise RuntimeFault(f"unresolvable name binding {binding!r}")
+        return OBound(fr.owner, binding[2])  # an own method, named as a callee
 
     def lv_cell(self, e: ast.Expr, fr: OFrame) -> OCell:
         if isinstance(e, ast.Name):
@@ -547,8 +519,6 @@ class Oracle:
                 return v
             if isinstance(v, OInstance):
                 return v.obj_cell
-            if isinstance(v, OFunc):
-                return self.func_cell(v.name)
             if isinstance(v, OBound):
                 return v.instance.obj_cell
             raise RuntimeFault(f"'{e.name}' does not denote a single cell", e.pos)
@@ -558,52 +528,35 @@ class Oracle:
                 raise RuntimeFault("null pointer dereference", e.pos)
             if isinstance(v, OObjPtr):
                 return v.instance.obj_cell
-            if not isinstance(v, OPtr):
-                raise RuntimeFault("dereference of a non-pointer value", e.pos)
             return self._at(v, e.pos)
         if isinstance(e, ast.Index):
             idx = self.eval(e.index, fr)
             if isinstance(e.base.ty, Array):
-                blk = self._block_of(e.base, fr)
+                blk = self._lookup(e.base.binding, fr)  # an array is a name
                 if not (0 <= idx < len(blk.cells)):
                     raise RuntimeFault(f"index {idx} out of bounds", e.pos)
                 return blk.cells[idx]
             v = self.eval(e.base, fr)
             if v is None:
                 raise RuntimeFault("null pointer indexed", e.pos)
-            if not isinstance(v, OPtr):
-                raise RuntimeFault("indexing a non-pointer value", e.pos)
             return self._at(OPtr(v.block, v.offset + idx), e.pos)
         if isinstance(e, ast.Dot):
-            return self._member_cell(self.instance_of(e.obj, fr), e.member, e.pos)
-        if isinstance(e, ast.Arrow):
-            v = self.eval(e.obj, fr)
-            if v is None:
-                raise RuntimeFault("null pointer dereference", e.pos)
-            if not isinstance(v, OObjPtr):
-                raise RuntimeFault("'->' on a non-object pointer", e.pos)
-            return self._member_cell(v.instance, e.member, e.pos)
-        raise RuntimeFault(f"not an l-value: {type(e).__name__}", e.pos)
+            return self._member_cell(self.instance_of(e.obj, fr), e.member)
+        v = self.eval(e.obj, fr)  # an Arrow
+        if v is None:
+            raise RuntimeFault("null pointer dereference", e.pos)
+        return self._member_cell(v.instance, e.member)
 
     def _at(self, p: OPtr, pos) -> OCell:
         if not (0 <= p.offset < len(p.block.cells)):
             raise RuntimeFault(f"pointer outside storage '{p.block.name}'", pos)
         return p.block.cells[p.offset]
 
-    def _member_cell(self, inst: OInstance, member: str, pos) -> OCell:
+    def _member_cell(self, inst: OInstance, member: str) -> OCell:
         if member in inst.members:
             m = inst.members[member]
             return m.obj_cell if isinstance(m, OInstance) else m
-        if member in self.info.classes[inst.cls].methods:
-            return inst.obj_cell
-        raise RuntimeFault(f"no member '{member}'", pos)
-
-    def _block_of(self, e: ast.Expr, fr: OFrame) -> OBlock:
-        if isinstance(e, ast.Name):
-            v = self._lookup(e.binding, fr)
-            if isinstance(v, OBlock):
-                return v
-        raise RuntimeFault("expected an array", e.pos)
+        return inst.obj_cell  # a method's involvement cell is its object's
 
     def instance_of(self, e: ast.Expr, fr: OFrame) -> OInstance:
         if isinstance(e, ast.Name):
@@ -636,12 +589,7 @@ class Oracle:
         if isinstance(e, ast.NullLit):
             return None
         if isinstance(e, ast.Name):
-            v = self._lookup(e.binding, fr)
-            if isinstance(v, OCell):
-                return v.value
-            if isinstance(v, (OFunc, OBound)):
-                return v
-            raise RuntimeFault(f"'{e.name}' used as a value", e.pos)
+            return self._lookup(e.binding, fr).value
         if isinstance(e, (ast.Deref, ast.Index)):
             return self.lv_cell(e, fr).value
         if isinstance(e, ast.AddrOf):
@@ -650,9 +598,7 @@ class Oracle:
                 v = self._lookup(op.binding, fr)
                 if isinstance(v, OInstance):
                     return OObjPtr(v)
-                if isinstance(v, OCell):
-                    return OPtr(v.block, v.index)
-                raise RuntimeFault("cannot take this address", e.pos)
+                return OPtr(v.block, v.index)
             if isinstance(op.ty, ClassType):
                 return OObjPtr(self.instance_of(op, fr))
             cell = self.lv_cell(op, fr)
@@ -664,16 +610,14 @@ class Oracle:
             return self._binary(e, fr)
         if isinstance(e, ast.Call):
             return self._call(e, fr)
-        if isinstance(e, (ast.Dot, ast.Arrow)):
-            if isinstance(e.ty, FuncType):
-                if isinstance(e, ast.Dot):
-                    return OBound(self.instance_of(e.obj, fr), e.member)
-                v = self.eval(e.obj, fr)
-                if v is None:
-                    raise RuntimeFault("null pointer dereference", e.pos)
-                return OBound(v.instance, e.member)
-            return self.lv_cell(e, fr).value
-        raise RuntimeFault(f"cannot evaluate {type(e).__name__}", e.pos)
+        if isinstance(e.ty, FuncType):  # a Dot or an Arrow: a method callee
+            if isinstance(e, ast.Dot):
+                return OBound(self.instance_of(e.obj, fr), e.member)
+            v = self.eval(e.obj, fr)
+            if v is None:
+                raise RuntimeFault("null pointer dereference", e.pos)
+            return OBound(v.instance, e.member)
+        return self.lv_cell(e, fr).value
 
     def _binary(self, e: ast.Binary, fr: OFrame):
         op = e.op
@@ -704,29 +648,17 @@ class Oracle:
         if isinstance(callee, ast.Name) and callee.binding[0] == "func":
             args = [self.eval(a, fr) for a in e.args]
             return self.call_function(callee.binding[1], args)
-        if isinstance(callee, ast.Name) and callee.binding[0] == "method":
+        if isinstance(callee, ast.Name):  # an own method
             args = [self.eval(a, fr) for a in e.args]
             return self.call_method(fr.owner, callee.binding[2], args)
-        target = self.eval(callee, fr)
+        target = self.eval(callee, fr)  # an OBound
         args = [self.eval(a, fr) for a in e.args]
-        if isinstance(target, OFunc):
-            return self.call_function(target.name, args)
-        if isinstance(target, OBound):
-            return self.call_method(target.instance, target.name, args)
-        raise RuntimeFault("call of a non-function value", e.pos)
+        return self.call_method(target.instance, target.name, args)
 
     def _func_decl(self, name: str, cls: str | None) -> ast.FuncDecl:
-        if cls is None:
-            for f in self.unit.functions:
-                if f.name == name:
-                    return f
-        else:
-            for c in self.unit.classes:
-                if c.name == cls:
-                    for f in c.methods:
-                        if f.name == name:
-                            return f
-        raise RuntimeFault(f"undefined function '{name}'")
+        decls = (self.unit.functions if cls is None else
+                 next(c.methods for c in self.unit.classes if c.name == cls))
+        return next(f for f in decls if f.name == name)
 
     def _run_func(self, decl: ast.FuncDecl, args, owner):
         self._call_seq += 1
@@ -786,10 +718,8 @@ class Oracle:
         elif isinstance(s, ast.While):
             while self.eval(s.cond, fr):
                 self.exec_stmt(s.body, fr)
-        elif isinstance(s, ast.Return):
+        else:  # a Return
             raise _Return(self.eval(s.value, fr) if s.value else None)
-        else:
-            raise RuntimeFault(f"cannot execute {type(s).__name__}", s.pos)
 
     def _local_decl(self, d: ast.VarDecl, fr: OFrame):
         self._call_seq += 1

@@ -45,11 +45,8 @@ def _expr(e):
         return f"{expr_str(e.callee, _POSTFIX_PREC)}({args})", _POSTFIX_PREC
     if isinstance(e, ast.Index):
         return f"{expr_str(e.base, _POSTFIX_PREC)}[{expr_str(e.index)}]", _POSTFIX_PREC
-    if isinstance(e, ast.Dot):
-        return f"{expr_str(e.obj, _POSTFIX_PREC)}.{e.member}", _POSTFIX_PREC
-    if isinstance(e, ast.Arrow):
-        return f"{expr_str(e.obj, _POSTFIX_PREC)}->{e.member}", _POSTFIX_PREC
-    raise TypeError(f"unknown expression node {type(e).__name__}")
+    sep = "." if isinstance(e, ast.Dot) else "->"  # a Dot or an Arrow
+    return f"{expr_str(e.obj, _POSTFIX_PREC)}{sep}{e.member}", _POSTFIX_PREC
 
 
 def _type_str(base, depth):
@@ -90,11 +87,9 @@ def stmt_lines(s, indent=0):
         lines = [pad + f"while ({expr_str(s.cond)})"]
         lines.extend(stmt_lines(s.body, indent + 1))
         return lines
-    if isinstance(s, ast.Return):
-        if s.value is None:
-            return [pad + "return;"]
-        return [pad + f"return {expr_str(s.value)};"]
-    raise TypeError(f"unknown statement node {type(s).__name__}")
+    if s.value is None:  # a Return
+        return [pad + "return;"]
+    return [pad + f"return {expr_str(s.value)};"]
 
 
 def construct_lines(c, indent=0):
@@ -108,11 +103,9 @@ def construct_lines(c, indent=0):
         lines = [pad + f"{expr_str(c.lhs)} ::="]
         lines.extend(stmt_lines(c.body, indent))
         return lines
-    if isinstance(c, ast.Precond):
-        lines = [pad + f"{expr_str(c.cond)} ??"]
-        lines.extend(stmt_lines(c.body, indent))
-        return lines
-    raise TypeError(f"unknown construct node {type(c).__name__}")
+    lines = [pad + f"{expr_str(c.cond)} ??"]  # a Precond
+    lines.extend(stmt_lines(c.body, indent))
+    return lines
 
 
 def _func_lines(f: ast.FuncDecl, indent=0):
@@ -141,8 +134,6 @@ def unit_str(u: ast.Unit) -> str:
             for c in d.constructs:
                 lines.extend(construct_lines(c, 1))
             lines.append("};")
-        elif isinstance(d, ast.Construct):
+        else:  # a Construct
             lines.extend(construct_lines(d))
-        else:
-            raise TypeError(f"unknown declaration node {type(d).__name__}")
     return "\n".join(lines) + "\n"

@@ -18,10 +18,8 @@ at each run, so a wrapper put on them later sees every call.
 
 from __future__ import annotations
 
-from . import ast
 from .errors import RuntimeFault
-from .runtime import Cell
-from .values import Block, BoundMethod, CellPtr, Instance, ObjPtr, address
+from .values import CellPtr, Instance, ObjPtr, address
 
 
 def _lit(m, i):
@@ -71,30 +69,18 @@ def _local(m, i, value):
 
 def _own(m, i, value):
     """A scalar data member of the frame's owner."""
-    def own(a, fr):
-        owner = fr.owner
-        if owner is None:
-            raise RuntimeFault(f"member '{a[i]}' accessed without owner")
-        cell = owner.members[a[i]]
-        return cell.value if value else cell
-    return own
+    if value:
+        return lambda a, fr: fr.owner.members[a[i]].value
+    return lambda a, fr: fr.owner.members[a[i]]
 
 
 def _name(m, i, value):
+    """A name no other shape binds: a local or member object (its own cell),
+    or an own method's callee (its object's cell)."""
     def name(a, fr):
-        e = a[i]
-        v = (m.func_cell(e.binding[1]) if e.binding[0] == "func"
-             else m._lookup(e.binding, fr))
-        if v.__class__ is not Cell:
-            if isinstance(v, Instance):
-                v = v.obj_cell
-            elif isinstance(v, BoundMethod):
-                v = v.instance.obj_cell
-            elif isinstance(v, Block):
-                raise RuntimeFault(f"array '{e.name}' is not a single storage cell",
-                                   e.pos)
-            else:
-                raise RuntimeFault(f"'{e.name}' does not denote storage", e.pos)
+        v = m._lookup(a[i].binding, fr)
+        if v.__class__ is Instance:
+            v = v.obj_cell
         return v.value if value else v
     return name
 
@@ -146,22 +132,15 @@ def _elem(m, x, base, p, value):
 
 
 def _block(m, i):
-    def block(a, fr):
-        e = a[i]
-        v = m._lookup(e.binding, fr) if e.__class__ is ast.Name else None
-        if not isinstance(v, Block):
-            raise RuntimeFault("expected an array", e.pos)
-        return v
-    return block
+    return lambda a, fr: fr.locals[a[i]]
 
 
 def _ptr_elem(m, x, base, p, value):
     def pointee(a, fr):
         idx = x(a, fr)
         v = base(a, fr)
-        if not isinstance(v, CellPtr):
-            raise RuntimeFault("null pointer indexed" if v is None
-                               else "indexing a non-pointer value", a[p])
+        if v is None:
+            raise RuntimeFault("null pointer indexed", a[p])
         cell = CellPtr(v.block, v.offset + idx).deref(a[p])
         return cell.value if value else cell
     return pointee
@@ -170,7 +149,7 @@ def _ptr_elem(m, x, base, p, value):
 def _member(m, obj, i, value):
     def member(a, fr):
         e = a[i]
-        cell = m._member_cell(obj(a, fr), e.member, e.pos)
+        cell = m._member_cell(obj(a, fr), e.member)
         return cell.value if value else cell
     return member
 
@@ -179,10 +158,9 @@ def _arrow(m, obj, i, value):
     def arrow(a, fr):
         v = obj(a, fr)
         e = a[i]
-        if not isinstance(v, ObjPtr):
-            raise RuntimeFault("null pointer dereference" if v is None
-                               else "'->' on a non-object pointer", e.pos)
-        cell = m._member_cell(v.instance, e.member, e.pos)
+        if v is None:
+            raise RuntimeFault("null pointer dereference", e.pos)
+        cell = m._member_cell(v.instance, e.member)
         return cell.value if value else cell
     return arrow
 
@@ -194,14 +172,9 @@ def _addr(m, x, obj):
     return lambda a, fr: address(x(a, fr))
 
 
-def _owner(m, p):
+def _owner(m):
     """The object an own method is called on: the frame's owner."""
-    def owner(a, fr):
-        inst = fr.owner
-        if inst is None:
-            raise RuntimeFault("method call without owner", a[p])
-        return inst
-    return owner
+    return lambda a, fr: fr.owner
 
 
 def _pointee(m, x, p):
@@ -277,11 +250,11 @@ def _return(m, x):
 
 
 def _deref_other(v, pos, value: bool):
-    """`*v` of a value that is no cell pointer: an object's cell, or a fault."""
-    if isinstance(v, ObjPtr):
-        return v.instance.obj_cell.value if value else v.instance.obj_cell
-    raise RuntimeFault("null pointer dereference" if v is None
-                       else "dereference of a non-pointer value", pos)
+    """`*v` of a value that is no cell pointer: null, or an object pointer
+    (the object's cell)."""
+    if v is None:
+        raise RuntimeFault("null pointer dereference", pos)
+    return v.instance.obj_cell.value if value else v.instance.obj_cell
 
 
 SHAPES = {

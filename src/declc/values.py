@@ -1,6 +1,6 @@
 """Run-time values of the vm: storage blocks, cell and object pointers,
-function and bound-method values, object instances, and how a stored value
-renders in traces and memory snapshots."""
+object instances, and how a stored value renders in traces and memory
+snapshots.  A function is no value: a call binds its callee's declaration."""
 
 from __future__ import annotations
 
@@ -29,9 +29,6 @@ class CellPtr:
         return (isinstance(other, CellPtr) and other.block is self.block
                 and other.offset == self.offset)
 
-    def __hash__(self):
-        return hash((id(self.block), self.offset))
-
     def deref(self, pos=NOPOS) -> Cell:
         if not (0 <= self.offset < len(self.block.cells)):
             raise RuntimeFault(f"pointer outside storage '{self.block.name}'", pos)
@@ -56,25 +53,10 @@ class ObjPtr:
     def __eq__(self, other):
         return isinstance(other, ObjPtr) and other.instance is self.instance
 
-    def __hash__(self):
-        return hash(id(self.instance))
-
-
-@dataclass(frozen=True)
-class FuncVal:
-    name: str
-
-
-@dataclass(frozen=True)
-class BoundMethod:
-    instance: object
-    name: str
-
 
 class Instance:
     """An object: its members by name (a Cell or a nested Instance) and its
-    own cell, whose value is the object, as a function's cell holds its
-    FuncVal."""
+    own cell, whose value is the object."""
 
     __slots__ = ("cls", "name", "header", "obj_cell", "members")
 
@@ -101,8 +83,4 @@ def value_str(v) -> str:
             return "&" + v.deref().name
         except RuntimeFault:
             return f"&{v.block.name}[{v.offset}]"
-    if isinstance(v, ObjPtr):
-        return "&" + v.instance.name
-    if isinstance(v, FuncVal):
-        return v.name
-    return repr(v)
+    return "&" + v.instance.name  # an ObjPtr

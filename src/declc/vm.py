@@ -35,8 +35,7 @@ from .errors import RuntimeFault
 from .runtime import Cell, ConstraintEntry, Engine, Entry
 from .shapes import SHAPES
 from .types import BOOL, Array, ClassType, Ptr, Scalar, make_type
-from .values import (Block, BoundMethod, CellPtr, FuncVal, Instance, ObjPtr, address,
-                     value_str)
+from .values import Block, CellPtr, Instance, ObjPtr, address, value_str
 
 
 # -------------------------------------------------------------------- frames
@@ -110,7 +109,6 @@ class Machine:
         self.trace = sink if sink is not None else tr.TraceSink()
         self.engine = Engine(self.trace, self)
         self.globals: dict[str, object] = {}
-        self.func_cells: dict[str, Cell] = {}
         self.frames: list[Frame] = []
         self._gen_frames: dict[int, GenFrame] = {}  # by id(owner), while it lives
         self._steps: dict[str, tuple] = {}      # the steps of functions run by name
@@ -178,11 +176,6 @@ class Machine:
                             "object-update")
             self.engine.actions_after_change(inst.obj_cell)
 
-    def func_cell(self, name: str) -> Cell:
-        if name not in self.func_cells:
-            self.func_cells[name] = Cell(f"func:{name}", FuncVal(name))
-        return self.func_cells[name]
-
     # ----------------------------------------------------------------- load
 
     def load(self):
@@ -244,20 +237,12 @@ class Machine:
     # ------------------------------------------------------------ evaluation
 
     def _lookup(self, binding, fr: Frame):
+        """The storage a name no shape binds denotes: a local, a data member,
+        or for an own method's callee its object's cell (contract.py)."""
         kind = binding[0]
         if kind == "local":
             return fr.locals[binding[1]]
-        if kind == "global":
-            return self.globals[binding[1]]
-        if kind == "member":
-            if fr.owner is None:
-                raise RuntimeFault(f"member '{binding[2]}' accessed without owner")
-            return fr.owner.members[binding[2]]
-        if kind == "method":
-            if fr.owner is None:
-                raise RuntimeFault(f"method '{binding[2]}' accessed without owner")
-            return BoundMethod(fr.owner, binding[2])
-        raise RuntimeFault(f"unresolvable name binding {binding!r}")
+        return fr.owner.members[binding[2]] if kind == "member" else fr.owner.obj_cell
 
     def lv_cell(self, e: ast.Expr, fr: Frame) -> Cell:
         """Evaluate an l-value to the single cell it currently denotes."""
@@ -356,7 +341,7 @@ class Machine:
             return self._shape(("call", d, tuple(self._value(x, leaves, members)
                                                  for x in e.args)))
         if cls is ast.Name:
-            obj = self._shape(("owner", _leaf(leaves, e.pos)))
+            obj = self._shape(("owner",))
         elif cls is ast.Dot:
             obj = self._cell(callee.obj, leaves, members, True)
         else:
@@ -396,16 +381,13 @@ class Machine:
                 block = self._shape(("lit", _leaf(leaves, blk)))
             else:
                 index = self._value(e.index, leaves, members)
-                block = self._shape(("block", _leaf(leaves, base)))
+                block = self._shape(("block", _leaf(leaves, base.name)))  # a local array
             return self._shape(("elem", index, block, _leaf(leaves, e.pos), value))
         if cls is ast.Dot:
             return self._shape(("member", self._cell(e.obj, leaves, members, True),
                                 _leaf(leaves, e), value))
-        if cls is ast.Arrow:
-            return self._shape(("arrow", self._value(e.obj, leaves, members),
-                                _leaf(leaves, e), value))
-        # made on first resolution, so raising now is raising then
-        raise RuntimeFault(f"not an l-value: {type(e).__name__}", e.pos)
+        return self._shape(("arrow", self._value(e.obj, leaves, members),  # an Arrow
+                            _leaf(leaves, e), value))
 
     def _bound(self, e: ast.Expr, leaves: list, members, objects=True) -> int | None:
         """The leaf index of the cell a name denotes for good, once bound: a
@@ -435,14 +417,11 @@ class Machine:
             fn = self._shapes[key] = SHAPES[key[0]](self, *key[1:])
         return fn
 
-    def _member_cell(self, inst: Instance, member: str, pos) -> Cell:
-        if member in inst.members:
-            m = inst.members[member]
-            return m.obj_cell if isinstance(m, Instance) else m
-        # public method: its involvement cell is the owning object
-        if member in self.info.classes[inst.cls].methods:
+    def _member_cell(self, inst: Instance, member: str) -> Cell:
+        m = inst.members.get(member)
+        if m is None:  # a public method: its involvement cell is the owning object
             return inst.obj_cell
-        raise RuntimeFault(f"no member '{member}' in class '{inst.cls}'", pos)
+        return m.obj_cell if isinstance(m, Instance) else m
 
     # Expression handlers `(machine, node, frame) -> value`, by node class in
     # `_EVAL`; each dispatches its children through the table too.
@@ -455,13 +434,8 @@ class Machine:
 
     def _eval_name(self, e: ast.Name, fr: Frame):
         b = e.binding
-        v = (fr.locals[b[1]] if b[0] == "local" else
-             self.globals[b[1]] if b[0] == "global" else self._lookup(b, fr))
-        if v.__class__ is Cell:
-            return v.value
-        if isinstance(v, Instance):
-            raise RuntimeFault(f"object '{e.name}' used as a value", e.pos)
-        raise RuntimeFault(f"array '{e.name}' used as a value", e.pos)
+        return (fr.locals[b[1]] if b[0] == "local" else
+                self.globals[b[1]] if b[0] == "global" else self._lookup(b, fr)).value
 
     def _eval_storage(self, e, fr: Frame):
         """The value of the cell an l-value denotes, read by its resolver."""
@@ -507,8 +481,6 @@ class Machine:
                                   None)
         if cls is ast.Name:
             inst = fr.owner
-            if inst is None:
-                raise RuntimeFault("method call without owner", e.pos)
         elif cls is ast.Dot:
             inst = self.lv_cell(callee.obj, fr).value
         else:
@@ -530,14 +502,8 @@ class Machine:
 
     def _callee(self, callee: ast.Expr) -> ast.FuncDecl:
         """The declaration a callee names: a free function, or a method of
-        the class its type names.  Only a tree changed after checking has a
-        callee name bound to no function."""
-        if callee.__class__ is ast.Name:
-            if callee.binding[0] not in ("func", "method"):
-                raise RuntimeFault("call of a non-function value", callee.pos)
-            name = callee.name
-        else:
-            name = callee.member
+        the class its type names."""
+        name = callee.name if callee.__class__ is ast.Name else callee.member
         return self._decls[(callee.ty.cls, name)]
 
     def _run_body(self, decl: ast.FuncDecl, args, owner):
@@ -810,12 +776,11 @@ class Machine:
     # ------------------------------------------------------------ inspection
 
     def all_cells(self):
+        """The cells of global storage, objects' own cells included.  A
+        local's cells go with its frame, so after teardown these are all the
+        cells that can still hold a registration."""
         for v in self.globals.values():
             yield from _cells(v, True)
-        for fr in self.frames:
-            for v in fr.locals.values():
-                yield from _cells(v, True)
-        yield from self.func_cells.values()
 
     def registration_count(self) -> int:
         return (sum(c.registration_count() for c in self.all_cells())

@@ -260,7 +260,37 @@ DIAGNOSTICS = [
     (OBJECT_CLASS + "W f() { }", "2:1: 'f': an object cannot be returned by value"),
     ("class A { public: A self() { } };",
      "1:19: 'self': an object cannot be returned by value"),
+    ("void main() { int a[2] = 1; }", "1:15: 'a': initializer not allowed for this type"),
+    ("void main() { bool b = 1; }", "1:15: cannot initialize 'bool' from 'int'"),
+    ("int f(int k, bool b) { return k; }\nint x;\nvoid main() { x = f; }",
+     "3:15: cannot assign 'int(int, bool)' to 'int'"),
+    # `==` and `!=` compare values: no array, function or void result is one
+    ("int a[2]; bool r;\nvoid main() { r = a == a; }", "2:19: operator '==' on 'int[2]' values"),
+    ("int f() { return 1; }\nbool r;\nvoid main() { r = f != f; }",
+     "3:19: operator '!=' on 'int()' values"),
+    ("void v() { }\nbool r;\nvoid main() { r = v() == v(); }",
+     "3:19: operator '==' on 'void' values"),
+    # nor is a bare array, function or object read as a statement or returned
+    ("int a[2];\nvoid main() { a; }", "2:15: 'a' is not a value"),
+    ("int f() { return 1; }\nvoid main() { f; }", "2:15: 'f' is not a value"),
+    (OBJECT_CLASS + "W w;\nvoid main() { w; }", "3:15: 'w' is not a value"),
+    ("int a[2];\nvoid g() { return a; }", "2:19: 'a' is not a value"),
+    # an object reached through a pointer is no value either (the parent ran these)
+    (OBJECT_CLASS + "W *p;\nvoid main() { *p; }", "3:15: '*p' is not a value"),
+    (OBJECT_CLASS + "W *p;\nvoid g() { return *p; }", "3:19: '*p' is not a value"),
 ]
+
+
+@pytest.mark.parametrize("expr", ["*q", "&q", "q[0]"])
+def test_an_erroneous_operand_is_reported_once(expr):
+    """An operand with no type (here unresolved) gives its own error only:
+    the operator over it reports nothing more."""
+    assert errors(f"int x;\nvoid main() {{ x = {expr}; }}") == ["unresolved identifier 'q'"]
+
+
+def test_a_void_function_may_return_a_value_it_ignores():
+    assert_clean("int x;\nvoid g() { return x; }\nint h() { return 1; }\n"
+                 "void main() { g(); h(); }")
 
 
 @pytest.mark.parametrize("source,diagnostic", DIAGNOSTICS,

@@ -97,6 +97,32 @@ def test_emit_to_stdout_and_file(tmp_path, capsys):
     assert code == 0 and dest.read_text() == out
 
 
+FORMS = ("int x; bool b; int *p; int n;\n"
+         "void stop() { return; }\n"
+         "x ::= { if (b) { p = null; } else { b = true; } while (n < x) { n = n + 1; } }\n"
+         "void main() { stop(); x = 2; }\n")
+
+
+def test_emit_and_parse_print_every_statement_form(tmp_path, capsys):
+    """`if`/`else`, `while` and the literals in a monitor body under
+    `declc emit`, and a bare `return;` (a function's only) under `parse`."""
+    path = tmp_path / "forms.hc"
+    path.write_text(FORMS)
+    code, out, _ = run_cli(capsys, "emit", str(path))
+    assert code == 0
+    body = out[out.index("void monitor_0(void* owner)\n"):out.index("void init_sim_x")]
+    assert body.splitlines() == [
+        "void monitor_0(void* owner)", "{",
+        "    if (b)", "        {", "            p = null;", "        }",
+        "    else", "        {", "            b = true;", "        }",
+        "    while (n < x)", "        {", "            n = n + 1;", "        }",
+        "}", ""]
+    code, out, _ = run_cli(capsys, "parse", str(path))
+    assert code == 0 and "void stop()\n{\n    return;\n}\n" in out
+    assert matches_oracle(FORMS).memory_snapshot() == {
+        "x": "2", "b": "true", "p": "null", "n": "2"}
+
+
 def test_run_prints_memory(capsys):
     code, out, _ = run_cli(capsys, "run", prog("deep_deref.hc"))
     assert code == 0

@@ -44,6 +44,14 @@ def test_mangled_names_are_disambiguated():
     assert {"init_sim_x", "init_sim_x_1", "init_sim_x_2"} <= set(gen.functions)
 
 
+def test_a_suffixed_name_taken_by_another_lvalue_is_skipped():
+    """`x_1`'s init function is `init_sim_x_1`, so the second construct on
+    `x` probes on to `init_sim_x_2`."""
+    gen = lowered("int x; int x_1; int y; int z;\ny := x_1 + x;\nz := x;")
+    assert {"init_sim_x", "init_sim_x_1", "init_sim_x_2"} <= set(gen.functions)
+    assert gen.plans[1].init_fns == ["init_sim_z", "init_sim_x_2"]
+
+
 # ----------------------------------------------------- the worked constraint
 
 DEEP = """

@@ -17,7 +17,7 @@ from declc.errors import RuntimeFault
 from declc.oracle import Oracle
 from declc.parser import parse_source
 from declc.runtime import ConstraintEntry
-from declc.vm import CellPtr, Machine
+from declc.vm import Machine
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
@@ -68,6 +68,11 @@ POINTER_FAULTS = {
     "int a[2]; int *q = &a[1]; int src; int x;\nx := *q + src;\n"
     "void main() { src = 1; src = 2; q = q + 1; src = 3; }":
         "2:6: fault: pointer outside storage 'a'",
+    "int *p; int x;\nvoid main() { x = p[0]; }": "2:19: fault: null pointer indexed",
+    "class A { int v; A *n; public: int next() { return n->v; } };\n"
+    "A a; int x;\nvoid main() { x = a.next(); }": "1:52: fault: null pointer dereference",
+    "class W { int v; public: int get() { return v; } };\n"
+    "W *p; int x;\nvoid main() { x = (*p).get(); }": "3:20: fault: null pointer dereference",
 }
 
 
@@ -83,28 +88,6 @@ def test_pointer_faults_carry_their_position_in_both_evaluators(tmp_path, capsys
         o.load()
         o.run()
     assert str(info.value) == POINTER_FAULTS[source]
-
-
-def test_arrow_on_a_cell_pointer_faults():
-    """No checked program puts a cell pointer where an object pointer is
-    expected; one planted there faults instead of reading a member."""
-    m = machine("class W { private: int m; public: int get(W *o) { return o->m; } };\n"
-                "W w; W *q; int x; int a;\nvoid main() { x = w.get(q); }")
-    a = m.globals["a"]
-    m.globals["q"].value = CellPtr(a.block, a.index)
-    with pytest.raises(RuntimeFault) as info:
-        m.call_function("main", [])
-    assert str(info.value) == "1:58: fault: '->' on a non-object pointer"
-
-
-def test_call_of_a_non_function_value_faults():
-    """A callee that evaluates to a plain value faults at the call."""
-    m = machine("int f() { return 1; }\nint x;\nvoid main() { x = f(); }")
-    call = m._decls[(None, "main")].body.stmts[0].value
-    call.callee.binding = ("global", "x")
-    with pytest.raises(RuntimeFault) as info:
-        m.call_function("main", [])
-    assert str(info.value) == "3:19: fault: call of a non-function value"
 
 
 def test_return_leaves_loops_and_nested_blocks():

@@ -1,9 +1,10 @@
 
 import pytest
 
-from conftest import machine, program
+from conftest import machine, matches_oracle, program
 from declc import ast, trace as tr
 from declc.checker import check_or_raise
+from declc.errors import RuntimeFault
 from declc.oracle import (Oracle, all_lvalues, diff_memory, diff_traces,
                           lv_tokens, sub_lvalues, top_lvalues)
 from declc.parser import parse_source
@@ -25,16 +26,21 @@ def both(source: str):
     return m, o
 
 
-def expr(source: str):
-    unit = parse_source(f"void main() {{ sink = {source}; }}")
-    return unit.functions[0].body.stmts[0].value
+DECLS = "int q[9]; int p[9]; int x; int y; int i; int j; int a; int f(int k) { return k; }"
+
+
+def expr(source: str, decls: str = DECLS):
+    """source checked as the right side of `sink = ...`."""
+    unit = parse_source(f"int sink; {decls} void main() {{ sink = {source}; }}")
+    check_or_raise(unit)
+    return unit.functions[-1].body.stmts[0].value
 
 
 # -------------------------------------------------------- lv decomposition
 
 def test_lv_tokens_match_canonical_form():
     assert lv_tokens(expr("p[i+j]")) == ["p", "[", "i", "+", "j", "]"]
-    assert lv_tokens(expr("**x")) == ["*", "*", "x"]
+    assert lv_tokens(expr("**x", "int **x;")) == ["*", "*", "x"]
 
 
 def test_top_lvalues_keep_only_maximal():
@@ -45,15 +51,17 @@ def test_top_lvalues_keep_only_maximal():
 
 
 def test_sub_lvalues_are_the_strict_constituents():
-    subs = sub_lvalues(expr("**x"))
+    subs = sub_lvalues(expr("**x", "int **x;"))
     assert {"".join(lv_tokens(s)) for s in subs} == {"x", "*x"}
     subs = sub_lvalues(expr("p[i]"))
     assert {"".join(lv_tokens(s)) for s in subs} == {"p", "i"}
 
 
 def test_all_lvalues_covers_nested_occurrences():
+    """Every l-value occurrence, but not the callee `f`: a free function's
+    name is no l-value (contract.py)."""
     got = {"".join(lv_tokens(x)) for x in all_lvalues(expr("q[f(p[x+y])]"))}
-    assert got == {"q", "f", "p", "x", "y", "p[x+y]", "q[f(p[x+y])]"}
+    assert got == {"q", "p", "x", "y", "p[x+y]", "q[f(p[x+y])]"}
 
 
 # ------------------------------------------------------ corpus equivalence
@@ -156,3 +164,60 @@ void main() { p = &a; x = 6; }
     assert (snap["a"], snap["b"], snap["moves"]) == ("0", "6", "1")
     applied = [e for e in m.trace.events if e.kind == tr.CONSTRAINT_APPLIED]
     assert [e.cell for e in applied] == ["b", "a", "b"]
+
+
+# ------------------------------------------- forms few programs reach
+
+def test_a_pointer_past_its_block_renders_by_offset():
+    m = matches_oracle("int a[2]; int *p;\nvoid main() { p = &a[0]; p = p + 5; }")
+    assert m.memory_snapshot()["p"] == "&a[5]"
+
+
+def test_a_local_object_is_destroyed_with_its_members():
+    """A local object with an object member is destroyed member by member
+    at its function's return, and one declared in a monitor body at the
+    body's end."""
+    m = matches_oracle("""
+class In { int v; public: int get() { return v; } void set(int k) { v = k; } };
+class Out { In i; public: void go() { i.set(2); } };
+int done; int s; int n;
+s ::= { In t; n = t.get() + s; }
+void main() { Out o; o.go(); done = 1; s = 5; }
+""")
+    assert m.memory_snapshot() == {"done": "1", "s": "5", "n": "5"}
+
+
+def test_a_program_without_main_faults_in_both_routes():
+    src = "int x;"
+    m = machine(src)
+    with pytest.raises(RuntimeFault) as vm_fault:
+        m.run()
+    with pytest.raises(RuntimeFault) as ref_fault:
+        oracle(src).run()
+    assert str(vm_fault.value) == str(ref_fault.value) == \
+        "fault: program has no 'main' function"
+
+
+def test_an_edge_rebound_earlier_in_its_wave_does_not_fire():
+    """Writing a[0] applies `i := a[0]` first, which moves `x := a[i]`'s
+    edge to a[1]: neither route fires it for a[0] (contract.py rule 3), and
+    a right side's rebinding re-applies nothing, so x keeps its value."""
+    m = matches_oracle("int a[2]; int i; int x;\ni := a[0];\nx := a[i];\n"
+                       "void main() { a[1] = 9; a[0] = 1; }")
+    assert m.memory_snapshot() == {"a[0]": "1", "a[1]": "9", "i": "1", "x": "0"}
+
+
+def test_only_the_top_constraint_of_a_cell_applies():
+    m = matches_oracle("int x; int a; int b;\nx := a;\nx := b;\n"
+                       "void main() { a = 1; b = 2; a = 3; }")
+    assert m.memory_snapshot() == {"x": "2", "a": "3", "b": "2"}
+
+
+def test_a_method_reads_another_objects_member():
+    m = matches_oracle("""
+class A { int v; public: void set(int k) { v = k; }
+    int peek(A *o) { return o->v; } int same(A *o) { return (*o).v; } };
+A a; A b; int x; int y;
+void main() { b.set(6); x = a.peek(&b); y = a.same(&b); }
+""")
+    assert (m.memory_snapshot()["x"], m.memory_snapshot()["y"]) == ("6", "6")

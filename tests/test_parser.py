@@ -165,6 +165,19 @@ def test_parse_errors(source):
         parse_source(source)
 
 
+@pytest.mark.parametrize("source,message", [
+    ("int x = " + "9" * 5000 + ";", "integer literal too long"),
+    ("int f(x) { }", "expected a type name, got 'x'"),
+    ("class A { int f() { return 1; } };", "member functions must be public"),
+    ("int x;\nx;", "expected ':=', '::=' or '??' after expression"),
+    ("void main() { int f() { } }", "nested functions are not supported"),
+], ids=["literal", "type", "private method", "construct", "nested function"])
+def test_parse_error_messages(source, message):
+    with pytest.raises(ParseError) as info:
+        parse_source(source)
+    assert info.value.msg == message
+
+
 def test_error_message_has_position():
     try:
         parse_source("int x = ;")

@@ -12,6 +12,7 @@ from declc.cli import main as cli_main
 from declc.errors import RuntimeFault
 from declc.oracle import Oracle, diff_traces
 from declc.parser import parse_source
+from declc.render import render
 from declc.vm import Machine, compile_source
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -149,13 +150,64 @@ void main() {
     assert m.memory_snapshot()["x"] == "1"   # stale by design
 
 
-def test_function_cell_write_would_trigger():
-    """The trigger set is exactly the syntactic l-values, including the
-    callee name itself."""
-    m = machine("int x;\nint f() { return 1; }\nint g() { return 2; }\n"
-                "x := f();\nvoid main() { }")
-    # the dependency edge hangs off the callee's function cell
-    assert ("func:f", "x") in m.dependency_links()
+def test_callee_name_is_not_a_trigger():
+    """`x := f(y)`: a free function's name is no l-value (contract.py), so
+    the constraint's only dependency edge hangs off `y`.  Writing `y`
+    re-applies it, as in the reference, and no event names a cell of `f`."""
+    src = "int x; int y;\nint f(int k) { return k + 1; }\nx := f(y);\nvoid main() { y = 4; }"
+    assert machine(src).dependency_links() == [("y", "x")]
+    m = matches_oracle(src)
+    assert m.memory_snapshot() == {"x": "5", "y": "4"}
+    assert len(events_of(m, tr.CONSTRAINT_APPLIED)) == 2  # install, then y = 4
+    m.teardown()
+    assert m.registration_count() == 0
+    assert not [e for e in m.trace.events if "func:" in e.cell or e.lvalue == "f"]
+    text = render(compile_source(src)[0])
+    assert "init_sim_f" not in text and "HandleDependency(&(f)" not in text
+    assert "(x).HandleDependency(&(y), b, owner);" in text
+
+
+def test_an_own_method_callee_denotes_its_object():
+    """`g := get() + 1` in a class: the callee `get` is the owner's method,
+    so the constraint depends on the object's cell and a method that changes
+    a member re-applies it, as in the reference."""
+    m = matches_oracle("int g;\nclass W { int v; public: int get() { return v; } "
+                       "void set(int k) { v = k; } g := get() + 1; };\n"
+                       "W w;\nvoid main() { w.set(4); }")
+    assert m.dependency_links() == [("w", "g")]
+    assert m.memory_snapshot() == {"g": "5", "w.v": "4"}
+    assert len(events_of(m, tr.CONSTRAINT_APPLIED)) == 2
+
+
+def test_object_pointers_compare_by_object():
+    m = matches_oracle("class W { int v; public: int get() { return v; } };\n"
+                       "W a; W b; W *p; W *q; bool e1; bool e2; bool e3;\n"
+                       "void main() { p = &a; q = &a; e1 = p == q; q = &b; "
+                       "e2 = p == q; e3 = p != q; }")
+    snap = m.memory_snapshot()
+    assert (snap["e1"], snap["e2"], snap["e3"]) == ("true", "false", "true")
+
+
+def test_a_constrained_lvalue_with_a_two_argument_call_and_literals():
+    """The canonical string, the mangled init name and the reference's
+    l-value string all spell `true`, `null` and the argument comma."""
+    src = """
+int a[4]; int x; int y = 3;
+int h(int k, bool b) { if (b) { return k; } return 0; }
+int g(int *q, int k) { if (q == null) { return k; } return 0; }
+a[h(g(null, x), true)] := y;
+void main() { x = 1; y = 7; x = 2; }
+"""
+    m = matches_oracle(src)
+    assert m.memory_snapshot() == {"a[0]": "3", "a[1]": "7", "a[2]": "7", "a[3]": "0",
+                                   "x": "2", "y": "7"}
+    assert {e.lvalue for e in events_of(m, tr.CONSTRAINT_APPLIED)} == {"a[h(g(null,x),true)]"}
+    assert "init_a_arr_h_g_null_x_true" in m.gen.functions
+
+
+def test_dependency_links_name_an_unresolvable_target():
+    m = matches_oracle("int a[2]; int i; int x;\na[i] := x;\nvoid main() { i = 5; x = 1; }")
+    assert m.dependency_links() == [("x", "<unresolvable>")]
 
 
 # ------------------------------------------------------------------- guards

@@ -236,15 +236,20 @@ class Emitter:
                 self.add(GenFunction(name, INIT, c.ordinal, instrs=instrs))
                 plan.init_fns.append(name)
 
-        # redef functions: re-run the inits of everything this l-value rebinds
-        for n, rn in redef_name.items():
-            instrs = []
+        # redef functions: re-run the inits of everything this l-value rebinds,
+        # through a dependent with no redef function (not storage, contract.py)
+        def rebind(n: LvNode, instrs: list) -> list:
             for d in inside[n]:
                 if d in init_name:
                     instrs.append(CallGen(init_name[d]))
                 if d in redef_name:
                     instrs.append(CallGen(redef_name[d]))
-            self.add(GenFunction(rn, REDEF, c.ordinal, instrs=instrs))
+                elif d in inside:
+                    rebind(d, instrs)
+            return instrs
+
+        for n, rn in redef_name.items():
+            self.add(GenFunction(rn, REDEF, c.ordinal, instrs=rebind(n, [])))
             plan.redef_fns.append(rn)
 
     # --------------------------------------------------------------- per-scope

@@ -26,6 +26,13 @@ not an l-value: `x := f(y);` depends on `y` only, and nothing writes a
 function.  A method's callee (`w.get`, `q->get`, an own `get`) denotes its
 object's cell, so an update of the object re-applies what calls it.
 
+An l-value is rebound (phase 1) by a write of one of its constituents that is
+assignable storage.  A constituent that is not (an object, an array, a
+method's callee) is never written, and an object's update is no write of its
+cell, so it rebinds nothing.  What it denotes changes only with its own
+constituents, so their rebinding passes through it: when `p` moves,
+`(*p).get` is rebound, and `o.v := k;` is not re-applied when `o` updates.
+
 A "wave" is the dynamic extent of the outermost store.  Instantiation order
 is chronological install order: class-scope constructs install at instance
 construction, file-scope constructs at end-of-load, in declaration order

@@ -21,7 +21,7 @@ from . import ast, trace as tr
 from .checker import UnitInfo
 from .contract import Wave, c_div, c_mod
 from .errors import RuntimeFault
-from .types import BOOL, Array, ClassType, FuncType, Ptr, make_type
+from .types import BOOL, Array, ClassType, FuncType, Ptr, is_assignable_storage, make_type
 
 
 # -------------------------------------------------------------------- storage
@@ -380,15 +380,16 @@ class Oracle:
 
     def _phase_reapply(self, cell: OCell):
         """A write to a cell currently denoted by a constituent of some
-        constraint's left side rebinds that side and re-applies the
-        assignment (install semantics)."""
+        constraint's left side that is assignable storage rebinds that side
+        and re-applies the assignment (install semantics).  Any other
+        constituent is never written (contract.py)."""
         for inst in list(self.installed):
             c = inst.construct
             if not isinstance(c, ast.Constraint):
                 continue
             fr = self._owner_frame(inst)
             for anc in sub_lvalues(c.lhs):
-                if self._try_cell(anc, fr) is cell:
+                if is_assignable_storage(anc.ty) and self._try_cell(anc, fr) is cell:
                     self._apply(inst, via_resolution=False)
                     break
 
@@ -515,13 +516,11 @@ class Oracle:
     def lv_cell(self, e: ast.Expr, fr: OFrame) -> OCell:
         if isinstance(e, ast.Name):
             v = self._lookup(e.binding, fr)
-            if isinstance(v, OCell):
-                return v
             if isinstance(v, OInstance):
                 return v.obj_cell
             if isinstance(v, OBound):
                 return v.instance.obj_cell
-            raise RuntimeFault(f"'{e.name}' does not denote a single cell", e.pos)
+            return v  # a cell (no checked program asks for an array's name)
         if isinstance(e, ast.Deref):
             v = self.eval(e.operand, fr)
             if v is None:

@@ -1,6 +1,6 @@
-"""Reactive-cell engine: registration lists, before/after change actions,
-constraint dependency edges kept on their constraining cells, and the object
-suspend/resume protocol.  Phase ordering follows the contract module.
+"""Reactive-cell engine: registration lists, the store and its change
+protocol, constraint dependency edges kept on their constraining cells, and
+the object suspend/resume protocol.  Phase ordering follows the contract module.
 
 A dependency edge is made once per (constraint entry, constraining l-value
 ordinal), at its first install, and held by the entry: a rebinding cancels
@@ -185,15 +185,17 @@ def _cancel(lst, entry: Entry):
 
 
 class Engine:
-    """The per-machine reactive core.  The host (vm) supplies entry callbacks,
-    stores through its `store(cell, value)` and emits Install/Cancel events;
-    the engine owns the change protocol."""
+    """The per-machine reactive core.  It owns the store: every write, its
+    records, its wave and its change protocol.  The vm supplies the entries'
+    callbacks and emits Install/Cancel events."""
 
-    def __init__(self, sink: tr.TraceSink, host):
+    def __init__(self, sink: tr.TraceSink):
+        from .values import value_str  # values imports this module
         self.trace = sink
-        self.host = host
         self.deps = DependencyGraph()
         self.wave = Wave()
+        # a store's details, rendered when the event is built: a value renders the same later
+        self._render, self._old, self._new = value_str, ("old:", value_str), ("new:", value_str)
 
     # --- registration -----------------------------------------------------
 
@@ -232,37 +234,42 @@ class Engine:
     # A phase runs over a snapshot of a non-empty list; a redefinition that
     # an earlier one cancelled is skipped.
 
+    def store(self, cell: Cell, value):
+        """A write no resolution makes (a user store, an install-time
+        application) and its after-change actions, in a wave, opened if none is."""
+        wave = self.wave  # Wave.enter and exit, inline
+        wave.depth += 1
+        try:
+            self._write(cell, value)
+            self.actions_after_change(cell)
+        finally:
+            wave.depth -= 1
+            if not wave.depth and wave.in_flight:
+                wave.in_flight.clear()
+
+    def _write(self, cell: Cell, value):
+        """With no redefinitions nothing is emitted between a write's two
+        events, so one STORE record stands for both."""
+        if cell.redefinitions:
+            self.trace.emit(tr.BEFORE_CHANGE, "", cell.name, self._old, cell.value)
+            self.actions_before_change(cell)
+            cell.value = value
+            self.trace.emit(tr.AFTER_CHANGE, "", cell.name, self._new, value)
+        else:
+            self.trace.emit(tr.STORE, cell.value, cell.name, self._render, value)
+            cell.value = value
+
     def actions_before_change(self, cell: Cell):
         self._rebind(cell, False)
 
     def actions_after_change(self, cell: Cell):
-        # phase 1: rebinding / re-installation
-        if cell.redefinitions:
-            self._rebind(cell, True)
-        # phase 2: top (last registered) monitor, disabled during its execution
-        if cell.monitors and cell.monitors_enabled:
-            m = cell.monitors[-1]
-            cell.monitors_enabled = False
-            try:
-                self.trace.emit(tr.MONITOR_FIRED, m.lvalue, cell.name, m.detail)
-                m.invoke()
-            finally:
-                cell.monitors_enabled = True
-        if cell.update_hook is not None:
-            cell.update_hook()
-        # phase 3: constraint resolution
-        if cell.dependencies:
-            self.resolve(cell)
-        # phase 4: precondition testers
-        if cell.preconditions:
-            for p in list(cell.preconditions):
-                p.invoke()
+        self.resolve(cell)  # a name of its own: perfbench's spans wrap it
 
     def _rebind(self, cell: Cell, b: bool):
         """Cancel (not b) or reinstall cell's redefinitions: each maximal run of
-        adjacent entries of one owner goes to the host in one `invoke(fns, b)`
-        of its first entry.  `fns` yields the function of each entry still
-        registered when the host reaches it."""
+        adjacent entries of one owner is one `invoke(fns, b)` of its first
+        entry.  `fns` yields the function of each entry still registered when
+        the run reaches it."""
         redefs = list(cell.redefinitions)
         start, n = 0, len(redefs)
         while start < n:
@@ -273,45 +280,68 @@ class Engine:
             start = end
 
     def resolve(self, changed: Cell):
-        """Fire the edges changed has when its resolution starts, in order,
-        each one that is live on changed at its turn.  An edge an earlier
-        firing cancelled and reinstalled there still fires; one it moved
-        away or added does not, as in the reference interpreter.
-
-        A firing that hands its target back (see `fire`) wrote a cell with no
-        phase-1 or phase-2 work: the target's edges are resolved here next,
-        from a snapshot taken now, and its preconditions run when they are
-        done, before the edges after it.  So a cascade of such writes runs
-        in this one loop, depth first, with a stack of the levels it left."""
-        fire = self.fire
-        cell, todo, stack = changed, iter(list(changed.dependencies)), None
-        while True:
-            for edge in todo:
-                if not (edge.live and edge.from_cell is cell):
-                    continue
-                target = fire(edge.entry, True)
-                if target is not None:
+        """The after-change actions of a write of changed and of the writes
+        they resolve, one level of this loop each: phases 1 and 2 and the
+        update hook, then the edges the cell has now, in order, each one live
+        on it at its turn (one an earlier firing moved away or added is not,
+        as in the reference interpreter).  An application `fire` writes is
+        the next level, so a cascade runs depth first; a level's phase 4 runs
+        when its edges are done.  Entered outside any wave (after a method
+        returns), each application of changed's edges is a wave of its own."""
+        wave = self.wave
+        outside = not wave.depth
+        cell, stack = changed, None
+        try:
+            while True:
+                # phase 1: rebinding / re-installation
+                if cell.redefinitions:
+                    self._rebind(cell, True)
+                # phase 2: top (last registered) monitor, disabled during its execution
+                if cell.monitors and cell.monitors_enabled:
+                    m = cell.monitors[-1]
+                    cell.monitors_enabled = False
+                    try:
+                        self.trace.emit(tr.MONITOR_FIRED, m.lvalue, cell.name, m.detail)
+                        m.invoke()
+                    finally:
+                        cell.monitors_enabled = True
+                if cell.update_hook is not None:
+                    cell.update_hook()
+                # phase 3: constraint resolution
+                todo = iter(list(cell.dependencies))
+                while True:
+                    for edge in todo:
+                        if edge.live and edge.from_cell is cell:
+                            target = self.fire(edge.entry, True)
+                            if target is not None:
+                                break
+                    else:  # cell's edges are done
+                        # phase 4: precondition testers
+                        if cell.preconditions:
+                            for p in list(cell.preconditions):
+                                p.invoke()
+                        if not stack:
+                            return
+                        cell, todo = stack.pop()
+                        if outside and not stack:  # the application's wave ends
+                            wave.depth = 0
+                            wave.in_flight.clear()
+                        continue
                     if stack is None:
                         stack = []
                     stack.append((cell, todo))
-                    cell, todo = target, iter(list(target.dependencies))
+                    cell = target
                     break
-            else:  # cell's edges are done
-                if not stack:
-                    return
-                if cell.preconditions:  # phase 4 of a target written here
-                    for p in list(cell.preconditions):
-                        p.invoke()
-                cell, todo = stack.pop()
+        finally:
+            if outside:  # a fault may leave an application's wave open
+                wave.depth = 0
+                wave.in_flight.clear()
 
     def fire(self, entry: ConstraintEntry, via_resolution: bool):
-        """Attempt one constraint application (used by resolution and by
-        install-time application).  Within an open wave, a resolution's
-        application of a pure entry to a cell with no redefinitions, monitors
-        or update hook is one write and one `ConstraintApplied` record that
-        reads as the application and the store; its target is returned for
-        `resolve` to carry on from.  Every other application stores through
-        the host and returns None."""
+        """Attempt one constraint application.  At install it stores through
+        `store`.  By resolution it writes the target and returns it for
+        `resolve`; a pure entry's application to a cell with no redefinitions
+        is one `ConstraintApplied` record, read as the application and the store."""
         try:
             target = entry.target()
         except RuntimeFault as f:
@@ -332,14 +362,15 @@ class Engine:
             return None
         if via_resolution:
             wave.in_flight.add(id(target))
-            if (entry.pure and wave.depth and target.update_hook is None
-                    and not target.redefinitions and not target.monitors):
+            if entry.pure and not target.redefinitions:
                 try:
                     value = entry.rhs[0](entry.frame)
                 except BaseException:  # the application was under way: record it
                     self.trace.emit(tr.CONSTRAINT_APPLIED, entry.lvalue,
                                     target.name, entry.detail)
                     raise
+                if not wave.depth:  # a write outside any wave opens one
+                    wave.depth = 1
                 self.trace.emit(tr.CONSTRAINT_APPLIED, target.value, target.name,
                                 entry, value)
                 target.value = value
@@ -349,8 +380,14 @@ class Engine:
         if guarded:
             # the guard is user code: it may have rebound the constrained side
             target = entry.target()
-        self.host.store(target, entry.rhs[0](entry.frame))
-        return None
+        value = entry.rhs[0](entry.frame)
+        if not via_resolution:
+            self.store(target, value)
+            return None
+        if not wave.depth:
+            wave.depth = 1
+        self._write(target, value)
+        return target
 
     # --- object protocol --------------------------------------------------
 
@@ -373,3 +410,13 @@ class Engine:
             header.updated = True
             self.trace.emit(tr.BEFORE_CHANGE, "", obj_cell.name, "object-update")
             self.actions_before_change(obj_cell)
+
+    def member_changed(self, header: ObjectHeader, obj_cell: Cell):
+        """The update hook of an object's members: seen at once outside a method."""
+        if header.n > 0:
+            self.set_updated(header, obj_cell)
+        else:
+            self.trace.emit(tr.BEFORE_CHANGE, "", obj_cell.name, "object-update")
+            self.actions_before_change(obj_cell)
+            self.trace.emit(tr.AFTER_CHANGE, "", obj_cell.name, "object-update")
+            self.actions_after_change(obj_cell)

@@ -44,7 +44,7 @@ class TraceEvent(NamedTuple):
 
 # A plain store, i.e. on a cell with no redefinitions: one record that reads
 # as `BeforeChange` then `AfterChange` on its cell (see `TraceSink.emit`).
-# A pure constraint's application written in place by `Engine.fire` is one
+# A pure constraint's application by resolution to such a cell is one
 # `ConstraintApplied` record that reads as those two after its own event.
 STORE = "Store"
 

@@ -1,12 +1,12 @@
 """Executor for lowered programs.
 
-Every user-visible store routes through the cell write protocol
-(before-actions, write, after-actions).  A generated function that runs by
-name, a unit init or a `redef_*` function, is lowered once per machine into
-a flat tuple of steps, one per `codegen.Reg` of the init functions it calls,
-spliced in; the init functions keep no steps of their own.  A redefined
-cell's rebinding phase runs the steps of each owner's run of redefinitions in
-one step loop, which resolves an l-value once per run until a step can store.
+Every user-visible store goes through the engine's write protocol
+(`Engine.store`).  A generated function that runs by name, a unit init or a
+`redef_*` function, is lowered once per machine into a flat tuple of steps,
+one per `codegen.Reg` of the init functions it calls, spliced in; the init
+functions keep no steps of their own.  A redefined cell's rebinding phase
+runs the steps of each owner's run of redefinitions in one step loop, which
+resolves an l-value once per run until a step can store.
 
 User code compiles to shape evaluators `(leaves, frame) -> value` (or cell):
 one per expression or statement shape, the operator tree plus the kind of
@@ -107,7 +107,7 @@ class Machine:
         self.unit = gen.unit
         self.info = info
         self.trace = sink if sink is not None else tr.TraceSink()
-        self.engine = Engine(self.trace, self)
+        self.engine = Engine(self.trace)
         self.globals: dict[str, object] = {}
         self.frames: list[Frame] = []
         self._gen_frames: dict[int, GenFrame] = {}  # by id(owner), while it lives
@@ -144,7 +144,7 @@ class Machine:
         for m in inst.members.values():
             if isinstance(m, Instance):
                 self._construct_instance(m)
-        hook = partial(Machine._object_update, self, inst)
+        hook = partial(self.engine.member_changed, inst.header, inst.obj_cell)
         for m in inst.members.values():
             (m.obj_cell if isinstance(m, Instance) else m).update_hook = hook
         unit_init = self.gen.classes.get(inst.cls)
@@ -161,20 +161,6 @@ class Machine:
         for m in inst.members.values():
             if isinstance(m, Instance):
                 self._destroy_instance(m)
-
-    def _object_update(self, inst: Instance):
-        """The update hook of inst's members."""
-        if inst.header.n > 0:
-            self.engine.set_updated(inst.header, inst.obj_cell)
-        else:
-            # member changed outside any method (constraint/monitor body):
-            # the update is externally visible immediately
-            self.trace.emit(tr.BEFORE_CHANGE, "", inst.obj_cell.name,
-                            "object-update")
-            self.engine.actions_before_change(inst.obj_cell)
-            self.trace.emit(tr.AFTER_CHANGE, "", inst.obj_cell.name,
-                            "object-update")
-            self.engine.actions_after_change(inst.obj_cell)
 
     # ----------------------------------------------------------------- load
 
@@ -210,29 +196,8 @@ class Machine:
         self.teardown()
         return 0
 
-    # ---------------------------------------------------------------- stores
-
     def store(self, cell: Cell, value):
-        wave = self.engine.wave  # Wave.enter and exit, inline
-        wave.depth += 1
-        try:
-            # rendered when the event is built: a stored value (int, bool,
-            # None, CellPtr, ObjPtr) never renders differently later.  With
-            # no redefinitions nothing is emitted between the two events, so
-            # one STORE record stands for both.
-            if cell.redefinitions:
-                self.trace.emit(tr.BEFORE_CHANGE, "", cell.name, _OLD, cell.value)
-                self.engine.actions_before_change(cell)
-                cell.value = value
-                self.trace.emit(tr.AFTER_CHANGE, "", cell.name, _NEW, value)
-            else:
-                self.trace.emit(tr.STORE, cell.value, cell.name, value_str, value)
-                cell.value = value
-            self.engine.actions_after_change(cell)
-        finally:
-            wave.depth -= 1
-            if not wave.depth and wave.in_flight:
-                wave.in_flight.clear()
+        self.engine.store(cell, value)  # a name of its own: perfbench's spans wrap it
 
     # ------------------------------------------------------------ evaluation
 
@@ -732,11 +697,11 @@ class Machine:
                           lvalue=lvstr, construct=ordinal)
         elif kind == "monitor":
             entry = Entry(fn, owner, lvalue=lvstr, construct=ordinal,
-                          invoke=partial(Machine._monitor, self, c.body, fn, owner))
+                          invoke=partial(Machine._monitor, self, c.body, owner))
         elif kind == "precondition":
             condstr = info.cond_str
             entry = Entry(fn, owner, lvalue=condstr, construct=ordinal, invoke=partial(
-                Machine._precondition, self, self._evaluator(c.cond), c.body, fn, owner,
+                Machine._precondition, self, self._evaluator(c.cond), c.body, owner,
                 condstr, _eval_details(ordinal)))
         else:  # a constraint's: its registration, dependency or application
             lhs = info.lhs
@@ -757,12 +722,12 @@ class Machine:
     def _redefine(self, owner, fns, b: bool):
         self.run_genfn(fns, owner, b)
 
-    def _monitor(self, body: ast.Block, fn: str, owner):
-        self._exec_body(body, Frame(fn, owner=owner))
+    def _monitor(self, body: ast.Block, owner):
+        self._exec_body(body, Frame("<monitor>", owner=owner))
 
-    def _precondition(self, test: list, body: ast.Block, fn: str, owner, condstr: str,
+    def _precondition(self, test: list, body: ast.Block, owner, condstr: str,
                       details: tuple[str, str]):
-        frame = Frame(fn, owner=owner)
+        frame = Frame("<tester>", owner=owner)
         v = bool(test[0](frame))
         self.trace.emit(tr.PRECOND_EVAL, condstr, "", details[v])
         if v:
@@ -809,8 +774,6 @@ class Machine:
 
 
 _LITERALS = (ast.IntLit, ast.BoolLit, ast.NullLit)
-
-_OLD, _NEW = ("old:", value_str), ("new:", value_str)  # trace details of a store
 
 # The Install/Cancel detail of a step, by kind, rendered from its construct
 # (an `apply` step emits none).

@@ -13,6 +13,13 @@ from declc.vm import Machine, compile_source, load_source
 PROGRAMS = Path(__file__).parent / "programs"
 GOLDEN = Path(__file__).parent / "golden"
 
+# A constraint that calls a method through a dereferenced object pointer.
+OBJECT_CALLEE = """class A { int v; public: int get() { return v; } void set(int x) { v = x; } };
+A a; A b; A *p = &a; int x;
+x := (*p).get();
+void main() { a.set(2); b.set(3); p = &b; b.set(9); }
+"""
+
 
 def program(name: str) -> str:
     return (PROGRAMS / name).read_text(encoding="utf-8")

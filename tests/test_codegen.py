@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import GOLDEN, program
+from conftest import GOLDEN, OBJECT_CALLEE, program
 from declc import codegen
 from declc.checker import check_or_raise
 from declc.codegen import CallGen, lower, mangle_expr
@@ -101,6 +101,14 @@ def test_redef_of_x_reinitializes_and_recurses():
     calls = [i.fn for i in gen.functions["redef_sim_i"].instrs
              if isinstance(i, CallGen)]
     assert calls == ["init_p_arr_i"]
+
+
+def test_a_redef_function_recurses_through_an_object_constituent():
+    """`*p` is an object, not assignable storage (contract.py): it has no
+    redef function, so p's redef function re-runs the init of `(*p).get`,
+    which `*p` rebinds, itself."""
+    gen = lowered(OBJECT_CALLEE)
+    assert [i.fn for i in gen.functions["redef_sim_p"].instrs] == ["init_ptr_p_mem_get"]
 
 
 def test_constrained_lvalue_init_registers_constraint_and_applies():

@@ -1,7 +1,7 @@
 
 import pytest
 
-from conftest import machine, matches_oracle, program
+from conftest import events_of, machine, matches_oracle, program
 from declc import ast, trace as tr
 from declc.checker import check_or_raise
 from declc.errors import RuntimeFault
@@ -187,6 +187,20 @@ void main() { Out o; o.go(); done = 1; s = 5; }
     assert m.memory_snapshot() == {"done": "1", "s": "5", "n": "5"}
 
 
+def test_an_objects_address_in_a_right_side_depends_on_the_object():
+    """`&o` and `&(*q)` name objects as l-values: each is a trigger whose
+    cell is the object's own, so o's update re-applies both constraints."""
+    m = matches_oracle("""
+class A { int v; public: void set(int k) { v = k; } };
+A o; A *p; A *q = &o; bool b; bool c;
+b := p == &o;
+c := p == &(*q);
+void main() { p = &o; o.set(1); }
+""")
+    assert (m.memory_snapshot()["b"], m.memory_snapshot()["c"]) == ("true", "true")
+    assert [e.cell for e in events_of(m, tr.CONSTRAINT_APPLIED)] == ["b", "c"] * 3
+
+
 def test_a_program_without_main_faults_in_both_routes():
     src = "int x;"
     m = machine(src)
@@ -221,3 +235,26 @@ A a; A b; int x; int y;
 void main() { b.set(6); x = a.peek(&b); y = a.same(&b); }
 """)
     assert (m.memory_snapshot()["x"], m.memory_snapshot()["y"]) == ("6", "6")
+
+
+@pytest.mark.parametrize("lhs", ["o.v", "(*p).v"])
+def test_an_object_constituent_of_a_left_side_rebinds_nothing(lhs):
+    """`o` in `o.v` is an object: its update after `setk` is no write of a
+    constituent (contract.py), so neither route re-applies the constraint
+    for it; the reference no longer recurses without end."""
+    m = matches_oracle(f"""class A {{ int v; int k; public: void setk(int x) {{ k = x; }}
+    {lhs} := k + 1; }};
+A o; A *p = &o;
+void main() {{ o.setk(3); }}
+""")
+    assert m.memory_snapshot() == {"o.v": "4", "o.k": "3", "p": "&o"}
+
+
+@pytest.mark.parametrize("construct,frame", [
+    ("s ::= { int t = s; n = t; }", "<monitor>"),
+    ("s > 0 ?? { int t = s; n = t; }", "<tester>"),
+], ids=["monitor", "tester"])
+def test_a_local_of_a_monitor_or_tester_body_is_named_as_in_the_reference(construct, frame):
+    m = matches_oracle(f"int s; int n;\n{construct}\nvoid main() {{ s = 5; }}\n")
+    assert m.memory_snapshot() == {"s": "5", "n": "5"}
+    assert [e.cell for e in m.trace.events if e.cell.endswith(":t")] == [f"{frame}@2:t"] * 2

@@ -9,19 +9,8 @@ from declc.runtime import (Cell, ConstraintEntry, DependencyGraph, Engine,
                            Entry, ObjectHeader)
 
 
-class Host:
-    """Stands in for the vm: a store writes the cell and records it."""
-
-    def __init__(self):
-        self.stored = []
-
-    def store(self, cell, value):
-        self.stored.append(cell)
-        cell.value = value
-
-
 def engine():
-    return Engine(tr.TraceSink(), Host())
+    return Engine(tr.TraceSink())
 
 
 def applying(effect):
@@ -406,11 +395,12 @@ def test_false_guard_blocks_application():
 
 def test_fire_hands_apply_the_resolved_target():
     """An unguarded constraint resolves its target once and applies there; a
-    guarded one resolves it again after the guard, which may rebind it."""
+    guarded one resolves it again after the guard, which may rebind it.  By
+    resolution, the cell written is the one handed back to `resolve`."""
     e = engine()
     first, second = Cell("first", 0), Cell("second", 0)
     denoted = [first]
-    resolved, applied = [], e.host.stored
+    resolved = []
 
     def target():
         resolved.append(denoted[0].name)
@@ -420,15 +410,21 @@ def test_fire_hands_apply_the_resolved_target():
         denoted[0] = second
         return True
 
-    for guard in (None, rebinding_guard):
-        denoted[0] = first
-        resolved.clear()
-        en = ConstraintEntry("assign_0", None, seq=0, target=target,
-                             guard=guard, rhs=applying(lambda: 0))
-        first.constraints = [en]
-        e.fire(en, via_resolution=False)
-        assert resolved == (["first"] if guard is None else ["first", "second"])
-    assert applied == [first, second]
+    for via_resolution in (False, True):
+        for guard in (None, rebinding_guard):
+            denoted[0] = first
+            resolved.clear()
+            first.value = second.value = 0
+            en = ConstraintEntry("assign_0", None, seq=0, target=target,
+                                 guard=guard, rhs=applying(lambda: 1))
+            first.constraints = [en]
+            e.wave.enter()
+            written = e.fire(en, via_resolution)
+            e.wave.exit()
+            assert resolved == (["first"] if guard is None else ["first", "second"])
+            applied = first if guard is None else second
+            assert (first.value, second.value) == ((1, 0) if guard is None else (0, 1))
+            assert written is (applied if via_resolution else None)
 
 
 # --------------------------------------------------------------- work stack
@@ -457,17 +453,16 @@ def _fan_with_a_subtree():
 
 
 def test_a_pure_cascade_runs_depth_first_from_one_loop():
-    """Inside a wave a pure application to a cell with no phase-1 or phase-2
-    work is written in place: the first target's subtree and then its
-    precondition run before the second edge, and nothing goes through the
-    host's store.  Each application is one record read as three events."""
+    """Each application is written by `fire` and is a level of the same
+    loop: the first target's subtree and then its precondition run before
+    the second edge.  Each pure application is one record read as three
+    events."""
     e, order, src, (a, b, c) = _fan_with_a_subtree()
     e.wave.enter()
     e.resolve(src)
     e.wave.exit()
     assert order == ["a", "c", "pre a", "b"]
     assert (a.value, b.value, c.value) == (1, 2, 3)
-    assert e.host.stored == []
     assert [(ev.kind, ev.cell) for ev in e.trace.events] == [
         (k, cell) for cell in "acb"
         for k in (tr.CONSTRAINT_APPLIED, tr.BEFORE_CHANGE, tr.AFTER_CHANGE)]
@@ -475,27 +470,42 @@ def test_a_pure_cascade_runs_depth_first_from_one_loop():
     assert e.wave.depth == 0 and not e.wave.in_flight
 
 
-def test_a_resolution_outside_a_wave_stores_through_the_host():
-    """At depth 0 (a resolution entered from `Engine.resume`) every
-    application goes through the host's store, whose change protocol runs
-    the target's own edges and preconditions."""
+def test_each_application_of_a_resolution_outside_a_wave_is_a_wave():
+    """At depth 0 (a resolution entered from `Engine.resume`) the loop runs
+    the same levels, but each application of the changed cell's edges opens
+    a wave that ends when its level is done: b's wave holds b only."""
     e, order, src, (a, b, c) = _fan_with_a_subtree()
+    waves = []
+    for cell in (a, b):
+        e.handle_precondition(cell, Entry(f"wave_{cell.name}", None, invoke=lambda: waves.append(
+            (e.wave.depth, sorted(x.name for x in (a, b, c) if id(x) in e.wave.in_flight)))),
+            True)
     e.resolve(src)
-    assert order == ["a", "b"]
-    assert e.host.stored == [a, b]
+    assert order == ["a", "c", "pre a", "b"]
+    assert waves == [(1, ["a", "c"]), (1, ["b"])]
+    assert e.wave.depth == 0 and not e.wave.in_flight
 
 
-def test_a_target_with_a_monitor_is_stored_through_the_host():
+def test_a_target_with_phase_1_and_2_work_is_a_level_of_the_loop():
+    """a has a redefinition and a monitor.  Its pure application records the
+    split form (the application, `BeforeChange`, the cancel run, the write,
+    `AfterChange`), then a's level reinstalls (phase 1) and runs the monitor
+    (phase 2) before its edge to c fires, all from the one loop."""
     e, order, src, (a, b, c) = _fan_with_a_subtree()
-    e.handle_monitor(a, entry("m"), True)
+    e.handle_redefinition(a, Entry("redef_a", None, invoke=lambda fns, add: order.append(
+        ("redef", list(fns), add))), True)
+    e.handle_monitor(a, Entry("m", None, lvalue="a", invoke=lambda: order.append("m")), True)
     e.wave.enter()
     e.resolve(src)
     e.wave.exit()
-    assert order == ["a", "b"]
-    assert e.host.stored == [a]
-    # a's application is recorded by fire; the host's store records nothing
-    assert [(ev.kind, ev.cell) for ev in e.trace.events] == [(tr.CONSTRAINT_APPLIED, "a")] + [
-        (k, "b") for k in (tr.CONSTRAINT_APPLIED, tr.BEFORE_CHANGE, tr.AFTER_CHANGE)]
+    assert order == ["a", ("redef", ["redef_a"], False), ("redef", ["redef_a"], True), "m",
+                     "c", "pre a", "b"]
+    assert (a.value, b.value, c.value) == (1, 2, 3)
+    applied = (tr.CONSTRAINT_APPLIED, tr.BEFORE_CHANGE, tr.AFTER_CHANGE)
+    assert [(ev.kind, ev.cell) for ev in e.trace.events] == [
+        (k, "a") for k in applied + (tr.MONITOR_FIRED,)] + [
+        (k, cell) for cell in "cb" for k in applied]
+    assert len(e.trace._slots) == 6 * tr.STRIDE   # a's application is three records
 
 
 def test_a_faulting_pure_right_side_emits_its_application():
@@ -565,7 +575,7 @@ def test_change_phases_skip_redefinitions_cancelled_earlier(add):
     c = Cell("x", 0)
     ran = []
 
-    def run(fns, b):  # the host side of a run: both entries have one owner
+    def run(fns, b):  # the vm side of a run: both entries have one owner
         for fn in fns:
             ran.append((fn, b))
             if fn == "redef_outer":

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import machine
-from declc import trace as tr, vm
+from declc import trace as tr, values, vm
 from declc.errors import RuntimeFault
 from declc.runtime import ConstraintEntry
 from declc.values import value_str
@@ -27,15 +27,15 @@ def _streamed(source: str) -> list[tr.TraceEvent]:
 
 def test_stores_build_and_format_nothing_until_events_are_read(monkeypatch):
     src = "int x; int y;\ny := x + 1;\nvoid main() { x = 1; x = 2; }"
-    m = machine(src)
     calls = {"value_str": 0}
-    real_value_str = vm.value_str
+    real_value_str = values.value_str
 
     def counting_value_str(v):
         calls["value_str"] += 1
         return real_value_str(v)
 
-    monkeypatch.setattr(vm, "value_str", counting_value_str)
+    monkeypatch.setattr(values, "value_str", counting_value_str)
+    m = machine(src)
     m.call_function("main", [])
     assert calls["value_str"] == 0 and m.trace._built == []
     events = m.trace.events

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import events_of, machine, matches_oracle, program, run
+from conftest import OBJECT_CALLEE, events_of, machine, matches_oracle, program, run
 from declc import ast, trace as tr
 from declc.checker import check_or_raise
 from declc.cli import main as cli_main
@@ -13,6 +13,7 @@ from declc.errors import RuntimeFault
 from declc.oracle import Oracle, diff_traces
 from declc.parser import parse_source
 from declc.render import render
+from declc.runtime import ConstraintEntry
 from declc.vm import Machine, compile_source
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -857,8 +858,8 @@ def test_a_pure_right_side_that_faults_mid_cascade(tmp_path, capsys):
 
 
 def test_a_fault_in_a_deferred_precondition_closes_the_wave():
-    """a is written in place, so its precondition runs from the resolution
-    loop; its fault still leaves no wave open and no cell marked."""
+    """a is a level of the resolution loop, so its precondition runs from
+    the loop; its fault still leaves no wave open and no cell marked."""
     src = """int s; int a; int b; int *p;
 a := s + 1;
 b := a + 1;
@@ -909,24 +910,42 @@ void main() { %s }
     assert matches_oracle(src % "w.set(2); t = 3;").memory_snapshot()["y"] == "6"
 
 
-def test_a_5000_link_pure_chain_runs_without_recursion():
-    """Each level of a pure chain is one turn of the resolution loop, so the
-    chain's length is not bounded by Python's recursion limit.  (The
-    reference interpreter still recurses per level, so it is not run.)"""
+def _chain(n: int, construct: str = "") -> str:
+    """`c{k} := c{k - 1} + 1` for k < n, with `construct` (formatted with k)
+    on every link, and a `main` that writes c0 = 7."""
+    return ("".join(f"int c{k}; " for k in range(n)) + "int seen;\n"
+            + "".join(f"c{k} := c{k - 1} + 1;\n" for k in range(1, n))
+            + "".join(construct.format(k=k) for k in range(n))
+            + "void main() { c0 = 7; }\n")
+
+
+CHAIN_LINKS = {
+    "pure": "",
+    "monitor": "c{k} ::= {{ seen = seen + 1; }}\n",
+    "precondition": "c{k} > 0 ?? {{ seen = seen + 1; }}\n",
+}
+
+
+@pytest.mark.parametrize("link", list(CHAIN_LINKS))
+def test_a_5000_link_chain_runs_without_recursion(link):
+    """Each level of a chain is one turn of the resolution loop, whatever
+    its cell carries: a monitor or a precondition on every link recurses
+    only for its own body.  So the chain's length is not bounded by Python's
+    recursion limit.  (The reference interpreter still recurses per level,
+    so it is not run; the closed form is the check.)"""
     n = 5000
     assert sys.getrecursionlimit() <= 1000
-    src = ("".join(f"int c{k}; " for k in range(n)) + "\n"
-           + "".join(f"c{k} := c{k - 1} + 1;\n" for k in range(1, n))
-           + "void main() { c0 = 7; }\n")
-    m = machine(src)
+    m = machine(_chain(n, CHAIN_LINKS[link]))
     m.call_function("main", [])
-    assert m.memory_snapshot() == {f"c{k}": str(7 + k) for k in range(n)}
+    assert m.memory_snapshot() == {**{f"c{k}": str(7 + k) for k in range(n)},
+                                   "seen": str(n if link != "pure" else 0)}
     assert not m.trace.warnings()
 
 
-def test_a_pure_application_to_a_monitored_cell_stores_through_the_host():
-    """y has a monitor, so y's application is not written in place: it is
-    one `ConstraintApplied` record and then the host's own store record."""
+def test_a_pure_application_to_a_monitored_cell_is_one_record():
+    """y has a monitor.  Its application is still written by the resolution
+    loop as one `ConstraintApplied` record (the application and the store),
+    and y's monitor then runs as phase 2 of y's level."""
     src = "int x; int y; int seen;\ny := x + 1;\ny ::= { seen = y; }\nvoid main() { x = 4; }\n"
     m = matches_oracle(src)
     assert m.memory_snapshot()["seen"] == "5"
@@ -934,9 +953,18 @@ def test_a_pure_application_to_a_monitored_cell_stores_through_the_host():
     n = len(m.trace._slots)
     m.call_function("main", [])
     records = m.trace._slots[n:]
-    assert [(records[i], records[i + 2]) for i in range(0, 3 * tr.STRIDE, tr.STRIDE)] == [
-        (tr.STORE, "x"), (tr.CONSTRAINT_APPLIED, "y"), (tr.STORE, "y")]
-    assert records[tr.STRIDE + 3] == "construct:0"
+    assert [(records[i], records[i + 2]) for i in range(0, len(records), tr.STRIDE)] == [
+        (tr.STORE, "x"), (tr.CONSTRAINT_APPLIED, "y"), (tr.MONITOR_FIRED, "y"),
+        (tr.STORE, "seen")]
+    assert records[tr.STRIDE + 3].__class__ is ConstraintEntry
+
+
+def test_a_rebinding_passes_through_an_object_constituent():
+    """When p moves to b, `(*p).get()`'s edge moves with it, through the
+    object `*p`: b's later update re-applies x, as through `p->get()`."""
+    for call in ("(*p).get()", "p->get()"):
+        m = matches_oracle(OBJECT_CALLEE.replace("(*p).get()", call))
+        assert m.memory_snapshot()["x"] == "9"
 
 
 def test_retargeting_moves_edges_to_a_fresh_machines_state():

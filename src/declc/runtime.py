@@ -23,7 +23,8 @@ _N = ("n:", str)  # trace detail of Suspend/Resume: the suspension count
 
 @dataclass(eq=False, slots=True)
 class Entry:
-    """One registered involvement: identity is the (function, owner) pair."""
+    """One registered involvement of an owner's entry function `fn`; the vm
+    makes one per (function, owner), and a cancel removes it by identity."""
 
     fn: str
     owner: object                  # Instance or None for file scope
@@ -36,9 +37,6 @@ class Entry:
 
     def __post_init__(self):
         self.detail = f"construct:{self.construct}"
-
-    def matches(self, other: "Entry") -> bool:
-        return self.fn == other.fn and self.owner is other.owner
 
 
 @dataclass(eq=False, slots=True)
@@ -145,7 +143,7 @@ class DependencyGraph:
         else:  # a reinstall keeps its seq, so the edge may belong mid-list
             insort(deps, edge, key=_order)
 
-    def remove(self, from_cell: Cell, entry: ConstraintEntry, lv_ordinal: int):
+    def remove(self, entry: ConstraintEntry, lv_ordinal: int):
         edges = entry.edges
         edge = edges[lv_ordinal] if lv_ordinal < len(edges) else None
         if edge is None or not edge.live:
@@ -176,9 +174,9 @@ def _pushed(lst, entry: Entry) -> list:
 
 
 def _cancel(lst, entry: Entry):
-    """Remove the topmost registration matching entry."""
+    """Remove the topmost registration of entry."""
     for i in range(len(lst) - 1, -1, -1):
-        if lst[i].matches(entry):
+        if lst[i] is entry:
             lst.pop(i).registered -= 1
             return
     raise RuntimeFault(f"cancel of unregistered entry {entry.fn}")
@@ -228,7 +226,7 @@ class Engine:
         if add:
             self.deps.add(cell_from, entry, lv_ordinal)
         else:
-            self.deps.remove(cell_from, entry, lv_ordinal)
+            self.deps.remove(entry, lv_ordinal)
 
     # --- change protocol --------------------------------------------------
     # A phase runs over a snapshot of a non-empty list; a redefinition that

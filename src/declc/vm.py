@@ -5,8 +5,8 @@ Every user-visible store goes through the engine's write protocol
 `redef_*` function, is lowered once per machine into a flat tuple of steps,
 one per `codegen.Reg` of the init functions it calls, spliced in; the init
 functions keep no steps of their own.  A redefined cell's rebinding phase
-runs the steps of each owner's run of redefinitions in one step loop, which
-resolves an l-value once per run until a step can store.
+runs the steps of each owner's run of redefinitions in one step loop.  An
+install records the cell it registered on, and its cancel takes that cell.
 
 User code compiles to shape evaluators `(leaves, frame) -> value` (or cell):
 one per expression or statement shape, the operator tree plus the kind of
@@ -51,15 +51,15 @@ class Frame:
 
 
 class GenFrame(Frame):
-    """The frame an owner's generated functions and constraint entries share
-    (evaluating adds nothing to it), with its entries and dormant steps."""
+    """The frame an owner's generated functions and constraint entries share,
+    with its entries and, by `Reg` key, the cell each registration is on."""
 
-    __slots__ = ("entries", "dormant")
+    __slots__ = ("entries", "placed")
 
     def __init__(self, owner):
         super().__init__("<gen>", owner)
         self.entries: dict = {}
-        self.dormant: set = set()
+        self.placed: dict = {}
 
 
 def _leaf(leaves: list, v) -> int:
@@ -181,7 +181,8 @@ class Machine:
         return self
 
     def teardown(self):
-        """Cancel every installed registration (reverse of install order)."""
+        """Cancel every registration on the cell its install recorded: file scope
+        in install order, then each global object's in reverse declaration order."""
         self.run_genfn((self.gen.unit_init,), None, False)
         for v in reversed(self.globals.values()):
             if v.__class__ is Instance:
@@ -601,13 +602,13 @@ class Machine:
 
     def run_genfn(self, fns, owner, b: bool):
         """Run `owner`'s generated functions named by `fns`, in order, as one
-        step run: install (b) or cancel.  `fns` is pulled lazily, one name per
-        function, so a caller may still skip a function when the run reaches
-        it.  An l-value is resolved once per run and its cell reused, until a
-        step that can store: an applied constraint, or a resolution that ran
-        user code (a call in the l-value), whose cell is never reused."""
+        step run: install (b) or cancel.  `fns` is pulled lazily, so a caller
+        may still skip a function when the run reaches it.  An install resolves
+        each l-value once per run until a step that can store (an applied
+        constraint, or a call in the l-value), and records its cell in `placed`
+        or is dormant; a cancel pops that cell, or skips a dormant step."""
         fr = self._gen_frame(owner)
-        entries, dormant, engine, emit = fr.entries, fr.dormant, self.engine, self.trace.emit
+        entries, placed, engine, emit = fr.entries, fr.placed, self.engine, self.trace.emit
         lowered = self._steps
         cells = {}  # resolver -> the cell it gave in this run
         for name in fns:
@@ -615,33 +616,32 @@ class Machine:
             if steps is None:
                 steps = self._lower(name)
             for step in steps:
-                kind, efn, lvstr, detail, construct, ordinal, resolve = step
+                kind, efn, lvstr, detail, construct, ordinal, resolve, key = step
                 entry = entries.get(efn) or self._entry(kind, efn, construct, lvstr, fr)
                 if kind == "apply":
                     if b:
                         cells.clear()
                         engine.fire(entry, via_resolution=False)
                     continue
-                if dormant and step in dormant:
-                    dormant.discard(step)
-                    if not b:
+                if not b:
+                    cell = placed.pop(key, None)
+                    if cell is None:  # dormant
                         continue
-                cell = cells.get(resolve)
-                if cell is None:
-                    calls = self._call_seq
-                    try:
-                        cell = resolve(fr)
-                    except RuntimeFault as f:
-                        cells.clear()  # it may have run user code that stored
-                        if b:
-                            dormant.add(step)
+                else:
+                    cell = cells.get(resolve)
+                    if cell is None:
+                        calls = self._call_seq
+                        try:
+                            cell = resolve(fr)
+                        except RuntimeFault as f:
+                            cells.clear()  # it may have run user code that stored
                             emit(tr.DORMANT, lvstr, "", f"construct:{construct}:{f.msg}")
                             continue
-                        raise
-                    if self._call_seq == calls:
-                        cells[resolve] = cell
-                    else:  # it ran user code, which may have stored
-                        cells.clear()
+                        if self._call_seq == calls:
+                            cells[resolve] = cell
+                        else:  # it ran user code, which may have stored
+                            cells.clear()
+                    placed[key] = cell
                 if kind == "dependency":
                     engine.handle_dependency(cell, entry, ordinal, b)
                 elif kind == "constraint":
@@ -664,8 +664,8 @@ class Machine:
         """Append the steps of a generated function to `steps`, its CallGen
         callees spliced in: one (kind, entry function, l-value string,
         Install/Cancel detail as a `(prefix, render)` pair of the construct,
-        construct, dependency ordinal, resolver) per registration.  A callee
-        lowered twice gives equal steps, so a dormant key matches in both."""
+        construct, dependency ordinal, resolver, `Reg` id as the `placed` key)
+        per registration, the same wherever the callee is spliced."""
         fn = self.gen.functions[name]
         for ins in fn.instrs:
             if ins.__class__ is CallGen:
@@ -677,7 +677,7 @@ class Machine:
             else:
                 lv = ins.lv
                 steps.append((ins.kind, ins.fn, lv.str, _INSTALL_DETAILS[ins.kind],
-                              fn.construct, ins.ordinal, self._resolver(lv.expr)))
+                              fn.construct, ins.ordinal, self._resolver(lv.expr), id(ins)))
         return steps
 
     # ------------------------------------------------------ runtime entries

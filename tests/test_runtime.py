@@ -57,14 +57,18 @@ def test_top_entry_is_last_registered():
 
 
 def test_cancel_removes_topmost_matching():
-    """Cancelling by (function, owner) identity removes the most recent
-    matching registration, so nested install/cancel pairs balance."""
+    """A cancel removes the topmost registration of the entry it is given, by
+    identity, so nested install/cancel pairs of one entry balance and an
+    entry of the same function stays."""
     e, c = engine(), Cell("x")
-    first, again = entry("f"), entry("f")
+    first, other = entry("f"), entry("f")
     e.handle_monitor(c, first, True)
-    e.handle_monitor(c, again, True)
-    e.handle_monitor(c, entry("f"), False)
-    assert c.monitors == [first]
+    e.handle_monitor(c, other, True)
+    e.handle_monitor(c, first, True)
+    e.handle_monitor(c, first, False)
+    assert c.monitors == [first, other]
+    e.handle_monitor(c, first, False)
+    assert c.monitors == [other] and first.registered == 0
 
 
 def test_cancel_of_unregistered_entry_faults():
@@ -76,39 +80,43 @@ def test_cancel_of_unregistered_entry_faults():
 def test_owner_distinguishes_registrations():
     e, c = engine(), Cell("x")
     o1, o2 = object(), object()
-    e.handle_monitor(c, entry("f", o1), True)
-    e.handle_monitor(c, entry("f", o2), True)
-    e.handle_monitor(c, entry("f", o1), False)
+    f1, f2 = entry("f", o1), entry("f", o2)
+    e.handle_monitor(c, f1, True)
+    e.handle_monitor(c, f2, True)
+    e.handle_monitor(c, f1, False)
     assert [m.owner for m in c.monitors] == [o2]
+    with pytest.raises(RuntimeFault):
+        e.handle_monitor(c, f1, False)
 
 
 def test_stack_against_list_model():
-    """Random install/cancel sequences across the four registration lists
-    behave like a plain list with remove-topmost-matching semantics."""
+    """Random install/cancel sequences of a few entries across the four
+    registration lists behave like a plain list with remove-topmost
+    semantics, each cancel naming the entry object it installed."""
     rng = random.Random(42)
     e, c = engine(), Cell("x")
     handlers = [e.handle_monitor, e.handle_precondition,
                 e.handle_redefinition, e.handle_constraint]
     lists = ["monitors", "preconditions", "redefinitions", "constraints"]
     models = [[], [], [], []]
+    made = [[(ConstraintEntry if which == 3 else Entry)(f"f{k}", None, invoke=lambda *a: None)
+             for k in range(4)] for which in range(4)]
     for _ in range(500):
         which = rng.randrange(4)
-        fn = f"f{rng.randrange(4)}"
-        make = (ConstraintEntry if which == 3 else Entry)
-        en = make(fn, None, invoke=lambda *a: None)
+        en = rng.choice(made[which])
         model = models[which]
         if rng.random() < 0.55:
             handlers[which](c, en, True)
-            model.append(fn)
+            model.append(en.fn)
         else:
-            should_fault = fn not in model
+            should_fault = en.fn not in model
             if should_fault:
                 with pytest.raises(RuntimeFault):
                     handlers[which](c, en, False)
             else:
                 handlers[which](c, en, False)
                 for i in range(len(model) - 1, -1, -1):
-                    if model[i] == fn:
+                    if model[i] == en.fn:
                         del model[i]
                         break
         assert [x.fn for x in getattr(c, lists[which])] == model
@@ -143,9 +151,9 @@ def test_dependency_double_add_and_missing_remove_fault():
         g.add(c, e, 0)
     with pytest.raises(RuntimeFault):
         g.add(other, e, 0)        # one edge per (constraint, ordinal) overall
-    g.remove(c, e, 0)
+    g.remove(e, 0)
     with pytest.raises(RuntimeFault):
-        g.remove(c, e, 0)
+        g.remove(e, 0)
     assert len(g) == 0
     assert c.dependencies == [] and other.dependencies == []
 
@@ -160,8 +168,8 @@ def test_dependency_reinstall_mid_list_keeps_order():
         g.add(c, en, 0)
         g.add(c, en, 1)
     old = c.dependencies[5]
-    g.remove(c, entries[2], 1)
-    g.remove(c, entries[2], 0)
+    g.remove(entries[2], 1)
+    g.remove(entries[2], 0)
     assert old.live is False
     g.add(c, entries[2], 1)
     g.add(c, entries[2], 0)
@@ -180,13 +188,13 @@ def test_dependency_edge_moved_away_and_back_keeps_its_place():
     for en in entries:
         g.add(a, en, 0)
     edge = a.dependencies[1]
-    g.remove(a, entries[1], 0)
+    g.remove(entries[1], 0)
     assert len(g) == 2 and not edge.live
     g.add(b, entries[1], 0)
     assert b.dependencies == [edge] and edge.from_cell is b and edge.live
     assert [d.entry.fn for d in a.dependencies] == ["f0", "f2"]
-    g.remove(b, entries[1], 0)
-    g.remove(a, entries[2], 0)
+    g.remove(entries[1], 0)
+    g.remove(entries[2], 0)
     assert len(g) == 1 and b.dependencies == []
     g.add(a, entries[1], 0)
     assert a.dependencies == [entries[0].edges[0], edge] and edge.from_cell is a
@@ -208,7 +216,8 @@ def test_dependency_lists_against_sorted_model():
         en, j = rng.choice(entries), rng.randrange(2)
         key = (en.seq, j)
         if key in model:
-            g.remove(model.pop(key), en, j)
+            del model[key]
+            g.remove(en, j)
         else:
             model[key] = rng.choice(cells)
             g.add(model[key], en, j)

@@ -426,6 +426,35 @@ def test_teardown_conserves_registrations(good_programs):
         assert m.registration_count() == 0, name
 
 
+# `a[g()]` is registered on a[0] at load; `main` then moves g()'s result, to
+# past the array or onto a[1].  A cancel takes the cell its install recorded,
+# so teardown neither faults nor misses a registration.
+CALL_IN_A_LEFT_SIDE = ("int a[2]; int k; int g() {{ return k; }} int x; a[g()] := x; "
+                       "void main() {{ k = {k}; }}\n")
+
+
+@pytest.mark.parametrize("k", [5, 1])
+def test_teardown_cancels_an_lvalue_with_a_call_on_its_install_cell(k, tmp_path, capsys):
+    src = CALL_IN_A_LEFT_SIDE.format(k=k)
+    m = run(src)
+    assert m.registration_count() == 0
+    assert [e.cell for e in events_of(m, tr.CANCEL) if e.lvalue == "a[g()]"] == ["a[0]"]
+    path = tmp_path / "p.hc"
+    path.write_text(src)
+    assert cli_main(["run", str(path)]) == 0
+    assert capsys.readouterr() == (f"a[0] = 0\na[1] = 0\nk = {k}\nx = 0\n", "")
+
+
+def test_teardown_cancels_an_lvalue_with_a_method_call():
+    """`a[w.get()]` stays on a[0] when `w` updates (a method's callee is no
+    storage, contract.py); teardown cancels it there.  Its memory against
+    the reference is an open contract question, not asserted here."""
+    m = run("class W { int k; public: int get() { return k; } "
+            "void set(int v) { k = v; } }; W w; int a[2]; int x; a[w.get()] := x; "
+            "void main() { x = 3; w.set(1); x = 5; }\n")
+    assert m.registration_count() == 0
+
+
 # ------------------------------------------------------- compiled functions
 
 def lvalue_events(m, lvalue):
@@ -543,8 +572,8 @@ def test_redefinition_cancelled_earlier_in_the_phase_does_not_run(src, x):
 
 # ---------------------------------------------------------------- step runs
 # A redefined cell's rebinding phase hands each run of adjacent redefinitions
-# of one owner to `run_genfn` in one call, which resolves each call-free
-# l-value once per run.
+# of one owner to `run_genfn` in one call.  Its install resolves each
+# call-free l-value once per run; its cancel resolves nothing.
 
 def count_runs(m, monkeypatch) -> list:
     """Record the owner of every `run_genfn` call made after this point."""
@@ -576,7 +605,7 @@ def test_moving_a_fan_resolves_the_shared_lvalue_once_per_phase(monkeypatch):
     owners = count_runs(m, monkeypatch)
     start = len(m.trace.events)
     m.call_function("move", [1])
-    assert len(resolved) == 2 and owners == [None, None]
+    assert len(resolved) == 1 and owners == [None, None]  # at reinstall only
     moved = [(e.kind, e.cell, e.detail) for e in m.trace.events[start:]
              if e.kind in (tr.CANCEL, tr.INSTALL)]
     order = [f"dependency:construct:{k}" for k in range(fan)] + [f"monitor:construct:{fan}"]
@@ -609,10 +638,11 @@ void main() { move(); b = 7; }
 
 
 def test_an_lvalue_with_a_call_is_resolved_at_every_step(monkeypatch):
-    """`g` writes `n`, so each step that resolves `arr[g(i)]` runs it anew,
-    with its events, inside the one run of each phase.  (The reference
-    interpreter does not finish this program: its resolution calls `g`,
-    whose store resolves again.)"""
+    """`g` writes `n`, so each install step that resolves `arr[g(i)]` runs
+    it anew, with its events, inside the one run of the reinstall phase.  A
+    cancel takes the cell its install recorded and runs no `g`.  (The
+    reference interpreter does not finish this program: its resolution calls
+    `g`, whose store resolves again.)"""
     m = machine("int arr[4]; int n; int i; int x0; int x1;\n"
                 "int g(int v) { n = n + 1; return v; }\n"
                 "x0 := arr[g(i)];\nx1 := arr[g(i)] + 1;\n"
@@ -626,10 +656,12 @@ def test_an_lvalue_with_a_call_is_resolved_at_every_step(monkeypatch):
     def step(n, kind, cell, construct):
         return [(tr.BEFORE_CHANGE, "n", f"old:{n}"), (tr.AFTER_CHANGE, "n", f"new:{n + 1}"),
                 (kind, cell, f"dependency:construct:{construct}")]
-    assert got == ([(tr.BEFORE_CHANGE, "i", "old:0")]
-                   + step(4, tr.CANCEL, "arr[0]", 0) + step(5, tr.CANCEL, "arr[0]", 1)
-                   + [(tr.AFTER_CHANGE, "i", "new:2")]
-                   + step(6, tr.INSTALL, "arr[2]", 0) + step(7, tr.INSTALL, "arr[2]", 1))
+    assert got == ([(tr.BEFORE_CHANGE, "i", "old:0"),
+                    (tr.CANCEL, "arr[0]", "dependency:construct:0"),
+                    (tr.CANCEL, "arr[0]", "dependency:construct:1"),
+                    (tr.AFTER_CHANGE, "i", "new:2")]
+                   + step(4, tr.INSTALL, "arr[2]", 0) + step(5, tr.INSTALL, "arr[2]", 1))
+    assert m.memory_snapshot()["n"] == "6"
 
 
 def test_dormant_steps_inside_a_run_keep_their_detail():

@@ -42,7 +42,7 @@ class Checker:
         self.calls = 0  # calls checked so far: a constraint with none is pure
 
     def error(self, pos, msg):
-        self.diags.append(Diagnostic(pos, "error", msg))
+        self.diags.append(Diagnostic(pos, msg))
 
     # ------------------------------------------------------------ entry point
 
@@ -413,7 +413,6 @@ def check(unit: ast.Unit) -> tuple[UnitInfo, list[Diagnostic]]:
 
 def check_or_raise(unit: ast.Unit) -> UnitInfo:
     info, diags = check(unit)
-    errors = [d for d in diags if d.severity == "error"]
-    if errors:
-        raise CheckError(errors)
+    if diags:
+        raise CheckError(diags)
     return info

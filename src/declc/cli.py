@@ -75,12 +75,14 @@ def _make_sink(trace_arg) -> tuple[tr.TraceSink, object]:
 
 def _runtime(step):
     """Run a runtime step of a route (load or run).  Python's recursion
-    limit, reached by user recursion or by a deep cascade, is that route's
-    runtime fault."""
+    limit, reached by user recursion or by a deep cascade, and running out
+    of memory, by a huge array say, are that route's runtime faults."""
     try:
         return step()
     except RecursionError:
         raise RuntimeFault("recursion limit exceeded") from None
+    except MemoryError:
+        raise RuntimeFault("out of memory") from None
 
 
 def cmd_run(args) -> int:
@@ -201,7 +203,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (LexError, ParseError) as e:
-        print(Diagnostic(e.pos, "error", e.msg).render(getattr(args, "file", "<input>")),
+        print(Diagnostic(e.pos, e.msg).render(getattr(args, "file", "<input>")),
               file=sys.stderr)
         return EXIT_SOURCE_ERROR
     except CheckError as e:

@@ -32,14 +32,15 @@ from .lvgraph import LvNode, RedefGraph
 
 # --------------------------------------------------------------- instructions
 
-@dataclass(slots=True)
+@dataclass(eq=False, slots=True)
 class Reg:
     """One registration of l-value `lv` in an init function.  `kind` names the
     cell's registration list (`constraint`, `dependency`, `monitor`,
     `precondition`, `redefinition`) and is the Install/Cancel detail prefix;
     `fn` is the entry function; a dependency's `ordinal` numbers its
     constraining l-value.  Kind `apply` is the install-time application of
-    the constraint `fn` on its left side `lv`."""
+    the constraint `fn` on its left side `lv`.  A `Reg` is compared and
+    hashed by identity: the vm keys what it places by it."""
     kind: str
     lv: LvNode
     fn: str

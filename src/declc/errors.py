@@ -37,12 +37,13 @@ class ParseError(DeclcError):
 
 @dataclass(frozen=True)
 class Diagnostic:
+    """A source error at pos."""
+
     pos: Pos
-    severity: str  # "error" | "warning"
     message: str
 
     def render(self, filename="<input>"):
-        return f"{filename}:{self.pos.line}:{self.pos.col}: {self.severity}: {self.message}"
+        return f"{filename}:{self.pos.line}:{self.pos.col}: error: {self.message}"
 
 
 class CheckError(DeclcError):

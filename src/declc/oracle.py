@@ -241,7 +241,6 @@ class Oracle:
         self.info = info
         self.trace = sink if sink is not None else tr.TraceSink()
         self.globals: dict[str, object] = {}
-        self.frames: list[OFrame] = []
         self.installed: list[Installed] = []
         self.owner_of: dict[int, OInstance] = {}  # cell id -> notified instance
         self.disabled: set[int] = set()           # cells with monitor running
@@ -493,13 +492,11 @@ class Oracle:
 
     def _run_body(self, body: ast.Block, owner, tag: str):
         frame = OFrame(tag, owner=owner)
-        self.frames.append(frame)
         try:
             self.exec_stmt(body, frame)
         finally:
             for i in reversed(frame.instances):
                 self._destroy_instance(i)
-            self.frames.pop()
 
     # -------------------------------------------------------------- execution
 
@@ -668,7 +665,6 @@ class Oracle:
             cell = OCell(blk.name, v, blk, 0)
             blk.cells = [cell]
             frame.locals[p.name] = cell
-        self.frames.append(frame)
         try:
             self.exec_stmt(decl.body, frame)
             ret = None
@@ -677,7 +673,6 @@ class Oracle:
         finally:
             for i in reversed(frame.instances):
                 self._destroy_instance(i)
-            self.frames.pop()
         if ret is None and decl.ret_type != "void":
             ret = _default(make_type(decl.ret_type, decl.ret_ptr_depth))
         return ret

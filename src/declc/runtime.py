@@ -2,9 +2,11 @@
 protocol, constraint dependency edges kept on their constraining cells, and
 the object suspend/resume protocol.  Phase ordering follows the contract module.
 
-A dependency edge is made once per (constraint entry, constraining l-value
-ordinal), at its first install, and held by the entry: a rebinding cancels
-and reinstalls the same edge, moving it from cell to cell."""
+Every registration is one `Engine.handle_*(cell, registrant, add)` call.  A
+registrant is a runtime entry, or for a dependency its `DepEdge`: the vm
+makes one edge per (owner, dependency registration) at its first install and
+keeps it, so a rebinding cancels and reinstalls the same edge, moving it
+from cell to cell."""
 
 from __future__ import annotations
 
@@ -47,7 +49,6 @@ class ConstraintEntry(Entry):
     rhs: object = None             # [evaluator (frame) -> value, ...]: its right side
     frame: object = None           # the frame the right side is evaluated in
     pure: bool = False             # no side calls, so an application runs no user code
-    edges: tuple = ()              # its DepEdges by l-value ordinal, made at first install
 
 
 # --------------------------------------------------------------------- cells
@@ -92,21 +93,20 @@ class ObjectHeader:
 # --------------------------------------------------------------- dependencies
 
 class DepEdge:
-    """The dependency of one constraint on one of its constraining l-values,
-    `(entry, lv_ordinal)`.  It is made at the first install of that pair,
-    held by its entry (`ConstraintEntry.edges`, indexed by ordinal) and kept
-    for the entry's life: a cancel unlinks it from its cell and clears
-    `live`, and a reinstall links it to the cell the l-value now denotes and
-    sets `live` again.  `from_cell` is the cell it is, or was last, on."""
+    """The dependency of constraint `entry` on its constraining l-value
+    `ordinal`.  The vm makes it at that registration's first install and
+    keeps it for the owner's life: a cancel unlinks it from its cell and
+    clears `live`, and a reinstall links it to the cell the l-value now
+    denotes and sets `live` again.  `from_cell` is the cell it is, or was
+    last, on."""
 
-    __slots__ = ("from_cell", "entry", "lv_ordinal", "live", "order")
+    __slots__ = ("from_cell", "entry", "live", "order")
 
-    def __init__(self, from_cell: Cell, entry: ConstraintEntry, lv_ordinal: int):
-        self.from_cell = from_cell
+    def __init__(self, entry: ConstraintEntry, ordinal: int):
+        self.from_cell = None
         self.entry = entry
-        self.lv_ordinal = lv_ordinal
-        self.live = True
-        self.order = (entry.seq, lv_ordinal)
+        self.live = False
+        self.order = (entry.seq, ordinal)
 
 
 _order = attrgetter("order")
@@ -116,24 +116,17 @@ class DependencyGraph:
     """Constraining-cell -> constraint edges.  Each live edge is on its
     constraining cell (`Cell.dependencies`), kept in firing order: instantiation
     order (entry seq, then constraining l-value ordinal).  There is no
-    graph-wide index: an edge is found through its entry, and the graph keeps
-    only the number of live edges."""
+    graph-wide index: the caller holds each edge, and the graph keeps only the
+    number of live edges."""
 
     def __init__(self):
         self.live = 0
 
-    def add(self, from_cell: Cell, entry: ConstraintEntry, lv_ordinal: int):
-        edges = entry.edges
-        edge = edges[lv_ordinal] if lv_ordinal < len(edges) else None
-        if edge is None:  # the first install of this (entry, ordinal)
-            edge = DepEdge(from_cell, entry, lv_ordinal)
-            pad = (None,) * (lv_ordinal - len(edges))
-            entry.edges = edges[:lv_ordinal] + pad + (edge,) + edges[lv_ordinal + 1:]
-        elif edge.live:
-            raise RuntimeFault(f"dependency edge registered twice ({entry.fn})")
-        else:
-            edge.from_cell = from_cell
-            edge.live = True
+    def add(self, from_cell: Cell, edge: DepEdge):
+        if edge.live:
+            raise RuntimeFault(f"dependency edge registered twice ({edge.entry.fn})")
+        edge.from_cell = from_cell
+        edge.live = True
         self.live += 1
         deps = from_cell.dependencies
         if deps.__class__ is not list:
@@ -143,11 +136,9 @@ class DependencyGraph:
         else:  # a reinstall keeps its seq, so the edge may belong mid-list
             insort(deps, edge, key=_order)
 
-    def remove(self, entry: ConstraintEntry, lv_ordinal: int):
-        edges = entry.edges
-        edge = edges[lv_ordinal] if lv_ordinal < len(edges) else None
-        if edge is None or not edge.live:
-            raise RuntimeFault(f"cancel of unregistered dependency ({entry.fn})")
+    def remove(self, edge: DepEdge):
+        if not edge.live:
+            raise RuntimeFault(f"cancel of unregistered dependency ({edge.entry.fn})")
         edge.live = False
         self.live -= 1
         deps = edge.from_cell.dependencies
@@ -196,37 +187,38 @@ class Engine:
         self._render, self._old, self._new = value_str, ("old:", value_str), ("new:", value_str)
 
     # --- registration -----------------------------------------------------
+    # One handler per kind, each `(cell, registrant, add)`: add installs the
+    # registrant on cell, else cancels it there.
 
-    def handle_monitor(self, cell: Cell, entry: Entry, add: bool):
+    def handle_monitor(self, cell: Cell, registrant: Entry, add: bool):
         if add:
-            cell.monitors = _pushed(cell.monitors, entry)
+            cell.monitors = _pushed(cell.monitors, registrant)
         else:
-            _cancel(cell.monitors, entry)
+            _cancel(cell.monitors, registrant)
 
-    def handle_precondition(self, cell: Cell, entry: Entry, add: bool):
+    def handle_precondition(self, cell: Cell, registrant: Entry, add: bool):
         if add:
-            cell.preconditions = _pushed(cell.preconditions, entry)
+            cell.preconditions = _pushed(cell.preconditions, registrant)
         else:
-            _cancel(cell.preconditions, entry)
+            _cancel(cell.preconditions, registrant)
 
-    def handle_constraint(self, cell: Cell, entry: ConstraintEntry, add: bool):
+    def handle_constraint(self, cell: Cell, registrant: ConstraintEntry, add: bool):
         if add:
-            cell.constraints = _pushed(cell.constraints, entry)
+            cell.constraints = _pushed(cell.constraints, registrant)
         else:
-            _cancel(cell.constraints, entry)
+            _cancel(cell.constraints, registrant)
 
-    def handle_redefinition(self, cell: Cell, entry: Entry, add: bool):
+    def handle_redefinition(self, cell: Cell, registrant: Entry, add: bool):
         if add:
-            cell.redefinitions = _pushed(cell.redefinitions, entry)
+            cell.redefinitions = _pushed(cell.redefinitions, registrant)
         else:
-            _cancel(cell.redefinitions, entry)
+            _cancel(cell.redefinitions, registrant)
 
-    def handle_dependency(self, cell_from: Cell, entry: ConstraintEntry,
-                          lv_ordinal: int, add: bool):
+    def handle_dependency(self, cell: Cell, registrant: DepEdge, add: bool):
         if add:
-            self.deps.add(cell_from, entry, lv_ordinal)
+            self.deps.add(cell, registrant)
         else:
-            self.deps.remove(entry, lv_ordinal)
+            self.deps.remove(registrant)
 
     # --- change protocol --------------------------------------------------
     # A phase runs over a snapshot of a non-empty list; a redefinition that

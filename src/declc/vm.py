@@ -5,8 +5,10 @@ Every user-visible store goes through the engine's write protocol
 `redef_*` function, is lowered once per machine into a flat tuple of steps,
 one per `codegen.Reg` of the init functions it calls, spliced in; the init
 functions keep no steps of their own.  A redefined cell's rebinding phase
-runs the steps of each owner's run of redefinitions in one step loop.  An
-install records the cell it registered on, and its cancel takes that cell.
+runs the steps of each owner's run of redefinitions in one step loop.  A
+step holds the engine's handler of its kind, taken at the machine's first
+lowering, and runs as one `handle(cell, registrant, b)` call.  An install
+records the cell it registered on, and its cancel takes that cell.
 
 User code compiles to shape evaluators `(leaves, frame) -> value` (or cell):
 one per expression or statement shape, the operator tree plus the kind of
@@ -32,7 +34,7 @@ from .checker import UnitInfo
 from .codegen import CallGen, GenUnit
 from .contract import c_div, c_mod
 from .errors import RuntimeFault
-from .runtime import Cell, ConstraintEntry, Engine, Entry
+from .runtime import Cell, ConstraintEntry, DepEdge, Engine, Entry
 from .shapes import SHAPES
 from .types import BOOL, Array, ClassType, Ptr, Scalar, make_type
 from .values import Block, CellPtr, Instance, ObjPtr, address, value_str
@@ -51,8 +53,10 @@ class Frame:
 
 
 class GenFrame(Frame):
-    """The frame an owner's generated functions and constraint entries share,
-    with its entries and, by `Reg` key, the cell each registration is on."""
+    """The frame an owner's generated functions and constraint entries share.
+    `entries` holds its registrants: each runtime entry under its function's
+    name, each dependency edge under its `Reg`.  `placed` maps a `Reg` to the
+    cell its install registered it on."""
 
     __slots__ = ("entries", "placed")
 
@@ -109,9 +113,9 @@ class Machine:
         self.trace = sink if sink is not None else tr.TraceSink()
         self.engine = Engine(self.trace)
         self.globals: dict[str, object] = {}
-        self.frames: list[Frame] = []
         self._gen_frames: dict[int, GenFrame] = {}  # by id(owner), while it lives
         self._steps: dict[str, tuple] = {}      # the steps of functions run by name
+        self._kinds: dict | None = None         # kind -> (handler, detail), at first lowering
         self._resolvers: dict[int, object] = {}  # id(l-value expr) -> resolver
         self._shapes: dict[tuple, object] = {}   # shape key -> evaluator
         self._bodies: dict[int, object] = {}     # id(body) -> its runner, once it has run
@@ -488,7 +492,6 @@ class Machine:
         """Run a function, method, monitor or tester body in its own frame:
         walked at its first run, and compiled at its second (`_compile_body`)."""
         run = self._bodies.get(id(body))
-        self.frames.append(frame)
         try:
             if run is None:
                 self._bodies[id(body)] = partial(Machine._compile_body, self, body)
@@ -498,7 +501,6 @@ class Machine:
             if frame.instances:
                 for inst in reversed(frame.instances):
                     self._destroy_instance(inst)
-            self.frames.pop()
 
     def _compile_body(self, body: ast.Block, frame: Frame):
         """Bind body's leaves in one tuple, keep its statement shape's runner
@@ -603,7 +605,8 @@ class Machine:
     def run_genfn(self, fns, owner, b: bool):
         """Run `owner`'s generated functions named by `fns`, in order, as one
         step run: install (b) or cancel.  `fns` is pulled lazily, so a caller
-        may still skip a function when the run reaches it.  An install resolves
+        may still skip a function when the run reaches it.  Each step but an
+        application is one `handle(cell, registrant, b)`.  An install resolves
         each l-value once per run until a step that can store (an applied
         constraint, or a call in the l-value), and records its cell in `placed`
         or is dormant; a cancel pops that cell, or skips a dormant step."""
@@ -615,16 +618,15 @@ class Machine:
             steps = lowered.get(name)
             if steps is None:
                 steps = self._lower(name)
-            for step in steps:
-                kind, efn, lvstr, detail, construct, ordinal, resolve, key = step
-                entry = entries.get(efn) or self._entry(kind, efn, construct, lvstr, fr)
-                if kind == "apply":
+            for handle, key, lvstr, detail, construct, resolve, reg in steps:
+                registrant = entries.get(key) or self._registrant(reg, construct, fr)
+                if handle is None:  # the install-time application
                     if b:
                         cells.clear()
-                        engine.fire(entry, via_resolution=False)
+                        engine.fire(registrant, via_resolution=False)
                     continue
                 if not b:
-                    cell = placed.pop(key, None)
+                    cell = placed.pop(reg, None)
                     if cell is None:  # dormant
                         continue
                 else:
@@ -641,32 +643,32 @@ class Machine:
                             cells[resolve] = cell
                         else:  # it ran user code, which may have stored
                             cells.clear()
-                    placed[key] = cell
-                if kind == "dependency":
-                    engine.handle_dependency(cell, entry, ordinal, b)
-                elif kind == "constraint":
-                    engine.handle_constraint(cell, entry, b)
-                elif kind == "redefinition":
-                    engine.handle_redefinition(cell, entry, b)
-                elif kind == "monitor":
-                    engine.handle_monitor(cell, entry, b)
-                else:
-                    engine.handle_precondition(cell, entry, b)
+                    placed[reg] = cell
+                handle(cell, registrant, b)
                 emit(tr.INSTALL if b else tr.CANCEL, lvstr, cell.name, detail, construct)
 
     def _lower(self, name: str) -> tuple:
         """Lower a generated function that runs by name (a unit init or a
-        `redef_*` function) to a flat tuple of steps, kept per machine."""
+        `redef_*` function) to a flat tuple of steps, kept per machine.  The
+        first lowering takes the engine's handlers as they are then, so the
+        steps call the wrappers perfbench's spans put in, if any.  A step's
+        Install/Cancel detail is rendered from its construct; `apply` has none."""
+        if self._kinds is None:
+            self._kinds = {kind: (getattr(self.engine, "handle_" + kind, None),
+                                  (f"{kind}:construct:", str))
+                           for kind in ("constraint", "dependency", "monitor",
+                                        "precondition", "redefinition", "apply")}
         steps = self._steps[name] = tuple(self._splice(name, []))
         return steps
 
     def _splice(self, name: str, steps: list) -> list:
         """Append the steps of a generated function to `steps`, its CallGen
-        callees spliced in: one (kind, entry function, l-value string,
+        callees spliced in: one (handler, `entries` key, l-value string,
         Install/Cancel detail as a `(prefix, render)` pair of the construct,
-        construct, dependency ordinal, resolver, `Reg` id as the `placed` key)
-        per registration, the same wherever the callee is spliced."""
-        fn = self.gen.functions[name]
+        construct, resolver, `Reg`) per registration, the same wherever the
+        callee is spliced.  The `Reg` is the step's `placed` key, and a
+        dependency's `entries` key: its edge is its own."""
+        fn, kinds = self.gen.functions[name], self._kinds
         for ins in fn.instrs:
             if ins.__class__ is CallGen:
                 known = self._steps.get(ins.fn)
@@ -675,9 +677,10 @@ class Machine:
                 else:
                     steps += known
             else:
-                lv = ins.lv
-                steps.append((ins.kind, ins.fn, lv.str, _INSTALL_DETAILS[ins.kind],
-                              fn.construct, ins.ordinal, self._resolver(lv.expr), id(ins)))
+                handle, detail = kinds[ins.kind]
+                steps.append((handle, ins if ins.kind == "dependency" else ins.fn,
+                              ins.lv.str, detail, fn.construct,
+                              self._resolver(ins.lv.expr), ins))
         return steps
 
     # ------------------------------------------------------ runtime entries
@@ -688,8 +691,17 @@ class Machine:
             fr = self._gen_frames[id(owner)] = GenFrame(owner)
         return fr
 
+    def _registrant(self, reg: codegen.Reg, ordinal: int, fr: GenFrame):
+        """What `reg` registers for fr's owner, made at its first step: the
+        runtime entry of its function, or a dependency's edge on that entry."""
+        entry = fr.entries.get(reg.fn) or self._entry(reg.kind, reg.fn, ordinal,
+                                                      reg.lv.str, fr)
+        if reg.kind == "dependency":
+            entry = fr.entries[reg] = DepEdge(entry, reg.ordinal)
+        return entry
+
     def _entry(self, kind, fn: str, ordinal, lvstr, fr: GenFrame) -> Entry:
-        """The runtime entry `fn` of fr's owner, made on first use."""
+        """The runtime entry `fn` of fr's owner."""
         owner, info = fr.owner, self.gen.graph.constructs[ordinal]
         c = info.construct
         if kind == "redefinition":
@@ -753,11 +765,11 @@ class Machine:
 
     def dependency_links(self) -> list[tuple[str, str]]:
         """Current (constraining cell, constrained cell) pairs in firing
-        order, read off the live edges of the owners' constraint entries; the
+        order, read off the live edges the owners' frames hold; the
         constrained side is resolved lazily, mirroring fire-time behavior."""
         live = sorted((edge for fr in self._gen_frames.values()
-                       for entry in fr.entries.values() if entry.__class__ is ConstraintEntry
-                       for edge in entry.edges if edge is not None and edge.live),
+                       for edge in fr.entries.values()
+                       if edge.__class__ is DepEdge and edge.live),
                       key=operator.attrgetter("order"))
         out = []
         for edge in live:
@@ -774,12 +786,6 @@ class Machine:
 
 
 _LITERALS = (ast.IntLit, ast.BoolLit, ast.NullLit)
-
-# The Install/Cancel detail of a step, by kind, rendered from its construct
-# (an `apply` step emits none).
-_INSTALL_DETAILS = {kind: (f"{kind}:construct:", str)
-                    for kind in ("constraint", "dependency", "monitor",
-                                 "precondition", "redefinition", "apply")}
 
 # `_eval_binary` does `&&`, `||` (short circuit), `/`, `%` (may fault) and
 # pointer `+`/`-` itself; every other operator goes through this table.

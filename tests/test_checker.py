@@ -11,7 +11,7 @@ from declc.parser import parse_source
 
 def errors(source: str) -> list[str]:
     _, diags = check(parse_source(source))
-    return [d.message for d in diags if d.severity == "error"]
+    return [d.message for d in diags]
 
 
 def assert_clean(source: str):

@@ -275,6 +275,38 @@ def test_check_reports_a_recursion_limit_as_that_routes_fault(monkeypatch, capsy
     assert lines[-1] == "0/1 seeds agree"
 
 
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+def test_run_reports_running_out_of_memory_as_a_runtime_fault(monkeypatch, tmp_path, capsys):
+    """An allocation that runs out of memory ends the run with the runtime
+    fault `out of memory`, not a traceback."""
+    monkeypatch.setattr("declc.vm._array", _out_of_memory)
+    path = tmp_path / "huge.hc"
+    path.write_text("int a[50000000];\nvoid main() { }\n")
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert code == 2 and out == ""
+    assert err == f"{path}: runtime fault: fault: out of memory\n"
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("patched,faults", [
+    ("declc.vm._array", "fault: out of memory|none"),
+    ("declc.oracle.Oracle._alloc_global", "none|fault: out of memory"),
+], ids=["compiled", "reference"])
+def test_check_reports_running_out_of_memory_as_that_routes_fault(
+        monkeypatch, capsys, patched, faults):
+    monkeypatch.setattr("declc.randgen.generate", lambda seed: "int a[2];\nvoid main() { }\n")
+    monkeypatch.setattr(patched, _out_of_memory)
+    code, out, err = run_cli(capsys, "check", "--seed", "0", "--count", "1")
+    assert code == 3 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == "seed 0: DIVERGENCE"
+    assert f"  runtime faults differ: {faults}" in lines
+    assert lines[-1] == "0/1 seeds agree"
+
+
 def test_check_reports_a_divergence_and_saves_the_program(monkeypatch, tmp_path, capsys):
     """A mismatch is forced on both comparisons: the reference's last event
     is dropped, and memory always differs."""

@@ -5,8 +5,8 @@ import pytest
 from declc import trace as tr
 from declc.contract import Wave, c_div, c_mod
 from declc.errors import RuntimeFault
-from declc.runtime import (Cell, ConstraintEntry, DependencyGraph, Engine,
-                           Entry, ObjectHeader)
+from declc.runtime import (Cell, ConstraintEntry, DepEdge, DependencyGraph,
+                           Engine, Entry, ObjectHeader)
 
 
 def engine():
@@ -20,6 +20,11 @@ def applying(effect):
 
 def entry(fn, owner=None):
     return Entry(fn, owner, invoke=lambda *a: None)
+
+
+def edges_of(*entries, ordinals=1):
+    """One edge per (entry, ordinal), made once, as the vm makes them."""
+    return {(en, j): DepEdge(en, j) for en in entries for j in range(ordinals)}
 
 
 # ------------------------------------------------------------ c arithmetic
@@ -132,10 +137,11 @@ def test_dependency_graph_orders_by_instantiation():
     c2.dependencies = []
     e1 = ConstraintEntry("f1", None, seq=2)
     e2 = ConstraintEntry("f2", None, seq=1)
-    g.add(c1, e1, 0)
-    g.add(c1, e2, 1)
-    g.add(c1, e2, 0)
-    assert [(d.entry.fn, d.lv_ordinal) for d in c1.dependencies] == \
+    edges = edges_of(e1, e2, ordinals=2)
+    g.add(c1, edges[e1, 0])
+    g.add(c1, edges[e2, 1])
+    g.add(c1, edges[e2, 0])
+    assert [(d.entry.fn, d.order[1]) for d in c1.dependencies] == \
         [("f2", 0), ("f2", 1), ("f1", 0)]
     assert c2.dependencies == []
     assert len(g) == 3
@@ -145,15 +151,15 @@ def test_dependency_double_add_and_missing_remove_fault():
     g = DependencyGraph()
     c, other = Cell("a"), Cell("b")
     other.dependencies = []
-    e = ConstraintEntry("f", None, seq=0)
-    g.add(c, e, 0)
+    edge = DepEdge(ConstraintEntry("f", None, seq=0), 0)
+    g.add(c, edge)
     with pytest.raises(RuntimeFault):
-        g.add(c, e, 0)
+        g.add(c, edge)
     with pytest.raises(RuntimeFault):
-        g.add(other, e, 0)        # one edge per (constraint, ordinal) overall
-    g.remove(e, 0)
+        g.add(other, edge)        # one edge per (constraint, ordinal) overall
+    g.remove(edge)
     with pytest.raises(RuntimeFault):
-        g.remove(e, 0)
+        g.remove(edge)
     assert len(g) == 0
     assert c.dependencies == [] and other.dependencies == []
 
@@ -164,15 +170,16 @@ def test_dependency_reinstall_mid_list_keeps_order():
     g = DependencyGraph()
     c = Cell("a")
     entries = [ConstraintEntry(f"f{k}", None, seq=k) for k in range(5)]
+    edges = edges_of(*entries, ordinals=2)
     for en in entries:
-        g.add(c, en, 0)
-        g.add(c, en, 1)
+        g.add(c, edges[en, 0])
+        g.add(c, edges[en, 1])
     old = c.dependencies[5]
-    g.remove(entries[2], 1)
-    g.remove(entries[2], 0)
+    g.remove(edges[entries[2], 1])
+    g.remove(edges[entries[2], 0])
     assert old.live is False
-    g.add(c, entries[2], 1)
-    g.add(c, entries[2], 0)
+    g.add(c, edges[entries[2], 1])
+    g.add(c, edges[entries[2], 0])
     assert [d.order for d in c.dependencies] == \
         [(k, j) for k in range(5) for j in (0, 1)]
     assert c.dependencies[5] is old and c.dependencies[5].live
@@ -185,22 +192,23 @@ def test_dependency_edge_moved_away_and_back_keeps_its_place():
     g = DependencyGraph()
     a, b = Cell("a"), Cell("b")
     entries = [ConstraintEntry(f"f{k}", None, seq=k) for k in range(3)]
+    edges = edges_of(*entries)
     for en in entries:
-        g.add(a, en, 0)
+        g.add(a, edges[en, 0])
     edge = a.dependencies[1]
-    g.remove(entries[1], 0)
+    g.remove(edges[entries[1], 0])
     assert len(g) == 2 and not edge.live
-    g.add(b, entries[1], 0)
+    g.add(b, edges[entries[1], 0])
     assert b.dependencies == [edge] and edge.from_cell is b and edge.live
     assert [d.entry.fn for d in a.dependencies] == ["f0", "f2"]
-    g.remove(entries[1], 0)
-    g.remove(entries[2], 0)
+    g.remove(edges[entries[1], 0])
+    g.remove(edges[entries[2], 0])
     assert len(g) == 1 and b.dependencies == []
-    g.add(a, entries[1], 0)
-    assert a.dependencies == [entries[0].edges[0], edge] and edge.from_cell is a
-    g.add(a, entries[2], 0)
+    g.add(a, edges[entries[1], 0])
+    assert a.dependencies == [edges[entries[0], 0], edge] and edge.from_cell is a
+    g.add(a, edges[entries[2], 0])
     assert [d.entry.fn for d in a.dependencies] == ["f0", "f1", "f2"]
-    assert a.dependencies[1] is edge and entries[1].edges == (edge,)
+    assert a.dependencies[1] is edge and edges[entries[1], 0] is edge
     assert len(g) == 3
 
 
@@ -211,16 +219,17 @@ def test_dependency_lists_against_sorted_model():
     g = DependencyGraph()
     cells = [Cell(f"c{k}") for k in range(3)]
     entries = [ConstraintEntry(f"f{k}", None, seq=k) for k in range(8)]
+    edges = edges_of(*entries, ordinals=2)
     model: dict[tuple, Cell] = {}
     for _ in range(400):
         en, j = rng.choice(entries), rng.randrange(2)
         key = (en.seq, j)
         if key in model:
             del model[key]
-            g.remove(en, j)
+            g.remove(edges[en, j])
         else:
             model[key] = rng.choice(cells)
-            g.add(model[key], en, j)
+            g.add(model[key], edges[en, j])
         for c in cells:
             assert [d.order for d in c.dependencies] == \
                 sorted(k for k, mc in model.items() if mc is c)
@@ -228,8 +237,8 @@ def test_dependency_lists_against_sorted_model():
 
 
 def _dep_constraint(e, name, seq, fired, effect=None):
-    """A constraint on a fresh cell `name` whose application records its
-    name and then runs `effect`."""
+    """The edge of a constraint on a fresh cell `name` whose application
+    records its name and then runs `effect`, made once for its ordinal 0."""
     dst = Cell(name, 0)
 
     def apply():
@@ -240,7 +249,7 @@ def _dep_constraint(e, name, seq, fired, effect=None):
     en = ConstraintEntry(f"assign_{name}", None, seq=seq, target=lambda: dst,
                          rhs=applying(apply))
     e.handle_constraint(dst, en, True)
-    return en
+    return DepEdge(en, 0)
 
 
 def test_resolve_skips_edges_cancelled_earlier_in_the_wave():
@@ -258,14 +267,14 @@ def test_resolve_skips_edges_cancelled_earlier_in_the_wave():
     def rebind():
         if fired.count("first") > 1:
             return                 # only the first wave rebinds
-        e.handle_dependency(src, gone, 0, False)
-        e.handle_dependency(src, moved, 0, False)
-        e.handle_dependency(src, moved, 0, True)
-        e.handle_dependency(src, late, 0, True)
+        e.handle_dependency(src, gone, False)
+        e.handle_dependency(src, moved, False)
+        e.handle_dependency(src, moved, True)
+        e.handle_dependency(src, late, True)
 
     first = _dep_constraint(e, "first", 0, fired, effect=rebind)
     for en in (first, gone, moved, kept):
-        e.handle_dependency(src, en, 0, True)
+        e.handle_dependency(src, en, True)
     e.wave.enter()
     e.resolve(src)
     e.wave.exit()
@@ -287,12 +296,12 @@ def test_resolve_skips_an_edge_an_earlier_firing_moved_away():
     away = _dep_constraint(e, "away", 1, fired)
 
     def move():
-        e.handle_dependency(src, away, 0, False)
-        e.handle_dependency(other, away, 0, True)
+        e.handle_dependency(src, away, False)
+        e.handle_dependency(other, away, True)
 
     first = _dep_constraint(e, "first", 0, fired, effect=move)
     for en in (first, away):
-        e.handle_dependency(src, en, 0, True)
+        e.handle_dependency(src, en, True)
     e.wave.enter()
     e.resolve(src)
     e.wave.exit()
@@ -308,10 +317,10 @@ def test_resolve_fires_only_the_written_cells_edges():
     fired = []
     for k in range(1000):
         en = _dep_constraint(e, f"x{k}", 10 + k, fired)
-        e.handle_dependency(elsewhere[k % 10], en, 0, True)
+        e.handle_dependency(elsewhere[k % 10], en, True)
     own = [_dep_constraint(e, f"own{k}", 2000 - k, fired) for k in range(3)]
     for en in own:
-        e.handle_dependency(src, en, 0, True)
+        e.handle_dependency(src, en, True)
     calls = []
     real_fire = e.fire
 
@@ -355,7 +364,7 @@ def test_resolution_applies_once_per_wave():
                          target=lambda: dst,
                          rhs=applying(lambda: fired.append("hit")))
     e.handle_constraint(dst, en, True)
-    e.deps.add(src, en, 0)
+    e.deps.add(src, DepEdge(en, 0))
     e.wave.enter()
     e.resolve(src)
     e.resolve(src)            # second trigger in the same wave
@@ -453,9 +462,9 @@ def _fan_with_a_subtree():
     src, a, b, c = Cell("src", 0), Cell("a", 0), Cell("b", 0), Cell("c", 0)
     to_a, to_b, to_c = (_pure(e, a, 0, order, 1), _pure(e, b, 1, order, 2),
                         _pure(e, c, 2, order, 3))
-    e.handle_dependency(src, to_a, 0, True)
-    e.handle_dependency(src, to_b, 0, True)
-    e.handle_dependency(a, to_c, 0, True)
+    e.handle_dependency(src, DepEdge(to_a, 0), True)
+    e.handle_dependency(src, DepEdge(to_b, 0), True)
+    e.handle_dependency(a, DepEdge(to_c, 0), True)
     e.handle_precondition(a, Entry("test_a", None, invoke=lambda: order.append("pre a")),
                           True)
     return e, order, src, (a, b, c)
@@ -530,7 +539,7 @@ def test_a_faulting_pure_right_side_emits_its_application():
     en = ConstraintEntry("assign_dst", None, lvalue="dst", construct=4, seq=0,
                          target=lambda: dst, rhs=[fault], pure=True)
     e.handle_constraint(dst, en, True)
-    e.handle_dependency(src, en, 0, True)
+    e.handle_dependency(src, DepEdge(en, 0), True)
     e.wave.enter()
     with pytest.raises(RuntimeFault):
         e.resolve(src)

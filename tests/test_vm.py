@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from conftest import OBJECT_CALLEE, events_of, machine, matches_oracle, program, run
-from declc import ast, trace as tr
+from declc import ast, codegen, trace as tr
 from declc.checker import check_or_raise
 from declc.cli import main as cli_main
 from declc.errors import RuntimeFault
@@ -515,7 +515,7 @@ def test_only_functions_run_by_name_keep_their_steps():
     assert set(m._steps) == {m.gen.unit_init}
     m.call_function("retarget", [1])
     assert set(m._steps) == {m.gen.unit_init, "redef_sim_p"}
-    assert [s[0] for s in m._steps["redef_sim_p"]] == ["dependency"]  # of f0 on *p
+    assert [s[-1].kind for s in m._steps["redef_sim_p"]] == ["dependency"]  # of f0 on *p
 
 
 def test_generated_functions_are_lowered_once_per_machine(monkeypatch):
@@ -997,6 +997,53 @@ def test_a_rebinding_passes_through_an_object_constituent():
     for call in ("(*p).get()", "p->get()"):
         m = matches_oracle(OBJECT_CALLEE.replace("(*p).get()", call))
         assert m.memory_snapshot()["x"] == "9"
+
+
+def test_moves_keep_the_dependency_edges_their_first_install_made():
+    """A dependency registration of an owner has one edge, made at its first
+    install and kept in the owner's frame under its `Reg`: 100 moves of p
+    under a fan of constraints on `*p`, at file scope and in two objects,
+    move those same edges, each to the cell `*p` denotes.  Teardown leaves
+    none of them live."""
+    fan = 16
+    src = ("int s[4]; int *p = &s[0];\n"
+           + "".join(f"int f{k};\n" for k in range(fan))
+           + "".join(f"f{k} := *p + {k};\n" for k in range(fan))
+           + "class C { private: int v; public: int get() { return v; } v := *p + 1; };\n"
+           "C c1; C c2;\nvoid move(int k) { p = &s[k]; }\nvoid main() { }")
+    m = machine(src)
+    fan_of = {None: fan, "c1": 1, "c2": 1}
+
+    def edges():
+        held = {}
+        for fr in m._gen_frames.values():
+            regs = [k for k in fr.entries if isinstance(k, codegen.Reg)]
+            owner = fr.owner and fr.owner.name
+            assert len(regs) == fan_of[owner]
+            for reg in regs:
+                edge = fr.entries[reg]
+                assert reg.kind == "dependency" and edge.entry is fr.entries[reg.fn]
+                assert edge.order == (edge.entry.seq, reg.ordinal)
+                held[owner, reg] = edge
+        return held
+
+    first = edges()
+    assert len(first) == fan + 2
+    rng = random.Random(3)
+    for _ in range(100):
+        k = rng.randrange(4)
+        m.call_function("move", [k])
+        now = edges()
+        assert now.keys() == first.keys()
+        assert all(now[key] is edge for key, edge in first.items())
+        assert all(edge.live and edge.from_cell is m.globals["s"].cells[k]
+                   for edge in now.values())
+    m.store(m.globals["s"].cells[k], 7)
+    mem = m.memory_snapshot()
+    assert (mem[f"f{fan - 1}"], mem["c1.v"], mem["c2.v"]) == (str(7 + fan - 1), "8", "8")
+    m.teardown()
+    assert not any(edge.live for edge in first.values())
+    assert len(m.engine.deps) == 0
 
 
 def test_retargeting_moves_edges_to_a_fresh_machines_state():

@@ -122,45 +122,79 @@ def _fault(route) -> str | None:
     return None
 
 
-def cmd_check(args) -> int:
+def _check_program(label: str, source: str, verbose: bool) -> bool:
+    """Run one program through the vm and the reference and report what
+    differs under `label`; True when the two agree."""
     from .oracle import Oracle, diff_memory, diff_traces
+
+    gen, info = compile_source(source)
+    m = Machine(gen, info)
+    m_fault = _fault(lambda: m.load().call_function("main", []))
+    o = Oracle(gen.unit, info)
+    o_fault = _fault(lambda: (o.load(), o.run()))
+    dt = diff_traces(m.trace.events, o.trace.events)
+    dm = diff_memory(m.memory_snapshot(), o.memory_snapshot())
+    if not dt.ok or not dm.ok or m_fault != o_fault:
+        print(f"{label}: DIVERGENCE")
+        for r in (dt, dm):
+            if not r.ok:
+                print("  " + r.message)
+        if m_fault != o_fault:
+            print(f"  runtime faults differ: {m_fault or 'none'}|{o_fault or 'none'}")
+        for a, b in zip(dt.left, dt.right):
+            print(f"    compiled: {a.to_json()}")
+            print(f"    reference: {b.to_json()}")
+        return False
+    if verbose:
+        ended = "" if m_fault is None else f", both fault: {m_fault}"
+        print(f"{label}: ok "
+              f"({len(tr.filtered(m.trace.events))} visible events{ended})")
+    return True
+
+
+def cmd_check(args) -> int:
+    """Check the FILEs given, or else `--count` generated programs.  A file
+    with a source error is reported under its own name, the rest are still
+    checked, and the exit code is then 1."""
+    if args.files:
+        failures = errors = 0
+        for path in args.files:
+            try:
+                failures += not _check_program(path, _read(path), args.verbose)
+            except (LexError, ParseError, CheckError) as e:
+                errors += 1
+                _source_error(e, path)
+        total = len(args.files)
+        print(f"{total - failures - errors}/{total} files agree")
+        if errors:
+            return EXIT_SOURCE_ERROR
+        return EXIT_OK if failures == 0 else EXIT_DIVERGENCE
+
     from .randgen import generate
 
     failures = 0
     for k in range(args.count):
         seed = args.seed + k
         source = generate(seed)
-        gen, info = compile_source(source)
-        m = Machine(gen, info)
-        m_fault = _fault(lambda: m.load().call_function("main", []))
-        o = Oracle(gen.unit, info)
-        o_fault = _fault(lambda: (o.load(), o.run()))
-        dt = diff_traces(m.trace.events, o.trace.events)
-        dm = diff_memory(m.memory_snapshot(), o.memory_snapshot())
-        if not dt.ok or not dm.ok or m_fault != o_fault:
+        if not _check_program(f"seed {seed}", source, args.verbose):
             failures += 1
-            print(f"seed {seed}: DIVERGENCE")
-            for r in (dt, dm):
-                if not r.ok:
-                    print("  " + r.message)
-            if m_fault != o_fault:
-                print(f"  runtime faults differ: {m_fault or 'none'}|{o_fault or 'none'}")
-            for a, b in zip(dt.left, dt.right):
-                print(f"    compiled: {a.to_json()}")
-                print(f"    reference: {b.to_json()}")
             if args.save_dir:
                 os.makedirs(args.save_dir, exist_ok=True)
                 path = os.path.join(args.save_dir, f"seed{seed}.hc")
                 with open(path, "w", encoding="utf-8") as f:
                     f.write(source)
                 print(f"  program saved to {path}")
-        elif args.verbose:
-            ended = "" if m_fault is None else f", both fault: {m_fault}"
-            print(f"seed {seed}: ok "
-                  f"({len(tr.filtered(m.trace.events))} visible events{ended})")
     total = args.count
     print(f"{total - failures}/{total} seeds agree")
     return EXIT_OK if failures == 0 else EXIT_DIVERGENCE
+
+
+def _source_error(e, filename: str) -> int:
+    """Print a lex, parse or check error's diagnostics under `filename`."""
+    diagnostics = e.diagnostics if isinstance(e, CheckError) else [Diagnostic(e.pos, e.msg)]
+    for d in diagnostics:
+        print(d.render(filename), file=sys.stderr)
+    return EXIT_SOURCE_ERROR
 
 
 def main(argv=None) -> int:
@@ -193,23 +227,19 @@ def main(argv=None) -> int:
 
     p = sub.add_parser(
         "check", help="differential testing against the reference interpreter")
+    p.add_argument("files", nargs="*", metavar="FILE",
+                   help="programs to check (default: generated ones)")
     p.add_argument("--seed", type=int, default=0, help="first seed")
     p.add_argument("--count", type=int, default=50, help="number of seeds")
-    p.add_argument("--save-dir", help="save diverging programs here")
+    p.add_argument("--save-dir", help="save diverging generated programs here")
     p.add_argument("-v", "--verbose", action="store_true")
     p.set_defaults(fn=cmd_check)
 
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (LexError, ParseError) as e:
-        print(Diagnostic(e.pos, e.msg).render(getattr(args, "file", "<input>")),
-              file=sys.stderr)
-        return EXIT_SOURCE_ERROR
-    except CheckError as e:
-        for d in e.diagnostics:
-            print(d.render(getattr(args, "file", "<input>")), file=sys.stderr)
-        return EXIT_SOURCE_ERROR
+    except (LexError, ParseError, CheckError) as e:
+        return _source_error(e, getattr(args, "file", "<input>"))
     except OSError as e:
         print(str(e), file=sys.stderr)
         return EXIT_SOURCE_ERROR

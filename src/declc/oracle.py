@@ -8,6 +8,11 @@ contract module; everything else (l-value decomposition, binding evaluation,
 reaction selection) is derived independently here, so differential runs
 exercise the incremental implementation end to end.
 
+A construct's syntax is fixed once the unit is checked, so each Oracle
+decomposes every construct into its l-values once (`Syntax`); what a write
+redoes is the resolution of each of those l-values to the cell it denotes
+now, in the frame of the construct's owner, which is also made once.
+
 Emits the same observable trace events as the vm (the ORACLE_VISIBLE kinds);
 Install/Cancel/Dormant/Suspend/Resume are implementation artifacts of the
 incremental route and are never produced here.
@@ -15,6 +20,7 @@ incremental route and are never produced here.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 from . import ast, trace as tr
@@ -87,12 +93,28 @@ class OFrame:
 
 
 @dataclass(eq=False)
+class Syntax:
+    """The l-values of one construct, split out of its syntax tree once."""
+
+    reads: list[ast.Expr]    # maximal l-values of a constraint's right side
+                             # or a precondition's condition, in ordinal order
+    rebinds: list[ast.Expr]  # constituents of a constraint's left side that
+                             # are assignable storage
+    text: str                # lv_str of the left side, or of a
+                             # precondition's condition
+
+
+@dataclass(eq=False)
 class Installed:
-    """One installed declarative construct occurrence."""
+    """One installed declarative construct occurrence.  `frame` is its
+    owner's `<construct>` frame, shared by every construct of that owner:
+    a construct's expressions declare no locals, and calls and bodies run
+    in frames of their own."""
 
     construct: ast.Construct
-    owner: OInstance | None
+    frame: OFrame
     seq: int
+    syntax: Syntax
 
 
 class _Return(Exception):
@@ -232,6 +254,24 @@ def sub_lvalues(e: ast.Expr) -> list[ast.Expr]:
     return out
 
 
+def _syntax(c: ast.Construct) -> Syntax:
+    if isinstance(c, ast.Precond):
+        return Syntax(top_lvalues(c.cond), [], lv_str(c.cond))
+    if isinstance(c, ast.Monitor):
+        return Syntax([], [], lv_str(c.lhs))
+    return Syntax(top_lvalues(c.rhs),
+                  [lv for lv in sub_lvalues(c.lhs) if is_assignable_storage(lv.ty)],
+                  lv_str(c.lhs))
+
+
+# the operators of `Oracle._binary` that take two values and cannot fault
+_OPERATORS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "==": operator.eq, "!=": operator.ne, "<": operator.lt,
+    ">": operator.gt, "<=": operator.le, ">=": operator.ge,
+}
+
+
 # --------------------------------------------------------------------- oracle
 
 class Oracle:
@@ -249,6 +289,9 @@ class Oracle:
         self._call_seq = 0
         self._class_constructs: dict[str, list[ast.Construct]] = {
             c.name: list(c.constructs) for c in unit.classes}
+        # construct id -> its Syntax; held here, not process-wide, so no
+        # syntax tree outlives its Oracle
+        self._syntax = {id(c): _syntax(c) for c in unit.constructs}
 
     def emit(self, kind, lvalue="", cell="", detail="", value=None):
         self.trace.emit(kind, lvalue, cell, detail, value)
@@ -291,11 +334,12 @@ class Oracle:
         for m in inst.members.values():
             cell = m.obj_cell if isinstance(m, OInstance) else m
             self.owner_of[id(cell)] = inst
+        fr = OFrame("<construct>", owner=inst)
         for c in self._class_constructs.get(inst.cls, []):
-            self._install(c, inst)
+            self._install(c, fr)
 
     def _destroy_instance(self, inst: OInstance):
-        self.installed = [k for k in self.installed if k.owner is not inst]
+        self.installed = [k for k in self.installed if k.frame.owner is not inst]
         for m in inst.members.values():
             cell = m.obj_cell if isinstance(m, OInstance) else m
             self.owner_of.pop(id(cell), None)
@@ -303,9 +347,9 @@ class Oracle:
             if isinstance(m, OInstance):
                 self._destroy_instance(m)
 
-    def _install(self, c: ast.Construct, owner: OInstance | None):
+    def _install(self, c: ast.Construct, fr: OFrame):
         self._seq += 1
-        inst = Installed(c, owner, self._seq)
+        inst = Installed(c, fr, self._seq, self._syntax[id(c)])
         self.installed.append(inst)
         if isinstance(c, ast.Constraint):
             self._apply(inst, via_resolution=False)
@@ -322,9 +366,10 @@ class Oracle:
                 self._construct_instance(target)
             elif d.init is not None:
                 self.store(target, self.eval(d.init, fr))
+        fr = OFrame("<construct>")
         for c in self.unit.constructs:
             if c.scope is None:
-                self._install(c, None)
+                self._install(c, fr)
         return self
 
     def run(self) -> int:
@@ -368,9 +413,6 @@ class Oracle:
         self._phase_resolve(cell)
         self._phase_precond(cell)
 
-    def _owner_frame(self, inst: Installed) -> OFrame:
-        return OFrame("<construct>", owner=inst.owner)
-
     def _try_cell(self, e: ast.Expr, fr: OFrame) -> OCell | None:
         try:
             return self.lv_cell(e, fr)
@@ -386,9 +428,8 @@ class Oracle:
             c = inst.construct
             if not isinstance(c, ast.Constraint):
                 continue
-            fr = self._owner_frame(inst)
-            for anc in sub_lvalues(c.lhs):
-                if is_assignable_storage(anc.ty) and self._try_cell(anc, fr) is cell:
+            for anc in inst.syntax.rebinds:
+                if self._try_cell(anc, inst.frame) is cell:
                     self._apply(inst, via_resolution=False)
                     break
 
@@ -396,15 +437,14 @@ class Oracle:
         if id(cell) not in self.disabled:
             hits = [inst for inst in self.installed
                     if isinstance(inst.construct, ast.Monitor)
-                    and self._try_cell(inst.construct.lhs,
-                                       self._owner_frame(inst)) is cell]
+                    and self._try_cell(inst.construct.lhs, inst.frame) is cell]
             if hits:
                 inst = hits[-1]   # most recent registration wins
                 self.disabled.add(id(cell))
                 try:
-                    self.emit(tr.MONITOR_FIRED, lv_str(inst.construct.lhs),
+                    self.emit(tr.MONITOR_FIRED, inst.syntax.text,
                               cell.name, f"construct:{inst.construct.ordinal}")
-                    self._run_body(inst.construct.body, inst.owner,
+                    self._run_body(inst.construct.body, inst.frame.owner,
                                    "<monitor>")
                 finally:
                     self.disabled.discard(id(cell))
@@ -426,40 +466,35 @@ class Oracle:
     def _phase_resolve(self, cell: OCell):
         edges = []
         for inst in self.installed:
-            c = inst.construct
-            if not isinstance(c, ast.Constraint):
+            if not isinstance(inst.construct, ast.Constraint):
                 continue
-            fr = self._owner_frame(inst)
-            for j, lv in enumerate(top_lvalues(c.rhs)):
-                if self._try_cell(lv, fr) is cell:
+            for j, lv in enumerate(inst.syntax.reads):
+                if self._try_cell(lv, inst.frame) is cell:
                     edges.append((inst.seq, j, inst, lv))
         for _, _, inst, lv in sorted(edges, key=lambda t: (t[0], t[1])):
-            if self._try_cell(lv, self._owner_frame(inst)) is not cell:
+            if self._try_cell(lv, inst.frame) is not cell:
                 continue   # rebound by an earlier firing in this wave
             self._apply(inst, via_resolution=True)
 
     def _phase_precond(self, cell: OCell):
         for inst in list(self.installed):
-            c = inst.construct
-            if not isinstance(c, ast.Precond):
+            if not isinstance(inst.construct, ast.Precond):
                 continue
-            fr = self._owner_frame(inst)
-            for lv in top_lvalues(c.cond):
-                if self._try_cell(lv, fr) is cell:
+            for lv in inst.syntax.reads:
+                if self._try_cell(lv, inst.frame) is cell:
                     self._test_precond(inst)
 
     def _test_precond(self, inst: Installed):
         c = inst.construct
-        fr = OFrame("<tester>", owner=inst.owner)
-        v = bool(self.eval(c.cond, fr))
-        self.emit(tr.PRECOND_EVAL, lv_str(c.cond), "",
+        v = bool(self.eval(c.cond, inst.frame))
+        self.emit(tr.PRECOND_EVAL, inst.syntax.text, "",
                   f"construct:{c.ordinal}:{_vstr(v)}")
         if v:
-            self._run_body(c.body, inst.owner, "<tester>")
+            self._run_body(c.body, inst.frame.owner, "<tester>")
 
     def _apply(self, inst: Installed, via_resolution: bool):
         c = inst.construct
-        fr = self._owner_frame(inst)
+        fr = inst.frame
         target = self._try_cell(c.lhs, fr)
         if target is None:
             return
@@ -468,25 +503,23 @@ class Oracle:
         if self._top_constraint(target) is not inst:
             return
         if c.guard is not None:
-            v = bool(self.eval(c.guard, self._owner_frame(inst)))
-            self.emit(tr.GUARD_EVAL, lv_str(c.lhs), "",
+            v = bool(self.eval(c.guard, fr))
+            self.emit(tr.GUARD_EVAL, inst.syntax.text, "",
                       f"construct:{c.ordinal}:{_vstr(v)}")
             if not v:
                 return
         if via_resolution:
             self.wave.mark(target)
-        self.emit(tr.CONSTRAINT_APPLIED, lv_str(c.lhs), target.name,
+        self.emit(tr.CONSTRAINT_APPLIED, inst.syntax.text, target.name,
                   f"construct:{c.ordinal}")
-        fr2 = self._owner_frame(inst)
-        target = self.lv_cell(c.lhs, fr2)
-        self.store(target, self.eval(c.rhs, fr2))
+        target = self.lv_cell(c.lhs, fr)
+        self.store(target, self.eval(c.rhs, fr))
 
     def _top_constraint(self, cell: OCell) -> Installed | None:
         top = None
         for inst in self.installed:
             c = inst.construct
-            if isinstance(c, ast.Constraint) \
-                    and self._try_cell(c.lhs, self._owner_frame(inst)) is cell:
+            if isinstance(c, ast.Constraint) and self._try_cell(c.lhs, inst.frame) is cell:
                 top = inst
         return top
 
@@ -630,14 +663,11 @@ class Oracle:
                 if isinstance(b, OPtr):
                     a, b = b, a
                 return OPtr(a.block, a.offset + b if op == "+" else a.offset - b)
-        table = {
-            "+": lambda: a + b, "-": lambda: a - b, "*": lambda: a * b,
-            "/": lambda: c_div(a, b, e.pos), "%": lambda: c_mod(a, b, e.pos),
-            "==": lambda: a == b, "!=": lambda: a != b,
-            "<": lambda: a < b, ">": lambda: a > b,
-            "<=": lambda: a <= b, ">=": lambda: a >= b,
-        }
-        return table[op]()
+        if op == "/":
+            return c_div(a, b, e.pos)
+        if op == "%":
+            return c_mod(a, b, e.pos)
+        return _OPERATORS[op](a, b)
 
     def _call(self, e: ast.Call, fr: OFrame):
         callee = e.callee

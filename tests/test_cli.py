@@ -331,6 +331,36 @@ def test_check_reports_a_divergence_and_saves_the_program(monkeypatch, tmp_path,
     assert (saved / "seed7.hc").read_text() == generate(7)
 
 
+def test_check_files_agree(capsys):
+    code, out, err = run_cli(capsys, "check", prog("guarded.hc"), "-v")
+    assert code == 0 and err == ""
+    assert out.splitlines() == [f"{prog('guarded.hc')}: ok (15 visible events)",
+                                "1/1 files agree"]
+
+
+def test_check_file_reports_the_install_order_divergence(tmp_path, capsys):
+    """Records a known divergence, not a wanted one: the vm installs the
+    dependency edges of `a[i]` after its install-time application, the
+    reference treats them as live during it (ROADMAP item 4)."""
+    path = tmp_path / "witness.hc"
+    path.write_text("int a[2]; int i; a[i] := a[0] + 1; void main() { i = 1; }\n")
+    code, out, _ = run_cli(capsys, "check", str(path))
+    assert code == 3
+    lines = out.splitlines()
+    assert lines[0] == f"{path}: DIVERGENCE"
+    assert "  final memory differs: a[0]=1|2, a[1]=2|3" in lines
+    assert lines[-1] == "0/1 files agree"
+
+
+def test_check_file_with_a_source_error_names_it(capsys):
+    """The other files are still checked; the exit code is a source error's."""
+    bad = prog("bad_types.hc")
+    code, out, err = run_cli(capsys, "check", bad, prog("guarded.hc"))
+    assert code == 1
+    assert err.startswith(f"{bad}:4:5: error: ")
+    assert out == "1/2 files agree\n"
+
+
 @pytest.mark.parametrize("seed", [1500452, 10500791, 30601386, 40701388])
 def test_check_huge_int_seeds_agree(seed):
     """These generated programs grow an integer past the interpreter's

@@ -64,6 +64,59 @@ def test_all_lvalues_covers_nested_occurrences():
     assert got == {"q", "p", "x", "y", "p[x+y]", "q[f(p[x+y])]"}
 
 
+def derivations(monkeypatch) -> dict[str, int]:
+    """Count the calls the oracle makes to its syntax derivations."""
+    from declc import oracle as module
+
+    counts = dict.fromkeys(("top_lvalues", "sub_lvalues", "lv_str"), 0)
+
+    def counted(name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(module, name, counted(name))
+    return counts
+
+
+def written(n: int) -> str:
+    """Constraints (one guarded, one per object), a monitor and a
+    precondition, with `main` making 5 writes per turn for n turns."""
+    return f"""class C {{ int v; int w; public: void set(int k) {{ v = k; }} w := v + 1; }};
+C c; int a[4]; int i; int x; int y; int z; int seen; int hits;
+a[i] := x + y given x > 0;
+z := a[i] * 2;
+y ::= {{ seen = seen + 1; }}
+x > 3 ?? {{ hits = hits + 1; }}
+void main() {{ int k; while (k < {n}) {{ k = k + 1; x = k; y = k; i = k % 4; c.set(k); }} }}
+"""
+
+
+def test_each_oracle_derives_a_constructs_syntax_once(monkeypatch):
+    """The l-values of a construct are split out of its syntax once per
+    Oracle: the derivations do not grow with the writes, and a second
+    Oracle on the same unit derives them again (nothing is process-wide)."""
+    counts = derivations(monkeypatch)
+    seen = []
+    for n in (1, 50):
+        unit = parse_source(written(n))
+        info = check_or_raise(unit)
+        for _ in range(2):
+            before = dict(counts)
+            o = Oracle(unit, info)
+            o.load()
+            o.run()
+            seen.append({k: counts[k] - before[k] for k in counts})
+        assert o.memory_snapshot()["hits"] == str(max(0, n - 3))
+    assert seen[0]["top_lvalues"] > 0 and seen[0]["sub_lvalues"] > 0
+    assert seen[0]["lv_str"] == 5   # one per construct, the class's one included
+    assert seen == [seen[0]] * 4
+
+
 # ------------------------------------------------------ corpus equivalence
 
 def test_corpus_equivalence(good_programs):

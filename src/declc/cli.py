@@ -129,7 +129,7 @@ def _check_program(label: str, source: str, verbose: bool) -> bool:
 
     gen, info = compile_source(source)
     m = Machine(gen, info)
-    m_fault = _fault(lambda: m.load().call_function("main", []))
+    m_fault = _fault(m.run)
     o = Oracle(gen.unit, info)
     o_fault = _fault(lambda: (o.load(), o.run()))
     dt = diff_traces(m.trace.events, o.trace.events)

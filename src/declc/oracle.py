@@ -13,6 +13,10 @@ decomposes every construct into its l-values once (`Syntax`); what a write
 redoes is the resolution of each of those l-values to the cell it denotes
 now, in the frame of the construct's owner, which is also made once.
 
+Storage is made by type (`Oracle._alloc`).  An object is its own cell's
+value, so an expression that denotes an object, a method's callee included,
+resolves through `lv_cell` like any other l-value.
+
 Emits the same observable trace events as the vm (the ORACLE_VISIBLE kinds);
 Install/Cancel/Dormant/Suspend/Resume are implementation artifacts of the
 incremental route and are never produced here.
@@ -27,7 +31,7 @@ from . import ast, trace as tr
 from .checker import UnitInfo
 from .contract import Wave, c_div, c_mod
 from .errors import RuntimeFault
-from .types import BOOL, Array, ClassType, FuncType, Ptr, is_assignable_storage, make_type
+from .types import BOOL, Array, ClassType, Ptr, is_assignable_storage, make_type
 
 
 # -------------------------------------------------------------------- storage
@@ -68,20 +72,19 @@ class OObjPtr:
         return isinstance(other, OObjPtr) and other.instance is self.instance
 
 
-@dataclass(frozen=True)
-class OBound:
-    instance: object
-    name: str
-
-
 @dataclass(eq=False)
 class OInstance:
+    """An object: its members by name (an OCell or a nested OInstance) and
+    its own cell, whose value is the object."""
+
     cls: str
     name: str
-    obj_cell: OCell
     members: dict = field(default_factory=dict)
     n: int = 0              # suspend depth
     updated: bool = False
+
+    def __post_init__(self):
+        self.obj_cell = OCell(self.name, self)
 
 
 @dataclass(eq=False)
@@ -120,6 +123,14 @@ class Installed:
 class _Return(Exception):
     def __init__(self, value):
         self.value = value
+
+
+def _scalar(name: str, value) -> OCell:
+    """A one-cell block's cell: a scalar's storage, or a parameter's."""
+    blk = OBlock(name)
+    cell = OCell(name, value, blk, 0)
+    blk.cells = [cell]
+    return cell
 
 
 def _default(t):
@@ -298,34 +309,21 @@ class Oracle:
 
     # ------------------------------------------------------------- allocation
 
-    def _alloc_global(self, d: ast.VarDecl):
-        t = self.info.globals[d.name]
+    def _alloc(self, name: str, t):
+        """The storage of a variable of type t: a block of cells for an
+        array, an object (its members allocated in turn), or else a scalar."""
         if isinstance(t, Array):
-            blk = OBlock(d.name)
-            blk.cells = [OCell(f"{d.name}[{k}]", _default(t.elem), blk, k)
+            blk = OBlock(name)
+            blk.cells = [OCell(f"{name}[{k}]", _default(t.elem), blk, k)
                          for k in range(t.size)]
-            self.globals[d.name] = blk
-        elif isinstance(t, ClassType):
-            self.globals[d.name] = self._alloc_instance(t.name, d.name)
-        else:
-            blk = OBlock(d.name)
-            cell = OCell(d.name, _default(t), blk, 0)
-            blk.cells = [cell]
-            self.globals[d.name] = cell
-
-    def _alloc_instance(self, cls_name: str, name: str) -> OInstance:
-        ci = self.info.classes[cls_name]
-        inst = OInstance(cls_name, name, OCell(name))
-        for m in ci.member_order:
-            mt = ci.members[m]
-            if isinstance(mt, ClassType):
-                inst.members[m] = self._alloc_instance(mt.name, f"{name}.{m}")
-            else:
-                blk = OBlock(f"{name}.{m}")
-                cell = OCell(blk.name, _default(mt), blk, 0)
-                blk.cells = [cell]
-                inst.members[m] = cell
-        return inst
+            return blk
+        if isinstance(t, ClassType):
+            ci = self.info.classes[t.name]
+            inst = OInstance(t.name, name)
+            for m in ci.member_order:
+                inst.members[m] = self._alloc(f"{name}.{m}", ci.members[m])
+            return inst
+        return _scalar(name, _default(t))
 
     def _construct_instance(self, inst: OInstance):
         for m in inst.members.values():
@@ -358,7 +356,7 @@ class Oracle:
 
     def load(self):
         for d in self.unit.globals:
-            self._alloc_global(d)
+            self.globals[d.name] = self._alloc(d.name, self.info.globals[d.name])
         fr = OFrame("<global>")
         for d in self.unit.globals:
             target = self.globals[d.name]
@@ -444,8 +442,8 @@ class Oracle:
                 try:
                     self.emit(tr.MONITOR_FIRED, inst.syntax.text,
                               cell.name, f"construct:{inst.construct.ordinal}")
-                    self._run_body(inst.construct.body, inst.frame.owner,
-                                   "<monitor>")
+                    self._run_body(inst.construct.body,
+                                   OFrame("<monitor>", owner=inst.frame.owner))
                 finally:
                     self.disabled.discard(id(cell))
         owner = self.owner_of.get(id(cell))
@@ -490,7 +488,7 @@ class Oracle:
         self.emit(tr.PRECOND_EVAL, inst.syntax.text, "",
                   f"construct:{c.ordinal}:{_vstr(v)}")
         if v:
-            self._run_body(c.body, inst.frame.owner, "<tester>")
+            self._run_body(c.body, OFrame("<tester>", owner=inst.frame.owner))
 
     def _apply(self, inst: Installed, via_resolution: bool):
         c = inst.construct
@@ -523,8 +521,8 @@ class Oracle:
                 top = inst
         return top
 
-    def _run_body(self, body: ast.Block, owner, tag: str):
-        frame = OFrame(tag, owner=owner)
+    def _run_body(self, body: ast.Block, frame: OFrame):
+        """Run a body in its frame, then destroy the objects it declared."""
         try:
             self.exec_stmt(body, frame)
         finally:
@@ -541,15 +539,13 @@ class Oracle:
             return self.globals[binding[1]]
         if kind == "member":
             return fr.owner.members[binding[2]]
-        return OBound(fr.owner, binding[2])  # an own method, named as a callee
+        return fr.owner.obj_cell  # an own method's callee: its object's cell
 
     def lv_cell(self, e: ast.Expr, fr: OFrame) -> OCell:
         if isinstance(e, ast.Name):
             v = self._lookup(e.binding, fr)
             if isinstance(v, OInstance):
                 return v.obj_cell
-            if isinstance(v, OBound):
-                return v.instance.obj_cell
             return v  # a cell (no checked program asks for an array's name)
         if isinstance(e, ast.Deref):
             v = self.eval(e.operand, fr)
@@ -563,14 +559,15 @@ class Oracle:
             if isinstance(e.base.ty, Array):
                 blk = self._lookup(e.base.binding, fr)  # an array is a name
                 if not (0 <= idx < len(blk.cells)):
-                    raise RuntimeFault(f"index {idx} out of bounds", e.pos)
+                    raise RuntimeFault(f"index {idx} out of bounds for '{blk.name}'",
+                                       e.pos)
                 return blk.cells[idx]
             v = self.eval(e.base, fr)
             if v is None:
                 raise RuntimeFault("null pointer indexed", e.pos)
             return self._at(OPtr(v.block, v.offset + idx), e.pos)
         if isinstance(e, ast.Dot):
-            return self._member_cell(self.instance_of(e.obj, fr), e.member)
+            return self._member_cell(self.lv_cell(e.obj, fr).value, e.member)
         v = self.eval(e.obj, fr)  # an Arrow
         if v is None:
             raise RuntimeFault("null pointer dereference", e.pos)
@@ -587,29 +584,6 @@ class Oracle:
             return m.obj_cell if isinstance(m, OInstance) else m
         return inst.obj_cell  # a method's involvement cell is its object's
 
-    def instance_of(self, e: ast.Expr, fr: OFrame) -> OInstance:
-        if isinstance(e, ast.Name):
-            v = self._lookup(e.binding, fr)
-            if isinstance(v, OInstance):
-                return v
-        elif isinstance(e, ast.Dot):
-            m = self.instance_of(e.obj, fr).members.get(e.member)
-            if isinstance(m, OInstance):
-                return m
-        elif isinstance(e, ast.Arrow):
-            v = self.eval(e.obj, fr)
-            if isinstance(v, OObjPtr):
-                m = v.instance.members.get(e.member)
-                if isinstance(m, OInstance):
-                    return m
-        elif isinstance(e, ast.Deref):
-            v = self.eval(e.operand, fr)
-            if v is None:
-                raise RuntimeFault("null pointer dereference", e.pos)
-            if isinstance(v, OObjPtr):
-                return v.instance
-        raise RuntimeFault("expression does not denote an object", e.pos)
-
     def eval(self, e: ast.Expr, fr: OFrame):
         if isinstance(e, ast.IntLit):
             return e.value
@@ -622,15 +596,9 @@ class Oracle:
         if isinstance(e, (ast.Deref, ast.Index)):
             return self.lv_cell(e, fr).value
         if isinstance(e, ast.AddrOf):
-            op = e.operand
-            if isinstance(op, ast.Name):
-                v = self._lookup(op.binding, fr)
-                if isinstance(v, OInstance):
-                    return OObjPtr(v)
-                return OPtr(v.block, v.index)
-            if isinstance(op.ty, ClassType):
-                return OObjPtr(self.instance_of(op, fr))
-            cell = self.lv_cell(op, fr)
+            cell = self.lv_cell(e.operand, fr)
+            if isinstance(e.operand.ty, ClassType):
+                return OObjPtr(cell.value)
             return OPtr(cell.block, cell.index)
         if isinstance(e, ast.Unary):
             v = self.eval(e.operand, fr)
@@ -639,13 +607,6 @@ class Oracle:
             return self._binary(e, fr)
         if isinstance(e, ast.Call):
             return self._call(e, fr)
-        if isinstance(e.ty, FuncType):  # a Dot or an Arrow: a method callee
-            if isinstance(e, ast.Dot):
-                return OBound(self.instance_of(e.obj, fr), e.member)
-            v = self.eval(e.obj, fr)
-            if v is None:
-                raise RuntimeFault("null pointer dereference", e.pos)
-            return OBound(v.instance, e.member)
         return self.lv_cell(e, fr).value
 
     def _binary(self, e: ast.Binary, fr: OFrame):
@@ -670,16 +631,14 @@ class Oracle:
         return _OPERATORS[op](a, b)
 
     def _call(self, e: ast.Call, fr: OFrame):
+        """A call.  A method's callee denotes its object's cell, whose value
+        is the object, taken before the arguments."""
         callee = e.callee
         if isinstance(callee, ast.Name) and callee.binding[0] == "func":
-            args = [self.eval(a, fr) for a in e.args]
-            return self.call_function(callee.binding[1], args)
-        if isinstance(callee, ast.Name):  # an own method
-            args = [self.eval(a, fr) for a in e.args]
-            return self.call_method(fr.owner, callee.binding[2], args)
-        target = self.eval(callee, fr)  # an OBound
-        args = [self.eval(a, fr) for a in e.args]
-        return self.call_method(target.instance, target.name, args)
+            return self.call_function(callee.name, [self.eval(a, fr) for a in e.args])
+        inst = self.lv_cell(callee, fr).value
+        name = callee.name if isinstance(callee, ast.Name) else callee.member
+        return self.call_method(inst, name, [self.eval(a, fr) for a in e.args])
 
     def _func_decl(self, name: str, cls: str | None) -> ast.FuncDecl:
         decls = (self.unit.functions if cls is None else
@@ -691,18 +650,12 @@ class Oracle:
         seq = self._call_seq
         frame = OFrame(decl.name, owner=owner)
         for p, v in zip(decl.params, args):
-            blk = OBlock(f"{decl.name}@{seq}:{p.name}")
-            cell = OCell(blk.name, v, blk, 0)
-            blk.cells = [cell]
-            frame.locals[p.name] = cell
+            frame.locals[p.name] = _scalar(f"{decl.name}@{seq}:{p.name}", v)
         try:
-            self.exec_stmt(decl.body, frame)
+            self._run_body(decl.body, frame)
             ret = None
         except _Return as r:
             ret = r.value
-        finally:
-            for i in reversed(frame.instances):
-                self._destroy_instance(i)
         if ret is None and decl.ret_type != "void":
             ret = _default(make_type(decl.ret_type, decl.ret_ptr_depth))
         return ret
@@ -747,27 +700,14 @@ class Oracle:
 
     def _local_decl(self, d: ast.VarDecl, fr: OFrame):
         self._call_seq += 1
-        prefix = f"{fr.func}@{self._call_seq}"
-        if d.array_size is not None:
-            t = make_type(d.base_type, d.ptr_depth)
-            blk = OBlock(f"{prefix}:{d.name}")
-            blk.cells = [OCell(f"{prefix}:{d.name}[{k}]", _default(t), blk, k)
-                         for k in range(d.array_size)]
-            fr.locals[d.name] = blk
-        elif d.ptr_depth == 0 and d.base_type not in ("int", "bool"):
-            inst = self._alloc_instance(d.base_type, f"{prefix}:{d.name}")
-            self._construct_instance(inst)
-            fr.locals[d.name] = inst
-            fr.instances.append(inst)
-            return
-        else:
-            t = make_type(d.base_type, d.ptr_depth)
-            blk = OBlock(f"{prefix}:{d.name}")
-            cell = OCell(blk.name, _default(t), blk, 0)
-            blk.cells = [cell]
-            fr.locals[d.name] = cell
-        if d.init is not None:
-            self.store(fr.locals[d.name], self.eval(d.init, fr))
+        v = fr.locals[d.name] = self._alloc(
+            f"{fr.func}@{self._call_seq}:{d.name}",
+            make_type(d.base_type, d.ptr_depth, d.array_size))
+        if isinstance(v, OInstance):
+            self._construct_instance(v)
+            fr.instances.append(v)
+        elif d.init is not None:
+            self.store(v, self.eval(d.init, fr))
 
 
 # ----------------------------------------------------------------- differ

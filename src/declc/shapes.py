@@ -172,21 +172,6 @@ def _addr(m, x, obj):
     return lambda a, fr: address(x(a, fr))
 
 
-def _owner(m):
-    """The object an own method is called on: the frame's owner."""
-    return lambda a, fr: fr.owner
-
-
-def _pointee(m, x, p):
-    """The object a `->` callee's pointer points to."""
-    def pointee(a, fr):
-        v = x(a, fr)
-        if v is None:
-            raise RuntimeFault("null pointer dereference", a[p])
-        return v.instance
-    return pointee
-
-
 def _call(m, d, args):
     """A free function's call: its arguments, then the body of `a[d]`."""
     def call(a, fr):
@@ -195,7 +180,8 @@ def _call(m, d, args):
 
 
 def _call_method(m, obj, d, args):
-    """A method's call: the object, its arguments, then the body of `a[d]`."""
+    """A method's call: the object (its callee's cell's value), its
+    arguments, then the body of `a[d]`."""
     def call(a, fr):
         inst = obj(a, fr)
         return m._call_method(inst, a[d], [x(a, fr) for x in args])
@@ -267,7 +253,6 @@ SHAPES = {
     "block": _block, "ptr elem": _ptr_elem,
     "member": _member, "arrow": _arrow, "addr": _addr,
     "local": _local, "own": _own,
-    "owner": _owner, "pointee": _pointee,
     "call": _call, "call method": _call_method,
     "stmts": _stmts, "assign": _assign, "expr": _expr,
     "if": _if, "if else": _if_else, "while": _while, "return": _return,

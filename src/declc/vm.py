@@ -301,24 +301,17 @@ class Machine:
 
     def _call(self, e: ast.Call, leaves: list, members):
         """A call's evaluator.  Its callee's declaration is a leaf, bound once:
-        there is no inheritance and no function value.  The object a method
-        is called on is evaluated before the arguments."""
+        there is no inheritance and no function value.  A method's callee
+        denotes its object's cell, whose value is the object it is called on,
+        evaluated before the arguments."""
         callee = e.callee
         decl = self._callee(callee)
         d = _leaf(leaves, decl)
-        cls = callee.__class__
         if decl.cls is None:
             return self._shape(("call", d, tuple(self._value(x, leaves, members)
                                                  for x in e.args)))
-        if cls is ast.Name:
-            obj = self._shape(("owner",))
-        elif cls is ast.Dot:
-            obj = self._cell(callee.obj, leaves, members, True)
-        else:
-            obj = self._shape(("pointee", self._value(callee.obj, leaves, members),
-                               _leaf(leaves, callee.pos)))
-        return self._shape(("call method", obj, d, tuple(self._value(x, leaves, members)
-                                                         for x in e.args)))
+        return self._shape(("call method", self._cell(callee, leaves, members, True), d,
+                            tuple(self._value(x, leaves, members) for x in e.args)))
 
     def _cell(self, e: ast.Expr, leaves: list, members, value: bool):
         """The evaluator of l-value e's cell, or of its value with `value`."""
@@ -445,22 +438,11 @@ class Machine:
         """A call in a walk, bound as the `call` shapes bind it."""
         callee = e.callee
         decl = self._callee(callee)
-        cls = callee.__class__
         if decl.cls is None:
             return self._run_body(decl, [_EVAL[a.__class__](self, a, fr) for a in e.args],
                                   None)
-        if cls is ast.Name:
-            inst = fr.owner
-        elif cls is ast.Dot:
-            inst = self.lv_cell(callee.obj, fr).value
-        else:
-            obj = callee.obj
-            v = _EVAL[obj.__class__](self, obj, fr)
-            if v is None:
-                raise RuntimeFault("null pointer dereference", callee.pos)
-            inst = v.instance
-        return self._call_method(inst, decl, [_EVAL[a.__class__](self, a, fr)
-                                              for a in e.args])
+        return self._call_method(self.lv_cell(callee, fr).value, decl,
+                                 [_EVAL[a.__class__](self, a, fr) for a in e.args])
 
     # ----------------------------------------------------------------- calls
 

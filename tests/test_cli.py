@@ -8,7 +8,7 @@ import pytest
 
 from conftest import GOLDEN, PROGRAMS, matches_oracle
 from declc.cli import main
-from declc.errors import RuntimeFault
+from declc.errors import Pos, RuntimeFault
 from declc.parser import MAX_NESTING
 
 
@@ -243,9 +243,14 @@ def test_check_reports_a_fault_of_one_route_as_a_divergence(
 
 
 def test_check_reports_different_fault_texts_as_a_divergence(monkeypatch, capsys):
-    """Both routes fault at `o->b.get()` with a null `o`, with different
-    texts and the same visible trace: that is a divergence too."""
+    """Both routes fault at `o->b.get()` with a null `o`, the reference
+    (patched) with another text, and the same visible trace: that is a
+    divergence too."""
+    def run(self):
+        raise RuntimeFault("expression does not denote an object", Pos(2, 59))
+
     monkeypatch.setattr("declc.randgen.generate", lambda seed: NULL_MEMBER_CALL)
+    monkeypatch.setattr("declc.oracle.Oracle.run", run)
     code, out, _ = run_cli(capsys, "check", "--seed", "0", "--count", "1")
     assert code == 3
     assert out.splitlines() == [
@@ -253,6 +258,37 @@ def test_check_reports_different_fault_texts_as_a_divergence(monkeypatch, capsys
         "  runtime faults differ: 2:59: fault: null pointer dereference|"
         "2:59: fault: expression does not denote an object",
         "0/1 seeds agree"]
+
+
+ONCE_DIVERGED = {
+    "null-member-call.hc": NULL_MEMBER_CALL,
+    "out-of-bounds-global.hc": "int a[2]; int i; void main() { i = 5; a[i] = 1; }\n",
+    "out-of-bounds-local.hc": "int x; void f() { int b[2]; x = b[3]; }\n"
+                              "void main() { f(); }\n",
+    "no-main.hc": "int x; x := 1;\n",
+}
+
+
+def test_check_files_that_fault_alike_agree(tmp_path, capsys):
+    """Both routes fault with the same text on each: a method call through
+    a data member of a null object pointer, an index out of a global or a
+    local array's bounds (the fault names the block), and no `main`."""
+    paths = []
+    for name, source in ONCE_DIVERGED.items():
+        paths.append(tmp_path / name)
+        paths[-1].write_text(source)
+    code, out, err = run_cli(capsys, "check", "-v", *map(str, paths))
+    assert code == 0 and err == ""
+    assert out.replace(f"{tmp_path}{os.sep}", "").splitlines() == [
+        "null-member-call.hc: ok (0 visible events, both fault: "
+        "2:59: fault: null pointer dereference)",
+        "out-of-bounds-global.hc: ok (2 visible events, both fault: "
+        "1:39: fault: index 5 out of bounds for 'a')",
+        "out-of-bounds-local.hc: ok (0 visible events, both fault: "
+        "1:33: fault: index 3 out of bounds for 'f@3:b')",
+        "no-main.hc: ok (3 visible events, both fault: "
+        "fault: program has no 'main' function)",
+        "4/4 files agree"]
 
 
 def pure_chain(n: int) -> str:
@@ -293,7 +329,7 @@ def test_run_reports_running_out_of_memory_as_a_runtime_fault(monkeypatch, tmp_p
 
 @pytest.mark.parametrize("patched,faults", [
     ("declc.vm._array", "fault: out of memory|none"),
-    ("declc.oracle.Oracle._alloc_global", "none|fault: out of memory"),
+    ("declc.oracle.Oracle._alloc", "none|fault: out of memory"),
 ], ids=["compiled", "reference"])
 def test_check_reports_running_out_of_memory_as_that_routes_fault(
         monkeypatch, capsys, patched, faults):

@@ -63,14 +63,14 @@ def cmd_emit(args) -> int:
 
 
 def _make_sink(trace_arg) -> tuple[tr.TraceSink, object]:
-    stream = None
-    close = None
-    if trace_arg is not None:
-        if trace_arg == "-":
-            stream = sys.stdout
-        else:
-            stream = close = open(trace_arg, "w", encoding="utf-8")
-    return tr.TraceSink(stream=stream), close
+    """The sink of `run` and the file to close after it: without `--trace`
+    one that keeps only the warnings `run` prints."""
+    if trace_arg is None:
+        return tr.WarningSink(), None
+    if trace_arg == "-":
+        return tr.TraceSink(stream=sys.stdout), None
+    close = open(trace_arg, "w", encoding="utf-8")
+    return tr.TraceSink(stream=close), close
 
 
 def _runtime(step):

@@ -31,7 +31,7 @@ class Entry:
     fn: str
     owner: object                  # Instance or None for file scope
     invoke: object = None          # callable; signature depends on the list
-                                   # (redefinitions: (fns, b), see Engine._rebind)
+                                   # (redefinitions: (redefs, b), see Engine._rebind)
     lvalue: str = ""
     construct: int = -1
     detail: str = field(init=False, repr=False)  # of its MonitorFired/ConstraintApplied
@@ -56,10 +56,10 @@ class ConstraintEntry(Entry):
 class Cell:
     """One storage location.  Its four registration lists and its dependency
     edges (in `DepEdge.order`) start as the shared empty tuple and become a
-    list at their first add (`Engine.handle_*`, `DependencyGraph.add`);
-    readers test them for truthiness only.  A data member's `update_hook` is
-    its object's update notification while the object lives.  `name` is
-    stored: every store emits it."""
+    list at their first add (`Engine.handle_*`); readers test them for
+    truthiness only.  A data member's `update_hook` is its object's update
+    notification while the object lives.  `name` is stored: every store
+    emits it."""
 
     __slots__ = ("name", "value", "redefinitions", "monitors", "preconditions",
                  "constraints", "dependencies", "update_hook", "monitors_enabled",
@@ -116,38 +116,11 @@ class DependencyGraph:
     """Constraining-cell -> constraint edges.  Each live edge is on its
     constraining cell (`Cell.dependencies`), kept in firing order: instantiation
     order (entry seq, then constraining l-value ordinal).  There is no
-    graph-wide index: the caller holds each edge, and the graph keeps only the
-    number of live edges."""
+    graph-wide index: the caller holds each edge, `Engine.handle_dependency`
+    links and unlinks it, and the graph keeps only the number of live edges."""
 
     def __init__(self):
         self.live = 0
-
-    def add(self, from_cell: Cell, edge: DepEdge):
-        if edge.live:
-            raise RuntimeFault(f"dependency edge registered twice ({edge.entry.fn})")
-        edge.from_cell = from_cell
-        edge.live = True
-        self.live += 1
-        deps = from_cell.dependencies
-        if deps.__class__ is not list:
-            from_cell.dependencies = [edge]
-        elif not deps or deps[-1].order < edge.order:
-            deps.append(edge)
-        else:  # a reinstall keeps its seq, so the edge may belong mid-list
-            insort(deps, edge, key=_order)
-
-    def remove(self, edge: DepEdge):
-        if not edge.live:
-            raise RuntimeFault(f"cancel of unregistered dependency ({edge.entry.fn})")
-        edge.live = False
-        self.live -= 1
-        deps = edge.from_cell.dependencies
-        if deps[-1] is edge:
-            deps.pop()
-        elif deps[0] is edge:  # a run cancels its cell's edges in order
-            del deps[0]
-        else:
-            del deps[bisect_left(deps, edge.order, key=_order)]
 
     def __len__(self):
         return self.live
@@ -214,11 +187,34 @@ class Engine:
         else:
             _cancel(cell.redefinitions, registrant)
 
-    def handle_dependency(self, cell: Cell, registrant: DepEdge, add: bool):
+    def handle_dependency(self, cell: Cell, edge: DepEdge, add: bool):
+        """Link the edge (a dependency's registrant) on cell at its place in
+        firing order, or unlink it from the cell it is on."""
         if add:
-            self.deps.add(cell, registrant)
+            if edge.live:
+                raise RuntimeFault(f"dependency edge registered twice ({edge.entry.fn})")
+            edge.from_cell = cell
+            edge.live = True
+            self.deps.live += 1
+            deps = cell.dependencies
+            if deps.__class__ is not list:
+                cell.dependencies = [edge]
+            elif not deps or deps[-1].order < edge.order:
+                deps.append(edge)
+            else:  # a reinstall keeps its seq, so the edge may belong mid-list
+                insort(deps, edge, key=_order)
+            return
+        if not edge.live:
+            raise RuntimeFault(f"cancel of unregistered dependency ({edge.entry.fn})")
+        edge.live = False
+        self.deps.live -= 1
+        deps = edge.from_cell.dependencies
+        if deps[-1] is edge:
+            deps.pop()
+        elif deps[0] is edge:  # a run cancels its cell's edges in order
+            del deps[0]
         else:
-            self.deps.remove(registrant)
+            del deps[bisect_left(deps, edge.order, key=_order)]
 
     # --- change protocol --------------------------------------------------
     # A phase runs over a snapshot of a non-empty list; a redefinition that
@@ -256,18 +252,13 @@ class Engine:
         self.resolve(cell)  # a name of its own: perfbench's spans wrap it
 
     def _rebind(self, cell: Cell, b: bool):
-        """Cancel (not b) or reinstall cell's redefinitions: each maximal run of
-        adjacent entries of one owner is one `invoke(fns, b)` of its first
-        entry.  `fns` yields the function of each entry still registered when
-        the run reaches it."""
+        """Cancel (not b) or reinstall cell's redefinitions: one
+        `invoke(redefs, b)` of the first entry, `redefs` being the list as
+        the phase starts.  The vm runs each owner's adjacent entries in turn
+        and skips one an earlier entry cancelled."""
         redefs = list(cell.redefinitions)
-        start, n = 0, len(redefs)
-        while start < n:
-            owner, end = redefs[start].owner, start + 1
-            while end < n and redefs[end].owner is owner:
-                end += 1
-            redefs[start].invoke((r.fn for r in redefs[start:end] if r.registered), b)
-            start = end
+        if redefs:  # an object update reaches cells with none
+            redefs[0].invoke(redefs, b)
 
     def resolve(self, changed: Cell):
         """The after-change actions of a write of changed and of the writes

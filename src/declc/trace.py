@@ -128,5 +128,15 @@ class TraceSink:
         return out
 
 
+class WarningSink(TraceSink):
+    """The sink of a run whose trace nobody reads: it keeps the `Warning`
+    records and drops every other, so a long run holds no record per store.
+    Its events are its warnings, numbered among themselves."""
+
+    def emit(self, kind, lvalue="", cell="", detail="", value=None):
+        if kind is WARNING:
+            self._slots += (kind, lvalue, cell, detail, value)
+
+
 def filtered(events, kinds=ORACLE_VISIBLE) -> list[TraceEvent]:
     return [e for e in events if e.kind in kinds]

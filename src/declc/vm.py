@@ -5,10 +5,14 @@ Every user-visible store goes through the engine's write protocol
 `redef_*` function, is lowered once per machine into a flat tuple of steps,
 one per `codegen.Reg` of the init functions it calls, spliced in; the init
 functions keep no steps of their own.  A redefined cell's rebinding phase
-runs the steps of each owner's run of redefinitions in one step loop.  A
-step holds the engine's handler of its kind, taken at the machine's first
-lowering, and runs as one `handle(cell, registrant, b)` call.  An install
-records the cell it registered on, and its cancel takes that cell.
+hands all its redefinitions to one step loop, which runs each run of one
+owner's entries in that owner's frame.  A step holds the engine's handler
+of its kind, taken at the machine's first lowering, and runs as one
+`handle(cell, registrant, b)` call.  Like the lines of the paper's
+`redef_*` functions, an owner's steps of a `redef_*` function hold their
+registrants once bound, at the function's second run for that owner; they
+are kept in the owner's frame and go with it.  An install records the cell
+it registered on, and its cancel takes that cell.
 
 User code compiles to shape evaluators `(leaves, frame) -> value` (or cell):
 one per expression or statement shape, the operator tree plus the kind of
@@ -56,14 +60,33 @@ class GenFrame(Frame):
     """The frame an owner's generated functions and constraint entries share.
     `entries` holds its registrants: each runtime entry under its function's
     name, each dependency edge under its `Reg`.  `placed` maps a `Reg` to the
-    cell its install registered it on."""
+    cell its install registered it on.  `installs` and `cancels` hold, per
+    `redef_*` function, its steps bound to these registrants (a cancel's
+    without the applications), made at the function's second run; until
+    then `installs` maps a function that has run once to None."""
 
-    __slots__ = ("entries", "placed")
+    __slots__ = ("entries", "placed", "installs", "cancels")
 
     def __init__(self, owner):
         super().__init__("<gen>", owner)
         self.entries: dict = {}
         self.placed: dict = {}
+        self.installs: dict = {}
+        self.cancels: dict = {}
+
+
+class _Init:
+    """A unit init as the one item of a `run_genfn` run: it reads as a
+    registered entry of `owner`."""
+
+    __slots__ = ("fn", "owner")
+    registered = 1
+
+    def __init__(self, fn: str, owner):
+        self.fn, self.owner = fn, owner
+
+
+_NOBODY = object()  # no entry's owner: a run's first entry switches to its own
 
 
 def _leaf(leaves: list, v) -> int:
@@ -153,12 +176,12 @@ class Machine:
             (m.obj_cell if isinstance(m, Instance) else m).update_hook = hook
         unit_init = self.gen.classes.get(inst.cls)
         if unit_init is not None:
-            self.run_genfn((unit_init,), inst, True)
+            self.run_genfn((_Init(unit_init, inst),), True)
 
     def _destroy_instance(self, inst: Instance):
         unit_init = self.gen.classes.get(inst.cls)
         if unit_init is not None:
-            self.run_genfn((unit_init,), inst, False)
+            self.run_genfn((_Init(unit_init, inst),), False)
         self._gen_frames.pop(id(inst), None)
         for m in inst.members.values():
             (m.obj_cell if isinstance(m, Instance) else m).update_hook = None
@@ -180,14 +203,14 @@ class Machine:
                 self._construct_instance(target)
             elif d.init is not None:
                 self.store(target, self.eval(d.init, fr))
-        self.run_genfn((self.gen.unit_init,), None, True)
+        self.run_genfn((_Init(self.gen.unit_init, None),), True)
         self.loaded = True
         return self
 
     def teardown(self):
         """Cancel every registration on the cell its install recorded: file scope
         in install order, then each global object's in reverse declaration order."""
-        self.run_genfn((self.gen.unit_init,), None, False)
+        self.run_genfn((_Init(self.gen.unit_init, None),), False)
         for v in reversed(self.globals.values()):
             if v.__class__ is Instance:
                 self._destroy_instance(v)
@@ -584,34 +607,37 @@ class Machine:
 
     # -------------------------------------------------- generated functions
 
-    def run_genfn(self, fns, owner, b: bool):
-        """Run `owner`'s generated functions named by `fns`, in order, as one
-        step run: install (b) or cancel.  `fns` is pulled lazily, so a caller
-        may still skip a function when the run reaches it.  Each step but an
-        application is one `handle(cell, registrant, b)`.  An install resolves
-        each l-value once per run until a step that can store (an applied
-        constraint, or a call in the l-value), and records its cell in `placed`
-        or is dormant; a cancel pops that cell, or skips a dormant step."""
-        fr = self._gen_frame(owner)
-        entries, placed, engine, emit = fr.entries, fr.placed, self.engine, self.trace.emit
-        lowered = self._steps
-        cells = {}  # resolver -> the cell it gave in this run
-        for name in fns:
-            steps = lowered.get(name)
-            if steps is None:
-                steps = self._lower(name)
-            for handle, key, lvstr, detail, construct, resolve, reg in steps:
-                registrant = entries.get(key) or self._registrant(reg, construct, fr)
-                if handle is None:  # the install-time application
-                    if b:
-                        cells.clear()
-                        engine.fire(registrant, via_resolution=False)
+    def run_genfn(self, run, b: bool):
+        """Run the generated function of each entry of `run`, in order, as
+        install (b) or cancel steps: a cell's redefinitions as the phase
+        found them (`Engine._rebind`), or a unit init's stand-in.  An entry
+        whose `registered` is 0 when the loop reaches it is skipped.  Each
+        maximal run of one owner's entries runs in that owner's frame, with a
+        resolution cache of its own.  Each step but an application is one
+        `handle(cell, registrant, b)`; a step of a function's first run for
+        its owner has no registrant yet and makes it (`_owner_steps`).  An
+        install resolves each l-value once per owner run until a step that
+        can store (an applied constraint, or a call in the l-value), and
+        records its cell in `placed` or is dormant; a cancel pops that cell,
+        or skips a dormant step."""
+        emit, owner = self.trace.emit, _NOBODY
+        if b:
+            fire, event = self.engine.fire, tr.INSTALL
+            for r in run:
+                if not r.registered:
                     continue
-                if not b:
-                    cell = placed.pop(reg, None)
-                    if cell is None:  # dormant
+                if r.owner is not owner:
+                    owner = r.owner
+                    fr = self._gen_frame(owner)
+                    bound, placed, cells = fr.installs, fr.placed, {}
+                steps = bound.get(r.fn) or self._owner_steps(r.fn, fr)[0]
+                for handle, registrant, lvstr, detail, construct, resolve, reg in steps:
+                    if registrant is None:
+                        registrant = self._registrant(reg, construct, fr)
+                    if handle is None:  # the install-time application
+                        cells.clear()
+                        fire(registrant, False)
                         continue
-                else:
                     cell = cells.get(resolve)
                     if cell is None:
                         calls = self._call_seq
@@ -626,8 +652,48 @@ class Machine:
                         else:  # it ran user code, which may have stored
                             cells.clear()
                     placed[reg] = cell
-                handle(cell, registrant, b)
-                emit(tr.INSTALL if b else tr.CANCEL, lvstr, cell.name, detail, construct)
+                    handle(cell, registrant, True)
+                    emit(event, lvstr, cell.name, detail, construct)
+            return
+        event = tr.CANCEL
+        for r in run:
+            if not r.registered:
+                continue
+            if r.owner is not owner:
+                owner = r.owner
+                fr = self._gen_frame(owner)
+                bound, pop = fr.cancels, fr.placed.pop
+            steps = bound.get(r.fn) or self._owner_steps(r.fn, fr)[1]
+            for handle, registrant, lvstr, detail, construct, resolve, reg in steps:
+                if registrant is None:
+                    registrant = self._registrant(reg, construct, fr)
+                cell = pop(reg, None)
+                if cell is None:  # dormant, or an application: nothing placed
+                    continue
+                handle(cell, registrant, False)
+                emit(event, lvstr, cell.name, detail, construct)
+
+    def _owner_steps(self, fn: str, fr: GenFrame) -> tuple:
+        """The (install, cancel) steps of generated function fn for fr's
+        owner.  At its first run they are the lowered steps, walked: each
+        makes its registrant.  At its second, as bodies are compiled, a
+        `redef_*` function's steps are bound to the owner's registrants and
+        kept in its frame, so they die with the owner (a registrant that a
+        walk cut short by a fault did not reach is made then).  A unit init
+        runs once each way and stays unbound."""
+        steps = self._steps.get(fn)
+        if steps is None:
+            steps = self._lower(fn)
+        installs = fr.installs
+        if fn not in installs:
+            if self.gen.functions[fn].kind != codegen.UNIT_INIT:
+                installs[fn] = None
+            return steps, steps
+        bound = installs[fn] = tuple(
+            (handle, self._registrant(reg, construct, fr), lvstr, detail, construct,
+             resolve, reg) for handle, _, lvstr, detail, construct, resolve, reg in steps)
+        cancels = fr.cancels[fn] = tuple(step for step in bound if step[0] is not None)
+        return bound, cancels
 
     def _lower(self, name: str) -> tuple:
         """Lower a generated function that runs by name (a unit init or a
@@ -645,11 +711,12 @@ class Machine:
 
     def _splice(self, name: str, steps: list) -> list:
         """Append the steps of a generated function to `steps`, its CallGen
-        callees spliced in: one (handler, `entries` key, l-value string,
+        callees spliced in: one (handler, registrant, l-value string,
         Install/Cancel detail as a `(prefix, render)` pair of the construct,
         construct, resolver, `Reg`) per registration, the same wherever the
-        callee is spliced.  The `Reg` is the step's `placed` key, and a
-        dependency's `entries` key: its edge is its own."""
+        callee is spliced.  A lowered step's registrant is None: the owner's
+        is filled in when it is bound (`_owner_steps`).  The `Reg` is the
+        step's `placed` key."""
         fn, kinds = self.gen.functions[name], self._kinds
         for ins in fn.instrs:
             if ins.__class__ is CallGen:
@@ -660,8 +727,7 @@ class Machine:
                     steps += known
             else:
                 handle, detail = kinds[ins.kind]
-                steps.append((handle, ins if ins.kind == "dependency" else ins.fn,
-                              ins.lv.str, detail, fn.construct,
+                steps.append((handle, None, ins.lv.str, detail, fn.construct,
                               self._resolver(ins.lv.expr), ins))
         return steps
 
@@ -675,20 +741,23 @@ class Machine:
 
     def _registrant(self, reg: codegen.Reg, ordinal: int, fr: GenFrame):
         """What `reg` registers for fr's owner, made at its first step: the
-        runtime entry of its function, or a dependency's edge on that entry."""
-        entry = fr.entries.get(reg.fn) or self._entry(reg.kind, reg.fn, ordinal,
-                                                      reg.lv.str, fr)
-        if reg.kind == "dependency":
-            entry = fr.entries[reg] = DepEdge(entry, reg.ordinal)
-        return entry
+        runtime entry of its function, or a dependency's edge on that entry,
+        kept in `entries` under its `Reg` (its edge is its own)."""
+        dependency = reg.kind == "dependency"
+        registrant = fr.entries.get(reg if dependency else reg.fn)
+        if registrant is None:
+            registrant = fr.entries.get(reg.fn) or self._entry(reg.kind, reg.fn, ordinal,
+                                                               reg.lv.str, fr)
+            if dependency:
+                registrant = fr.entries[reg] = DepEdge(registrant, reg.ordinal)
+        return registrant
 
     def _entry(self, kind, fn: str, ordinal, lvstr, fr: GenFrame) -> Entry:
         """The runtime entry `fn` of fr's owner."""
         owner, info = fr.owner, self.gen.graph.constructs[ordinal]
         c = info.construct
         if kind == "redefinition":
-            entry = Entry(fn, owner, invoke=partial(Machine._redefine, self, owner),
-                          lvalue=lvstr, construct=ordinal)
+            entry = Entry(fn, owner, invoke=self._redefine, lvalue=lvstr, construct=ordinal)
         elif kind == "monitor":
             entry = Entry(fn, owner, lvalue=lvstr, construct=ordinal,
                           invoke=partial(Machine._monitor, self, c.body, owner))
@@ -713,8 +782,8 @@ class Machine:
 
     # The callables of runtime entries: partials of these, bound in `_entry`.
 
-    def _redefine(self, owner, fns, b: bool):
-        self.run_genfn(fns, owner, b)
+    def _redefine(self, redefs, b: bool):
+        self.run_genfn(redefs, b)  # by name: perfbench's spans wrap it
 
     def _monitor(self, body: ast.Block, owner):
         self._exec_body(body, Frame("<monitor>", owner=owner))

@@ -5,8 +5,7 @@ import pytest
 from declc import trace as tr
 from declc.contract import Wave, c_div, c_mod
 from declc.errors import RuntimeFault
-from declc.runtime import (Cell, ConstraintEntry, DepEdge, DependencyGraph,
-                           Engine, Entry, ObjectHeader)
+from declc.runtime import Cell, ConstraintEntry, DepEdge, Engine, Entry, ObjectHeader
 
 
 def engine():
@@ -129,57 +128,62 @@ def test_stack_against_list_model():
 
 # ------------------------------------------------------------- dependencies
 
+def link(e, cell, edge, add=True):
+    """Install (add) or cancel edge on cell through the engine's handler."""
+    e.handle_dependency(cell, edge, add)
+
+
 def test_dependency_graph_orders_by_instantiation():
     """Edges live on their constraining cell in (seq, l-value ordinal) order,
     whatever order they were added in."""
-    g = DependencyGraph()
+    e = engine()
     c1, c2 = Cell("a"), Cell("a2")
     c2.dependencies = []
     e1 = ConstraintEntry("f1", None, seq=2)
     e2 = ConstraintEntry("f2", None, seq=1)
     edges = edges_of(e1, e2, ordinals=2)
-    g.add(c1, edges[e1, 0])
-    g.add(c1, edges[e2, 1])
-    g.add(c1, edges[e2, 0])
+    link(e, c1, edges[e1, 0])
+    link(e, c1, edges[e2, 1])
+    link(e, c1, edges[e2, 0])
     assert [(d.entry.fn, d.order[1]) for d in c1.dependencies] == \
         [("f2", 0), ("f2", 1), ("f1", 0)]
     assert c2.dependencies == []
-    assert len(g) == 3
+    assert len(e.deps) == 3
 
 
 def test_dependency_double_add_and_missing_remove_fault():
-    g = DependencyGraph()
+    e = engine()
     c, other = Cell("a"), Cell("b")
     other.dependencies = []
     edge = DepEdge(ConstraintEntry("f", None, seq=0), 0)
-    g.add(c, edge)
+    link(e, c, edge)
     with pytest.raises(RuntimeFault):
-        g.add(c, edge)
+        link(e, c, edge)
     with pytest.raises(RuntimeFault):
-        g.add(other, edge)        # one edge per (constraint, ordinal) overall
-    g.remove(edge)
+        link(e, other, edge)      # one edge per (constraint, ordinal) overall
+    link(e, c, edge, False)
     with pytest.raises(RuntimeFault):
-        g.remove(edge)
-    assert len(g) == 0
+        link(e, c, edge, False)
+    assert len(e.deps) == 0
     assert c.dependencies == [] and other.dependencies == []
 
 
 def test_dependency_reinstall_mid_list_keeps_order():
     """A reinstall keeps its constraint's seq, so a cancelled-then-reinstalled
     edge goes back to its place in the middle of the list, not the end."""
-    g = DependencyGraph()
+    e = engine()
     c = Cell("a")
     entries = [ConstraintEntry(f"f{k}", None, seq=k) for k in range(5)]
     edges = edges_of(*entries, ordinals=2)
     for en in entries:
-        g.add(c, edges[en, 0])
-        g.add(c, edges[en, 1])
+        link(e, c, edges[en, 0])
+        link(e, c, edges[en, 1])
     old = c.dependencies[5]
-    g.remove(edges[entries[2], 1])
-    g.remove(edges[entries[2], 0])
+    link(e, c, edges[entries[2], 1], False)
+    link(e, c, edges[entries[2], 0], False)
     assert old.live is False
-    g.add(c, edges[entries[2], 1])
-    g.add(c, edges[entries[2], 0])
+    link(e, c, edges[entries[2], 1])
+    link(e, c, edges[entries[2], 0])
     assert [d.order for d in c.dependencies] == \
         [(k, j) for k in range(5) for j in (0, 1)]
     assert c.dependencies[5] is old and c.dependencies[5].live
@@ -189,34 +193,34 @@ def test_dependency_edge_moved_away_and_back_keeps_its_place():
     """An edge is one object for its (constraint, ordinal): moved A -> B -> A
     it goes back to its place among A's edges, and `len` counts only the
     live edges."""
-    g = DependencyGraph()
+    e = engine()
     a, b = Cell("a"), Cell("b")
     entries = [ConstraintEntry(f"f{k}", None, seq=k) for k in range(3)]
     edges = edges_of(*entries)
     for en in entries:
-        g.add(a, edges[en, 0])
+        link(e, a, edges[en, 0])
     edge = a.dependencies[1]
-    g.remove(edges[entries[1], 0])
-    assert len(g) == 2 and not edge.live
-    g.add(b, edges[entries[1], 0])
+    link(e, a, edges[entries[1], 0], False)
+    assert len(e.deps) == 2 and not edge.live
+    link(e, b, edges[entries[1], 0])
     assert b.dependencies == [edge] and edge.from_cell is b and edge.live
     assert [d.entry.fn for d in a.dependencies] == ["f0", "f2"]
-    g.remove(edges[entries[1], 0])
-    g.remove(edges[entries[2], 0])
-    assert len(g) == 1 and b.dependencies == []
-    g.add(a, edges[entries[1], 0])
+    link(e, b, edges[entries[1], 0], False)
+    link(e, a, edges[entries[2], 0], False)
+    assert len(e.deps) == 1 and b.dependencies == []
+    link(e, a, edges[entries[1], 0])
     assert a.dependencies == [edges[entries[0], 0], edge] and edge.from_cell is a
-    g.add(a, edges[entries[2], 0])
+    link(e, a, edges[entries[2], 0])
     assert [d.entry.fn for d in a.dependencies] == ["f0", "f1", "f2"]
     assert a.dependencies[1] is edge and edges[entries[1], 0] is edge
-    assert len(g) == 3
+    assert len(e.deps) == 3
 
 
 def test_dependency_lists_against_sorted_model():
     """Random add/remove sequences over several cells keep each cell's list
     equal to the sorted set of its live (seq, ordinal) pairs."""
     rng = random.Random(7)
-    g = DependencyGraph()
+    e = engine()
     cells = [Cell(f"c{k}") for k in range(3)]
     entries = [ConstraintEntry(f"f{k}", None, seq=k) for k in range(8)]
     edges = edges_of(*entries, ordinals=2)
@@ -225,15 +229,14 @@ def test_dependency_lists_against_sorted_model():
         en, j = rng.choice(entries), rng.randrange(2)
         key = (en.seq, j)
         if key in model:
-            del model[key]
-            g.remove(edges[en, j])
+            link(e, model.pop(key), edges[en, j], False)
         else:
             model[key] = rng.choice(cells)
-            g.add(model[key], edges[en, j])
+            link(e, model[key], edges[en, j])
         for c in cells:
             assert [d.order for d in c.dependencies] == \
                 sorted(k for k, mc in model.items() if mc is c)
-    assert len(g) == len(model)
+    assert len(e.deps) == len(model)
 
 
 def _dep_constraint(e, name, seq, fired, effect=None):
@@ -364,7 +367,7 @@ def test_resolution_applies_once_per_wave():
                          target=lambda: dst,
                          rhs=applying(lambda: fired.append("hit")))
     e.handle_constraint(dst, en, True)
-    e.deps.add(src, DepEdge(en, 0))
+    e.handle_dependency(src, DepEdge(en, 0), True)
     e.wave.enter()
     e.resolve(src)
     e.resolve(src)            # second trigger in the same wave
@@ -510,8 +513,8 @@ def test_a_target_with_phase_1_and_2_work_is_a_level_of_the_loop():
     `AfterChange`), then a's level reinstalls (phase 1) and runs the monitor
     (phase 2) before its edge to c fires, all from the one loop."""
     e, order, src, (a, b, c) = _fan_with_a_subtree()
-    e.handle_redefinition(a, Entry("redef_a", None, invoke=lambda fns, add: order.append(
-        ("redef", list(fns), add))), True)
+    e.handle_redefinition(a, Entry("redef_a", None, invoke=lambda redefs, add: order.append(
+        ("redef", [r.fn for r in redefs], add))), True)
     e.handle_monitor(a, Entry("m", None, lvalue="a", invoke=lambda: order.append("m")), True)
     e.wave.enter()
     e.resolve(src)
@@ -587,22 +590,27 @@ def test_preconditions_all_fire_in_order():
 
 @pytest.mark.parametrize("add", [False, True])
 def test_change_phases_skip_redefinitions_cancelled_earlier(add):
-    """A redefinition cancelled by an earlier one of the same cell in the same
-    before- or after-change phase does not run from the phase's snapshot."""
+    """A phase hands its redefinitions to the first one's `invoke` as the
+    phase found them, in one call; one that an earlier one of the same cell
+    cancelled reads `registered` 0 when it is reached, so it does not run."""
     e = engine()
     c = Cell("x", 0)
-    ran = []
+    ran, handed = [], []
 
-    def run(fns, b):  # the vm side of a run: both entries have one owner
-        for fn in fns:
-            ran.append((fn, b))
-            if fn == "redef_outer":
+    def run(redefs, b):  # the vm side of a run: it skips an unregistered entry
+        handed.append([r.fn for r in redefs])
+        for r in redefs:
+            if not r.registered:
+                continue
+            ran.append((r.fn, b))
+            if r.fn == "redef_outer":
                 e.handle_redefinition(c, inner, False)
 
     inner = Entry("redef_inner", None, invoke=run)
     e.handle_redefinition(c, Entry("redef_outer", None, invoke=run), True)
     e.handle_redefinition(c, inner, True)
     (e.actions_after_change if add else e.actions_before_change)(c)
+    assert handed == [["redef_outer", "redef_inner"]]
     assert ran == [("redef_outer", add)]
     assert [r.fn for r in c.redefinitions] == ["redef_outer"]
 

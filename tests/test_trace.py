@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import machine
-from declc import trace as tr, values, vm
+from declc import cli, trace as tr, values, vm
 from declc.errors import RuntimeFault
 from declc.runtime import ConstraintEntry
 from declc.values import value_str
@@ -169,6 +169,27 @@ def test_warnings_are_read_without_building_the_trace():
     warnings = m.trace.warnings()
     assert len(warnings) >= 3 and m.trace._built == []
     assert warnings == tr.filtered(m.trace.events, (tr.WARNING,))
+
+
+def test_a_run_nobody_traces_keeps_its_warnings_only():
+    """`declc run` without `--trace` writes to a `WarningSink`: a loop of
+    200 000 stores leaves it holding the slots of its warnings alone, the
+    same as 2 stores do, and the warnings `run` prints read the same."""
+    kept = {}
+    for n in (2, 200_000):
+        src = ("int a; int b;\na := b + 1;\nb := a + 1;\nint x;\n"
+               f"void main() {{ a = 1; while (x < {n}) {{ x = x + 1; }} b = 2; }}")
+        sink = tr.WarningSink()
+        m = vm.load_source(src, sink)
+        m.call_function("main", [])
+        assert m.memory_snapshot()["x"] == str(n)
+        kept[n] = (len(sink._slots), [(w.kind, w.lvalue, w.cell, w.detail)
+                                      for w in sink.warnings()])
+    full = machine(src)
+    full.call_function("main", [])
+    assert kept[2] == kept[200_000] == (
+        2 * tr.STRIDE, [(w.kind, w.lvalue, w.cell, w.detail) for w in full.trace.warnings()])
+    assert isinstance(cli._make_sink(None)[0], tr.WarningSink)
 
 
 def _applications(sink: tr.TraceSink, fused: bool):

@@ -1,6 +1,7 @@
 import gc
 import random
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -570,17 +571,42 @@ def test_redefinition_cancelled_earlier_in_the_phase_does_not_run(src, x):
     assert matches_oracle(src).memory_snapshot()["x"] == x
 
 
+def test_redefinition_cancelled_by_an_install_earlier_in_the_run_does_not_run():
+    """Writing arr[0] reinstalls `ts[arr[0]] := src`, whose application
+    writes ts[0]: that store cancels the redefinition of `arr[ts[0]]` that
+    the phase found on arr[0] after it, and leaves it dormant (index 5).
+    The install loop reaches that entry unregistered and skips it, so c[0]
+    has no edge and writing it leaves `out` at 0, as in the reference."""
+    src = """int ts[2]; int arr[2]; int c[2]; int src; int out;
+ts[arr[0]] := src;
+out := c[arr[ts[0]]];
+void main() { arr[0] = 1; src = 5; arr[0] = 0; c[0] = 3; }
+"""
+    m = matches_oracle(src)
+    assert (m.memory_snapshot()["ts[0]"], m.memory_snapshot()["out"]) == ("5", "0")
+    events = m.trace.events
+    last = max(i for i, e in enumerate(events)
+               if (e.kind, e.cell) == (tr.BEFORE_CHANGE, "arr[0]"))
+    assert [(e.kind, e.lvalue, e.cell) for e in events[last:]
+            if e.kind in (tr.INSTALL, tr.CANCEL, tr.DORMANT)] == [
+        (tr.CANCEL, "ts[arr[0]]", "ts[1]"), (tr.CANCEL, "c[arr[ts[0]]]", "c[1]"),
+        (tr.INSTALL, "ts[arr[0]]", "ts[0]"), (tr.CANCEL, "arr[ts[0]]", "arr[0]"),
+        (tr.DORMANT, "arr[ts[0]]", ""), (tr.DORMANT, "c[arr[ts[0]]]", "")]
+
+
 # ---------------------------------------------------------------- step runs
-# A redefined cell's rebinding phase hands each run of adjacent redefinitions
-# of one owner to `run_genfn` in one call.  Its install resolves each
-# call-free l-value once per run; its cancel resolves nothing.
+# A redefined cell's rebinding phase hands all its redefinitions to
+# `run_genfn` in one call, which runs each run of adjacent entries of one
+# owner in that owner's frame.  Its install resolves each call-free l-value
+# once per owner run; its cancel resolves nothing.
 
 def count_runs(m, monkeypatch) -> list:
-    """Record the owner of every `run_genfn` call made after this point."""
-    owners, real = [], m.run_genfn
+    """Record the owners of the entries, and the direction, of every
+    `run_genfn` call made after this point."""
+    runs, real = [], m.run_genfn
     monkeypatch.setattr(m, "run_genfn",
-                        lambda fns, owner, b: owners.append(owner) or real(fns, owner, b))
-    return owners
+                        lambda run, b: runs.append(([r.owner for r in run], b)) or real(run, b))
+    return runs
 
 
 def test_moving_a_fan_resolves_the_shared_lvalue_once_per_phase(monkeypatch):
@@ -602,10 +628,11 @@ def test_moving_a_fan_resolves_the_shared_lvalue_once_per_phase(monkeypatch):
     monkeypatch.setattr(m, "_compile_lv", compile_lv)
     m.load()
     resolved.clear()
-    owners = count_runs(m, monkeypatch)
+    runs = count_runs(m, monkeypatch)
     start = len(m.trace.events)
     m.call_function("move", [1])
-    assert len(resolved) == 1 and owners == [None, None]  # at reinstall only
+    assert len(resolved) == 1  # at reinstall only
+    assert runs == [([None] * (fan + 1), False), ([None] * (fan + 1), True)]
     moved = [(e.kind, e.cell, e.detail) for e in m.trace.events[start:]
              if e.kind in (tr.CANCEL, tr.INSTALL)]
     order = [f"dependency:construct:{k}" for k in range(fan)] + [f"monitor:construct:{fan}"]
@@ -647,10 +674,10 @@ def test_an_lvalue_with_a_call_is_resolved_at_every_step(monkeypatch):
                 "int g(int v) { n = n + 1; return v; }\n"
                 "x0 := arr[g(i)];\nx1 := arr[g(i)] + 1;\n"
                 "void move(int k) { i = k; }\nvoid main() { }")
-    owners = count_runs(m, monkeypatch)
+    runs = count_runs(m, monkeypatch)
     start = len(m.trace.events)
     m.call_function("move", [2])
-    assert owners == [None, None]
+    assert runs == [([None, None], False), ([None, None], True)]
     got = [(e.kind, e.cell, e.detail) for e in m.trace.events[start:]]
 
     def step(n, kind, cell, construct):
@@ -680,6 +707,8 @@ void main() { p = &s[0]; src = 3; p = null; p = &s[1]; src = 4; }
 
 
 def test_redefinitions_of_two_owners_run_apart(monkeypatch):
+    """Moving i hands both objects' redefinitions to one `run_genfn` call per
+    phase; each object's install resolves its `arr[i]` once, in its own frame."""
     src = """int arr[2]; int i;
 class C { private: int m; public: int get() { return m; } m := arr[i] + 1; };
 C c1; C c2; int r1; int r2;
@@ -690,11 +719,61 @@ void main() { move(1); arr[1] = 4; }
 """
     snap = matches_oracle(src).memory_snapshot()
     assert (snap["c1.m"], snap["c2.m"], snap["r1"], snap["r2"]) == ("5", "5", "5", "5")
-    m = machine(src)
-    owners = count_runs(m, monkeypatch)
+    m = Machine(*compile_source(src), tr.TraceSink())
+    resolved, real = [], m._compile_lv
+
+    def compile_lv(e):  # record the owner of each `arr[i]` resolution
+        r = real(e)
+        if isinstance(e, ast.Index):
+            return lambda fr: resolved.append(fr.owner) or r(fr)
+        return r
+    monkeypatch.setattr(m, "_compile_lv", compile_lv)
+    m.load()
+    resolved.clear()
+    runs = count_runs(m, monkeypatch)
     m.call_function("move", [1])
     c1, c2 = m.globals["c1"], m.globals["c2"]
-    assert owners == [c1, c2, c1, c2]
+    assert runs == [([c1, c2], False), ([c1, c2], True)]
+    assert resolved == [c1, c2]  # at reinstall only, once per owner
+
+
+LOCAL_OWNERS = """int a[2];
+class W { private: int i; int v; public: void to(int k) { i = k; } int get() { return v; } v := a[i] + 1; };
+int r;
+void f(int k) { W u; u.to(0); a[0] = k; u.to(1); a[1] = k + 10; r = r + u.get(); }
+void main() { f(1); f(2); f(3); }
+"""
+
+
+def test_bound_steps_die_with_their_owner(monkeypatch):
+    """Each call of f makes a local W whose `redef_*` steps are bound at
+    their second run, in the first `u.to`, and kept in its frame.  The frame
+    goes when u is destroyed, so the next call's W, which may reuse its
+    `id()`, starts from a frame of its own and reads its own `i`.  With a
+    sink that keeps no entry, nothing else holds a destroyed W: its bound
+    steps, whose registrants name it, died with it."""
+    m = matches_oracle(LOCAL_OWNERS)
+    assert m.memory_snapshot()["r"] == "39"
+    assert len(tr.filtered(m.trace.events)) == 87
+    m.teardown()
+    assert m.registration_count() == 0
+
+    m = Machine(*compile_source(LOCAL_OWNERS), tr.WarningSink())
+    destroyed, real = [], m._destroy_instance
+
+    def destroy(inst):
+        fr = m._gen_frames[id(inst)]
+        bound = [fn for fn, steps in fr.installs.items() if steps]
+        destroyed.append((weakref.ref(inst.header), bound))
+        real(inst)
+        assert id(inst) not in m._gen_frames
+    monkeypatch.setattr(m, "_destroy_instance", destroy)
+    m.run()
+    gc.collect()
+    assert m.memory_snapshot()["r"] == "39"
+    assert len(destroyed) == 3 and all(bound for _, bound in destroyed)
+    assert [header() for header, _ in destroyed] == [None, None, None]
+    assert list(m._gen_frames) == [id(None)] and m.registration_count() == 0
 
 
 @pytest.mark.parametrize("src,var,value", [

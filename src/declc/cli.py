@@ -62,21 +62,22 @@ def cmd_emit(args) -> int:
     return EXIT_OK
 
 
-def _make_sink(trace_arg) -> tuple[tr.TraceSink, object]:
-    """The sink of `run` and the file to close after it: without `--trace`
-    one that keeps only the warnings `run` prints."""
+def _make_sink(trace_arg) -> tuple[tr.WarningSink, object]:
+    """The sink of `run` and the file to close after it.  It keeps only the
+    warnings `run` prints; with `--trace` it also streams every event, to
+    stdout for `-`, so the run keeps no record per store either way."""
     if trace_arg is None:
         return tr.WarningSink(), None
     if trace_arg == "-":
-        return tr.TraceSink(stream=sys.stdout), None
+        return tr.WarningSink(sys.stdout), None
     close = open(trace_arg, "w", encoding="utf-8")
-    return tr.TraceSink(stream=close), close
+    return tr.WarningSink(close), close
 
 
 def _runtime(step):
-    """Run a runtime step of a route (load or run).  Python's recursion
-    limit, reached by user recursion or by a deep cascade, and running out
-    of memory, by a huge array say, are that route's runtime faults."""
+    """Run a runtime step of a route (load, run, final memory).  Python's
+    recursion limit, reached by user recursion or by a deep cascade, and
+    running out of memory, by a huge array say, are its runtime faults."""
     try:
         return step()
     except RecursionError:
@@ -91,7 +92,7 @@ def cmd_run(args) -> int:
     try:
         machine = Machine(gen, info, sink)
         _runtime(machine.run)
-        for name, value in sorted(machine.memory_snapshot().items()):
+        for name, value in _runtime(lambda: sorted(machine.memory_snapshot().items())):
             print(f"{name} = {value}")
         _print_warnings(sink, args.file)
         return EXIT_OK
@@ -104,10 +105,10 @@ def cmd_run(args) -> int:
             close.close()
 
 
-def _print_warnings(sink: tr.TraceSink, filename: str):
+def _print_warnings(sink: tr.WarningSink, filename: str):
     """Warnings (cycle skips, unresolvable constrained l-values) are shown
     whether or not a trace is written."""
-    for e in sink.warnings():
+    for e in tr.filtered(sink.events, (tr.WARNING,)):
         where = e.lvalue if e.cell in ("", e.lvalue) else f"{e.lvalue} ({e.cell})"
         print(f"{filename}: warning: {where}: {e.detail}", file=sys.stderr)
 

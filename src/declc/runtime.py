@@ -49,6 +49,11 @@ class ConstraintEntry(Entry):
     rhs: object = None             # [evaluator (frame) -> value, ...]: its right side
     frame: object = None           # the frame the right side is evaluated in
     pure: bool = False             # no side calls, so an application runs no user code
+    applied: tr.Applied = field(init=False, repr=False)  # its fused record's detail
+
+    def __post_init__(self):  # in place of Entry's, so made at load in one call
+        self.detail = detail = f"construct:{self.construct}"
+        self.applied = tuple.__new__(tr.Applied, (self.lvalue, detail))
 
 
 # --------------------------------------------------------------------- cells
@@ -353,7 +358,7 @@ class Engine:
                 if not wave.depth:  # a write outside any wave opens one
                     wave.depth = 1
                 self.trace.emit(tr.CONSTRAINT_APPLIED, target.value, target.name,
-                                entry, value)
+                                entry.applied, value)
                 target.value = value
                 return target
         self.trace.emit(tr.CONSTRAINT_APPLIED, entry.lvalue, target.name,

@@ -1,7 +1,8 @@
-"""Trace events: the observable record of a program run.
+"""Trace events: the observable record of a program run, and its sinks.
 
 Events serialize as JSON-lines with stable field order
-{seq, kind, lvalue, cell, detail} so traces can be diffed textually.
+{seq, kind, lvalue, cell, detail} so traces can be diffed textually.  A
+sink takes records; `_expand` alone turns records into numbered events.
 """
 
 from __future__ import annotations
@@ -51,18 +52,46 @@ STORE = "Store"
 STRIDE = 5  # slots per record: kind, lvalue, cell, detail, value
 
 
+class Applied(NamedTuple):
+    """The detail of a fused `ConstraintApplied` record: what its event
+    names, without the entry, which would keep its owner alive."""
+    lvalue: str
+    detail: str
+
+
+def _expand(slots, seq: int):
+    """The events of the records in `slots` (`STRIDE` slots each), numbered
+    from `seq`: the one rule that turns records into events."""
+    from .values import value_str  # values imports the engine, which imports this
+    new, E = tuple.__new__, TraceEvent  # skips the NamedTuple's Python __new__
+    it = iter(slots)
+    for kind, lvalue, cell, detail, value in zip(it, it, it, it, it):
+        if kind is STORE:
+            yield new(E, (seq, BEFORE_CHANGE, "", cell, "old:" + detail(lvalue)))
+            seq += 1
+            yield new(E, (seq, AFTER_CHANGE, "", cell, "new:" + detail(value)))
+        elif detail.__class__ is str:
+            yield new(E, (seq, kind, lvalue, cell, detail))
+        elif detail.__class__ is tuple:
+            yield new(E, (seq, kind, lvalue, cell, detail[0] + detail[1](value)))
+        else:  # a fused application: detail is its `Applied`
+            yield new(E, (seq, kind, detail.lvalue, cell, detail.detail))
+            yield new(E, (seq + 1, BEFORE_CHANGE, "", cell, "old:" + value_str(lvalue)))
+            seq += 2
+            yield new(E, (seq, AFTER_CHANGE, "", cell, "new:" + value_str(value)))
+        seq += 1
+
+
 class TraceSink:
-    """Collects the events of one run.
+    """Keeps every record of one run (`declc check`, tests, benchmark).
 
     `emit` appends its five arguments to one flat list of slots, so a kept
     record is no object of its own and leaves the cyclic GC nothing to
     track.  `events` builds the `TraceEvent`s (numbered in emit order) the
     first time it is read after an emit, so a run whose trace nobody reads
-    pays for no formatting.  With a `stream` attached each event is built,
-    written and flushed as it is emitted."""
+    pays for no formatting."""
 
-    def __init__(self, stream=None):
-        self.stream = stream  # optional text stream for JSON-lines output
+    def __init__(self):
         self._slots: list = []
         self._built: list[TraceEvent] = []
         self._read = 0  # slots already built into `_built`
@@ -75,65 +104,38 @@ class TraceSink:
         detail `"old:" + detail(lvalue)` and `AfterChange` with
         `"new:" + detail(value)`; its `lvalue` slot holds the old value and
         its `detail` the render.  A `CONSTRAINT_APPLIED` record whose detail
-        is the constraint's entry stands for three: the application, with the
-        entry's `lvalue` and `detail`, then that store, rendered by
+        is an `Applied` stands for three: the application, with that
+        `lvalue` and `detail`, then that store, rendered by
         `values.value_str`."""
         self._slots += (kind, lvalue, cell, detail, value)
-        if self.stream is not None:
-            n = len(self._built)
-            for e in self.events[n:]:
-                self.stream.write(e.to_json() + "\n")
-            self.stream.flush()
 
     @property
     def events(self) -> list[TraceEvent]:
         slots, built = self._slots, self._built
         if self._read < len(slots):
-            from .values import value_str  # values imports the engine, which imports this
-            append, seq = built.append, len(built)
-            new, E = tuple.__new__, TraceEvent  # skips the NamedTuple's Python __new__
-            it = iter(slots[self._read:])
-            for kind, lvalue, cell, detail, value in zip(it, it, it, it, it):
-                if kind is STORE:
-                    append(new(E, (seq, BEFORE_CHANGE, "", cell, "old:" + detail(lvalue))))
-                    seq += 1
-                    append(new(E, (seq, AFTER_CHANGE, "", cell, "new:" + detail(value))))
-                elif detail.__class__ is str:
-                    append(new(E, (seq, kind, lvalue, cell, detail)))
-                elif detail.__class__ is tuple:
-                    append(new(E, (seq, kind, lvalue, cell, detail[0] + detail[1](value))))
-                else:  # a pure constraint's application: detail is its entry
-                    append(new(E, (seq, kind, detail.lvalue, cell, detail.detail)))
-                    append(new(E, (seq + 1, BEFORE_CHANGE, "", cell, "old:" + value_str(lvalue))))
-                    seq += 2
-                    append(new(E, (seq, AFTER_CHANGE, "", cell, "new:" + value_str(value))))
-                seq += 1
+            built += _expand(slots[self._read:], len(built))
             self._read = len(slots)
         return built
 
-    def warnings(self) -> list[TraceEvent]:
-        """The `Warning` events, as `events` numbers them, found by scanning
-        the kind slots: the rest of the trace is not built."""
-        slots = self._slots
-        kinds = slots[::STRIDE]
-        out, last, extra = [], 0, 0  # extra: events beyond one per record so far
-        for _ in range(kinds.count(WARNING)):
-            r = kinds.index(WARNING, last)
-            extra += kinds[last:r].count(STORE) + 2 * sum(
-                slots[k * STRIDE + 3].__class__ is not str
-                for k in range(last, r) if kinds[k] is CONSTRAINT_APPLIED)
-            i = r * STRIDE
-            out.append(TraceEvent(r + extra, WARNING, *slots[i + 1:i + 4]))
-            last = r + 1
-        return out
-
 
 class WarningSink(TraceSink):
-    """The sink of a run whose trace nobody reads: it keeps the `Warning`
-    records and drops every other, so a long run holds no record per store.
-    Its events are its warnings, numbered among themselves."""
+    """The sink of `declc run`: it keeps only the `Warning` records, which
+    the run prints, so a long run holds no record per store; its events are
+    its warnings, numbered among themselves.  Given a `stream` (`--trace`),
+    it writes each record's events there as JSON lines at emit, numbered as
+    `TraceSink.events` numbers them, and flushes."""
+
+    def __init__(self, stream=None):
+        super().__init__()
+        self.stream = stream
+        self._seq = 0  # the number of the next streamed event
 
     def emit(self, kind, lvalue="", cell="", detail="", value=None):
+        if self.stream is not None:
+            for e in _expand((kind, lvalue, cell, detail, value), self._seq):
+                self.stream.write(e.to_json() + "\n")
+            self._seq = e.seq + 1
+            self.stream.flush()
         if kind is WARNING:
             self._slots += (kind, lvalue, cell, detail, value)
 

@@ -327,6 +327,20 @@ def test_run_reports_running_out_of_memory_as_a_runtime_fault(monkeypatch, tmp_p
     assert "Traceback" not in err
 
 
+def test_run_reports_running_out_of_memory_after_the_run_as_a_runtime_fault(
+        monkeypatch, tmp_path, capsys):
+    """Reading the final memory of a large array can run out of memory after
+    the run has ended: that is the same runtime fault, and nothing of the
+    memory is printed."""
+    monkeypatch.setattr("declc.vm.Machine.memory_snapshot", _out_of_memory)
+    path = tmp_path / "large.hc"
+    path.write_text("int a[3];\nvoid main() { a[1] = 2; }\n")
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert code == 2 and out == ""
+    assert err == f"{path}: runtime fault: fault: out of memory\n"
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("patched,faults", [
     ("declc.vm._array", "fault: out of memory|none"),
     ("declc.oracle.Oracle._alloc", "none|fault: out of memory"),

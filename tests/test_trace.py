@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 
 from conftest import machine
+from test_differential import CLASS_HEAVY
 from declc import cli, trace as tr, values, vm
 from declc.errors import RuntimeFault
+from declc.randgen import generate
 from declc.runtime import ConstraintEntry
 from declc.values import value_str
 
@@ -17,12 +19,17 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
 
 
+def _lines(stream: io.StringIO) -> list[tr.TraceEvent]:
+    return [tr.TraceEvent(**json.loads(line)) for line in stream.getvalue().splitlines()]
+
+
 def _streamed(source: str) -> list[tr.TraceEvent]:
-    """The events of `main` with a stream attached, i.e. built at emit."""
-    sink = tr.TraceSink(stream=io.StringIO())
-    m = vm.load_source(source, sink)
+    """The events of `main` as a `WarningSink` streams them, i.e. built at
+    emit."""
+    stream = io.StringIO()
+    m = vm.load_source(source, tr.WarningSink(stream))
     m.call_function("main", [])
-    return sink.events
+    return _lines(stream)
 
 
 def test_stores_build_and_format_nothing_until_events_are_read(monkeypatch):
@@ -71,8 +78,9 @@ def test_reading_between_emits_keeps_numbering():
     sink.emit(tr.AFTER_CHANGE, "", "x", ("new:", str), 2)
     sink.emit(tr.STORE, 2, "x", str, 3)
     sink.emit(tr.WARNING, "y", "x", "again")
-    assert sink.warnings() == [tr.TraceEvent(1, tr.WARNING, "x", "", "skipped"),
-                               tr.TraceEvent(5, tr.WARNING, "y", "x", "again")]
+    assert tr.filtered(sink.events, (tr.WARNING,)) == [
+        tr.TraceEvent(1, tr.WARNING, "x", "", "skipped"),
+        tr.TraceEvent(5, tr.WARNING, "y", "x", "again")]
     assert sink.events is first
     assert [(e.seq, e.kind, e.cell, e.detail) for e in first] == [
         (0, tr.BEFORE_CHANGE, "x", "old:1"), (1, tr.WARNING, "", "skipped"),
@@ -139,7 +147,7 @@ void main() { src = 1; src = 2; p = p + 5; src = 3; }
 def test_events_read_mid_run_equal_one_read_and_the_stream(name):
     source, faults = READ_PROGRAMS[name]
     stream = io.StringIO()
-    sinks = [tr.TraceSink(), _ReadingSink(), tr.TraceSink(stream=stream)]
+    sinks = [tr.TraceSink(), _ReadingSink(), tr.WarningSink(stream)]
     for sink in sinks:
         m = vm.load_source(source, sink)
         if faults:
@@ -147,10 +155,9 @@ def test_events_read_mid_run_equal_one_read_and_the_stream(name):
                 m.call_function("main", [])
         else:
             m.call_function("main", [])
-    once, mid, streamed = (sink.events for sink in sinks)
+    once, mid = sinks[0].events, sinks[1].events
     assert mid == once
-    assert [tr.TraceEvent(**json.loads(line)) for line in stream.getvalue().splitlines()] \
-        == once
+    assert _lines(stream) == once
     assert [e.seq for e in once] == list(range(len(once)))
     kinds = [e.kind for e in once]
     assert tr.BEFORE_CHANGE in kinds and tr.CONSTRAINT_APPLIED in kinds
@@ -161,35 +168,65 @@ def test_events_read_mid_run_equal_one_read_and_the_stream(name):
         assert kinds[j + 1] == tr.INSTALL
 
 
-def test_warnings_are_read_without_building_the_trace():
-    m = machine("int a; int b;\na := b + 1;\nb := a + 1;\n"
-                "int c[2]; int i; int s;\nc[i] := s;\n"
-                "void main() { a = 1; i = 5; s = 1; b = 2; }")
+def _loop(n: int) -> str:
+    """Two warnings around a loop of n stores of x."""
+    return ("int a; int b;\na := b + 1;\nb := a + 1;\nint x;\n"
+            f"void main() {{ a = 1; while (x < {n}) {{ x = x + 1; }} b = 2; }}")
+
+
+def _kept(n: int, stream=None) -> tuple[int, list[tuple]]:
+    """What a `WarningSink` holds after `_loop(n)`: its slot count and its
+    warnings."""
+    sink = tr.WarningSink(stream)
+    m = vm.load_source(_loop(n), sink)
     m.call_function("main", [])
-    warnings = m.trace.warnings()
-    assert len(warnings) >= 3 and m.trace._built == []
-    assert warnings == tr.filtered(m.trace.events, (tr.WARNING,))
+    assert m.memory_snapshot()["x"] == str(n)
+    return len(sink._slots), _warnings(sink)
+
+
+def _warnings(sink: tr.TraceSink) -> list[tuple]:
+    """The sink's warnings, without their numbers: a `WarningSink` numbers
+    them among themselves."""
+    return [(w.kind, w.lvalue, w.cell, w.detail)
+            for w in tr.filtered(sink.events, (tr.WARNING,))]
+
+
+def _full(n: int) -> tr.TraceSink:
+    m = machine(_loop(n))
+    m.call_function("main", [])
+    return m.trace
 
 
 def test_a_run_nobody_traces_keeps_its_warnings_only():
     """`declc run` without `--trace` writes to a `WarningSink`: a loop of
     200 000 stores leaves it holding the slots of its warnings alone, the
     same as 2 stores do, and the warnings `run` prints read the same."""
-    kept = {}
-    for n in (2, 200_000):
-        src = ("int a; int b;\na := b + 1;\nb := a + 1;\nint x;\n"
-               f"void main() {{ a = 1; while (x < {n}) {{ x = x + 1; }} b = 2; }}")
-        sink = tr.WarningSink()
-        m = vm.load_source(src, sink)
-        m.call_function("main", [])
-        assert m.memory_snapshot()["x"] == str(n)
-        kept[n] = (len(sink._slots), [(w.kind, w.lvalue, w.cell, w.detail)
-                                      for w in sink.warnings()])
-    full = machine(src)
-    full.call_function("main", [])
-    assert kept[2] == kept[200_000] == (
-        2 * tr.STRIDE, [(w.kind, w.lvalue, w.cell, w.detail) for w in full.trace.warnings()])
+    assert _kept(2) == _kept(200_000) == (2 * tr.STRIDE, _warnings(_full(2)))
     assert isinstance(cli._make_sink(None)[0], tr.WarningSink)
+
+
+class _LineCount:
+    """A stream that counts the lines written to it and keeps none."""
+
+    def __init__(self):
+        self.lines = 0
+
+    def write(self, text: str):
+        self.lines += text.count("\n")
+
+    def flush(self):
+        pass
+
+
+def test_a_streamed_run_keeps_its_warnings_only():
+    """`declc run --trace` streams to a `WarningSink`: a loop of 200 000
+    stores writes two events per store and leaves the sink holding the
+    slots of its warnings alone, the same as 2 stores do."""
+    short, long = _LineCount(), _LineCount()
+    full = _full(2)
+    assert _kept(2, short) == _kept(200_000, long) == (2 * tr.STRIDE, _warnings(full))
+    assert short.lines == len(full.events)
+    assert long.lines - short.lines == 2 * (200_000 - 2)
 
 
 def _applications(sink: tr.TraceSink, fused: bool):
@@ -200,7 +237,7 @@ def _applications(sink: tr.TraceSink, fused: bool):
     sink.emit(tr.WARNING, "a", "", "first")
     for old, new in ((0, 2), (None, True)):
         if fused:
-            sink.emit(tr.CONSTRAINT_APPLIED, old, "y", en, new)
+            sink.emit(tr.CONSTRAINT_APPLIED, old, "y", en.applied, new)
         else:
             sink.emit(tr.CONSTRAINT_APPLIED, en.lvalue, "y", en.detail)
             sink.emit(tr.BEFORE_CHANGE, "", "y", ("old:", value_str), old)
@@ -212,15 +249,42 @@ def _applications(sink: tr.TraceSink, fused: bool):
 def test_a_fused_application_reads_as_its_three_records():
     fused, split = (_applications(tr.TraceSink(), f) for f in (True, False))
     assert len(fused._slots) == len(split._slots) - 4 * tr.STRIDE
-    assert fused.warnings() == split.warnings() == tr.filtered(split.events, (tr.WARNING,))
-    assert [w.seq for w in fused.warnings()] == [2, 6, 10]
     assert fused.events == split.events
+    assert [w.seq for w in tr.filtered(fused.events, (tr.WARNING,))] == [2, 6, 10]
     assert [(e.seq, e.kind, e.lvalue, e.cell, e.detail) for e in fused.events[3:6]] == [
         (3, tr.CONSTRAINT_APPLIED, "*p", "y", "construct:3"),
         (4, tr.BEFORE_CHANGE, "", "y", "old:0"), (5, tr.AFTER_CHANGE, "", "y", "new:2")]
     assert [e.detail for e in fused.events[8:10]] == ["old:null", "new:true"]
     streams = io.StringIO(), io.StringIO()
     for stream, f in zip(streams, (True, False)):
-        _applications(tr.TraceSink(stream=stream), f)
+        _applications(tr.WarningSink(stream), f)
     assert streams[0].getvalue() == streams[1].getvalue() \
         == "".join(e.to_json() + "\n" for e in split.events)
+
+
+@pytest.mark.parametrize("config", ["default", "class-heavy"])
+def test_a_stream_writes_the_events_the_full_sink_keeps(config):
+    """Over 100 generated programs, run from load to teardown, the lines a
+    `WarningSink` streams are the full sink's events as JSON.  No generated
+    program faults, so the default case adds `READ_PROGRAMS`, one of which
+    does: both runs end in the same fault, with the same lines up to it."""
+    sources = [generate(seed, CLASS_HEAVY if config == "class-heavy" else None)
+               for seed in range(100)]
+    if config == "default":
+        sources += [source for source, _ in READ_PROGRAMS.values()]
+    faulted = 0
+    for source in sources:
+        gen, info = vm.compile_source(source)
+        stream, faults = io.StringIO(), []
+        sinks = tr.TraceSink(), tr.WarningSink(stream)
+        for sink in sinks:
+            try:
+                vm.Machine(gen, info, sink).run()
+                faults.append(None)
+            except RuntimeFault as f:
+                faults.append(str(f))
+        assert faults[0] == faults[1], source
+        assert stream.getvalue() == "".join(e.to_json() + "\n" for e in sinks[0].events), \
+            source
+        faulted += faults[0] is not None
+    assert faulted == (config == "default")

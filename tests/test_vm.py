@@ -14,7 +14,6 @@ from declc.errors import RuntimeFault
 from declc.oracle import Oracle, diff_traces
 from declc.parser import parse_source
 from declc.render import render
-from declc.runtime import ConstraintEntry
 from declc.vm import Machine, compile_source
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -749,31 +748,33 @@ def test_bound_steps_die_with_their_owner(monkeypatch):
     """Each call of f makes a local W whose `redef_*` steps are bound at
     their second run, in the first `u.to`, and kept in its frame.  The frame
     goes when u is destroyed, so the next call's W, which may reuse its
-    `id()`, starts from a frame of its own and reads its own `i`.  With a
-    sink that keeps no entry, nothing else holds a destroyed W: its bound
-    steps, whose registrants name it, died with it."""
+    `id()`, starts from a frame of its own and reads its own `i`.  Nothing
+    else holds a destroyed W, under either sink: its bound steps, whose
+    registrants name it, died with it, and the full sink's fused records
+    of its `v :=` keep no entry of it."""
     m = matches_oracle(LOCAL_OWNERS)
     assert m.memory_snapshot()["r"] == "39"
     assert len(tr.filtered(m.trace.events)) == 87
     m.teardown()
     assert m.registration_count() == 0
 
-    m = Machine(*compile_source(LOCAL_OWNERS), tr.WarningSink())
-    destroyed, real = [], m._destroy_instance
+    for sink in tr.TraceSink(), tr.WarningSink():
+        m = Machine(*compile_source(LOCAL_OWNERS), sink)
+        destroyed, real = [], m._destroy_instance
 
-    def destroy(inst):
-        fr = m._gen_frames[id(inst)]
-        bound = [fn for fn, steps in fr.installs.items() if steps]
-        destroyed.append((weakref.ref(inst.header), bound))
-        real(inst)
-        assert id(inst) not in m._gen_frames
-    monkeypatch.setattr(m, "_destroy_instance", destroy)
-    m.run()
-    gc.collect()
-    assert m.memory_snapshot()["r"] == "39"
-    assert len(destroyed) == 3 and all(bound for _, bound in destroyed)
-    assert [header() for header, _ in destroyed] == [None, None, None]
-    assert list(m._gen_frames) == [id(None)] and m.registration_count() == 0
+        def destroy(inst):
+            fr = m._gen_frames[id(inst)]
+            bound = [fn for fn, steps in fr.installs.items() if steps]
+            destroyed.append((weakref.ref(inst.header), bound))
+            real(inst)
+            assert id(inst) not in m._gen_frames
+        monkeypatch.setattr(m, "_destroy_instance", destroy)
+        m.run()
+        gc.collect()
+        assert m.memory_snapshot()["r"] == "39"
+        assert len(destroyed) == 3 and all(bound for _, bound in destroyed)
+        assert [header() for header, _ in destroyed] == [None, None, None]
+        assert list(m._gen_frames) == [id(None)] and m.registration_count() == 0
 
 
 @pytest.mark.parametrize("src,var,value", [
@@ -983,7 +984,7 @@ void main() { s = 5; }
     assert wave.depth == 0 and not wave.in_flight
     m.store(m.globals["s"], 0)   # a later wave applies both again
     assert (m.memory_snapshot()["a"], m.memory_snapshot()["b"]) == ("1", "2")
-    assert not m.trace.warnings()
+    assert not tr.filtered(m.trace.events, (tr.WARNING,))
 
 
 def test_a_resolution_at_depth_0_applies_each_edge():
@@ -1050,7 +1051,7 @@ def test_a_5000_link_chain_runs_without_recursion(link):
     m.call_function("main", [])
     assert m.memory_snapshot() == {**{f"c{k}": str(7 + k) for k in range(n)},
                                    "seen": str(n if link != "pure" else 0)}
-    assert not m.trace.warnings()
+    assert not tr.filtered(m.trace.events, (tr.WARNING,))
 
 
 def test_a_pure_application_to_a_monitored_cell_is_one_record():
@@ -1067,7 +1068,7 @@ def test_a_pure_application_to_a_monitored_cell_is_one_record():
     assert [(records[i], records[i + 2]) for i in range(0, len(records), tr.STRIDE)] == [
         (tr.STORE, "x"), (tr.CONSTRAINT_APPLIED, "y"), (tr.MONITOR_FIRED, "y"),
         (tr.STORE, "seen")]
-    assert records[tr.STRIDE + 3].__class__ is ConstraintEntry
+    assert records[tr.STRIDE + 3].__class__ is tr.Applied
 
 
 def test_a_rebinding_passes_through_an_object_constituent():

@@ -1,16 +1,19 @@
 """Lowering: from a checked unit plus its redefinition graph to a GenUnit.
 
-Per declarative construct the generator produces (mirroring the init_/redef_/
-assign_ function families):
+The lowered unit is the registration program the vm runs.  Per declarative
+construct the generator produces (mirroring the init_/redef_ function
+families):
   - one init function per distinct l-value of the construct, managing its
     involvement (constraint/monitor/precondition registration, dependency
     edges, redefinition registration);
   - one redef function per redefining, assignable l-value, re-running the
     init functions of everything it rebinds;
-  - the construct's action function(s) (assign / monitor body / tester /
-    guard);
 plus one unit init function per scope that installs every construct in
-declaration order.
+declaration order.  A construct's action functions (assign / guard /
+monitor body / tester) are not lowered: the vm and the renderer read its
+sides from the redefinition graph's `ConstructLvs`, and only its entry
+function's name (`assign_N`, `monitor_N`, `tester_N`) is made here, as
+`Reg.fn`.
 
 An init function body is a list of `Reg` records, each naming its kind,
 l-value and entry function once; the vm lowers them to its steps and the
@@ -25,7 +28,7 @@ new storage (the constrained side is re-resolved lazily at fire time).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import ast
 from .lvgraph import LvNode, RedefGraph
@@ -56,10 +59,6 @@ class CallGen:
 
 INIT = "Init"
 REDEF = "Redef"
-ASSIGN = "Assign"
-MONITOR_BODY = "MonitorBody"
-PRECOND_TESTER = "PrecondTester"
-GUARD_TESTER = "GuardTester"
 UNIT_INIT = "UnitInit"
 
 
@@ -68,30 +67,15 @@ class GenFunction:
     name: str
     kind: str
     construct: int             # owning construct ordinal, -1 for unit init
-    instrs: list = field(default_factory=list)   # Init / Redef / UnitInit bodies
-    lhs: LvNode | None = None  # Assign target
-    expr: ast.Expr | None = None     # Assign rhs / GuardTester expr / tester cond
-    stmts: ast.Block | None = None   # MonitorBody / PrecondTester body
-
-
-@dataclass(slots=True)
-class ConstructPlan:
-    """The names of the functions generated for one construct."""
-    assign_fn: str | None = None
-    guard_fn: str | None = None
-    monitor_fn: str | None = None
-    tester_fn: str | None = None
-    init_fns: list[str] = field(default_factory=list)   # install order
-    redef_fns: list[str] = field(default_factory=list)
+    instrs: list               # Reg and CallGen records
 
 
 @dataclass(slots=True)
 class GenUnit:
     unit: ast.Unit
     graph: RedefGraph
-    functions: dict[str, GenFunction]
+    functions: dict[str, GenFunction]   # in emission order
     unit_init: str
-    plans: dict[int, ConstructPlan]
     classes: dict[str, str]    # class name -> its class-scope unit init
 
 
@@ -169,7 +153,6 @@ class Emitter:
         self.graph = graph
         self.names = NameRegistry()
         self.functions: dict[str, GenFunction] = {}
-        self.plans: dict[int, ConstructPlan] = {}
 
     def add(self, fn: GenFunction) -> GenFunction:
         self.functions[fn.name] = fn
@@ -181,31 +164,22 @@ class Emitter:
         classes = {cls.name: self.emit_scope_init(cls.name, f"init_0_{cls.name}")
                    for cls in self.unit.classes}
         return GenUnit(self.unit, self.graph, self.functions,
-                       self.emit_scope_init(None, "init_0"), self.plans, classes)
+                       self.emit_scope_init(None, "init_0"), classes)
 
     # ---------------------------------------------------------- per-construct
 
     def emit_construct(self, c: ast.Construct):
         info = self.graph.constructs[c.ordinal]
-        plan = self.plans[c.ordinal] = ConstructPlan()
         # kind and entry function of the construct, the l-values registered
         # under that kind, and those a constraint depends on
         if isinstance(c, ast.Constraint):
-            fn = plan.assign_fn = self.names.fresh(f"assign_{c.ordinal}")
-            self.add(GenFunction(fn, ASSIGN, c.ordinal, lhs=info.lhs, expr=c.rhs))
-            if c.guard is not None:
-                plan.guard_fn = self.names.fresh(f"guard_{c.ordinal}")
-                self.add(GenFunction(plan.guard_fn, GUARD_TESTER, c.ordinal,
-                                     expr=c.guard))
+            fn = f"assign_{c.ordinal}"
             kind, regd, deps = "constraint", [info.lhs], info.rhs_lvs
         elif isinstance(c, ast.Monitor):
-            fn = plan.monitor_fn = self.names.fresh(f"monitor_{c.ordinal}")
-            self.add(GenFunction(fn, MONITOR_BODY, c.ordinal, stmts=c.body))
+            fn = f"monitor_{c.ordinal}"
             kind, regd, deps = "monitor", [info.lhs], []
         else:  # a Precond
-            fn = plan.tester_fn = self.names.fresh(f"tester_{c.ordinal}")
-            self.add(GenFunction(fn, PRECOND_TESTER, c.ordinal,
-                                 expr=c.cond, stmts=c.body))
+            fn = f"tester_{c.ordinal}"
             kind, regd, deps = "precondition", info.cond_lvs, []
 
         # distinct l-values of the construct, innermost redefining ones first
@@ -234,8 +208,7 @@ class Emitter:
                 instrs.append(Reg("apply", n, fn))
             if instrs:
                 name = init_name[n] = self.names.fresh("init_" + mangle(n))
-                self.add(GenFunction(name, INIT, c.ordinal, instrs=instrs))
-                plan.init_fns.append(name)
+                self.add(GenFunction(name, INIT, c.ordinal, instrs))
 
         # redef functions: re-run the inits of everything this l-value rebinds,
         # through a dependent with no redef function (not storage, contract.py)
@@ -250,18 +223,17 @@ class Emitter:
             return instrs
 
         for n, rn in redef_name.items():
-            self.add(GenFunction(rn, REDEF, c.ordinal, instrs=rebind(n, [])))
-            plan.redef_fns.append(rn)
+            self.add(GenFunction(rn, REDEF, c.ordinal, rebind(n, [])))
 
     # --------------------------------------------------------------- per-scope
 
     def emit_scope_init(self, scope: str | None, name: str) -> str:
         """The unit init of a scope: the name of a function that calls the
         init functions of its constructs in declaration order."""
-        instrs = [CallGen(fn) for c in self.unit.constructs if c.scope == scope
-                  for fn in self.plans[c.ordinal].init_fns]
-        return self.add(GenFunction(self.names.fresh(name), UNIT_INIT, -1,
-                                    instrs=instrs)).name
+        constructs = self.graph.constructs
+        instrs = [CallGen(fn.name) for fn in self.functions.values()
+                  if fn.kind == INIT and constructs[fn.construct].construct.scope == scope]
+        return self.add(GenFunction(self.names.fresh(name), UNIT_INIT, -1, instrs)).name
 
 
 def lower(unit: ast.Unit, graph: RedefGraph) -> GenUnit:

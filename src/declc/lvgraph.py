@@ -5,6 +5,9 @@ containment is tested at token granularity, so the identifier `i` never
 matches inside `ii`, only inside larger l-values that contain the whole
 token (`p[i]`).  For class members the canonical form carries the owner
 cast prefix `((A*)owner)->m`, keeping members of distinct classes apart.
+A node is keyed by its canonical string alone: a member's names its class,
+and any other l-value is one node wherever it is read, from a class scope
+or from file scope.
 
 Every redefinition edge runs from a proper token sub-list of its target (an
 l-value is redefined by its constituents), so the graph has no cycle.
@@ -22,7 +25,6 @@ from .types import is_assignable_storage
 
 @dataclass(eq=False, slots=True)
 class LvNode:
-    scope: str | None          # None = file scope, else class name
     tokens: tuple[str, ...]
     expr: ast.Expr             # representative typed occurrence
     redef: list["LvNode"] = field(default_factory=list)
@@ -79,15 +81,14 @@ class RedefGraph:
     """Node table plus redefinition adjacency for one translation unit."""
 
     def __init__(self):
-        self.nodes: dict[tuple, LvNode] = {}
+        self.nodes: dict[str, LvNode] = {}    # by canonical string
         self.constructs: dict[int, ConstructLvs] = {}
 
-    def intern(self, scope, tokens, expr, redef) -> LvNode:
-        key = (scope, "".join(tokens))
+    def intern(self, tokens, expr, redef) -> LvNode:
+        key = "".join(tokens)
         node = self.nodes.get(key)
         if node is None:
-            node = LvNode(scope, tuple(tokens), expr, list(redef))
-            self.nodes[key] = node
+            node = self.nodes[key] = LvNode(tuple(tokens), expr, list(redef))
             for r in node.redef:
                 if node not in r.dependents:
                     r.dependents.append(node)
@@ -104,81 +105,63 @@ class RedefGraph:
 
 # ----------------------------------------------------------- canonicalization
 
-class Analyzer:
-    """Computes canonical token strings and l-value lists over typed
-    expressions, interning redefinition-graph nodes along the way."""
-
-    def __init__(self, graph: RedefGraph, scope: str | None):
-        self.graph = graph
-        self.scope = scope
-
-    def node_scope(self, tokens) -> str | None:
-        # instance-relative l-values live in the class scope, all others are global
-        if self.scope is not None and "owner" in tokens:
-            return self.scope
-        return None
-
-    def analyze(self, e: ast.Expr) -> tuple[list[str], list[LvNode]]:
-        if isinstance(e, ast.Name):
-            if e.binding is not None and e.binding[0] == "member":
-                cls = e.binding[1]
-                tokens = ["(", "(", cls, "*", ")", "owner", ")", "->", e.name]
-            else:
-                tokens = [e.name]
-            node = self.graph.intern(self.node_scope(tokens), tokens, e, [])
-            return tokens, [node]
-        if isinstance(e, ast.Deref):
-            t, lvs = self.analyze(e.operand)
-            tokens = ["*"] + t
-            node = self.graph.intern(self.node_scope(tokens), tokens, e, lvs)
-            return tokens, [node]
-        if isinstance(e, ast.Index):
-            t1, l1 = self.analyze(e.base)
-            t2, l2 = self.analyze(e.index)
-            tokens = t1 + ["["] + t2 + ["]"]
-            node = self.graph.intern(self.node_scope(tokens), tokens, e, merge(l1, l2))
-            return tokens, [node]
-        if isinstance(e, ast.Dot):
-            t, lvs = self.analyze(e.obj)
-            tokens = t + [".", e.member]
-            node = self.graph.intern(self.node_scope(tokens), tokens, e, lvs)
-            return tokens, [node]
-        if isinstance(e, ast.Arrow):
-            t, lvs = self.analyze(e.obj)
-            tokens = t + ["->", e.member]
-            node = self.graph.intern(self.node_scope(tokens), tokens, e, lvs)
-            return tokens, [node]
-        # non-l-value expression forms
-        if isinstance(e, ast.IntLit):
-            return [str(e.value)], []
-        if isinstance(e, ast.BoolLit):
-            return ["true" if e.value else "false"], []
-        if isinstance(e, ast.NullLit):
-            return ["null"], []
-        if isinstance(e, (ast.Unary, ast.AddrOf)):
-            op = "&" if isinstance(e, ast.AddrOf) else e.op
-            t, lvs = self.analyze(e.operand)
-            return [op] + t, lvs
-        if isinstance(e, ast.Binary):
-            t1, l1 = self.analyze(e.left)
-            t2, l2 = self.analyze(e.right)
-            return t1 + [e.op] + t2, merge(l1, l2)
-        # a call: a free function's name is not an l-value (contract.py), a
-        # method's callee denotes its object's cell
-        callee = e.callee
-        if callee.__class__ is ast.Name and callee.binding[0] == "func":
-            tokens, lvs = [callee.name, "("], []
+def analyze(g: RedefGraph, e: ast.Expr) -> tuple[list[str], list[LvNode]]:
+    """The canonical token string and l-value list of a typed expression,
+    interning its l-values' redefinition-graph nodes in g."""
+    if isinstance(e, ast.Name):
+        if e.binding is not None and e.binding[0] == "member":
+            tokens = ["(", "(", e.binding[1], "*", ")", "owner", ")", "->", e.name]
         else:
-            t, lvs = self.analyze(callee)
-            tokens = t + ["("]
-        for k, a in enumerate(e.args):
-            ta, la = self.analyze(a)
-            if k:
-                tokens.append(",")
-            tokens += ta
-            lvs = merge(lvs, la)
-        tokens.append(")")
-        return tokens, lvs
+            tokens = [e.name]
+        return tokens, [g.intern(tokens, e, [])]
+    if isinstance(e, ast.Deref):
+        t, lvs = analyze(g, e.operand)
+        tokens = ["*"] + t
+        return tokens, [g.intern(tokens, e, lvs)]
+    if isinstance(e, ast.Index):
+        t1, l1 = analyze(g, e.base)
+        t2, l2 = analyze(g, e.index)
+        tokens = t1 + ["["] + t2 + ["]"]
+        return tokens, [g.intern(tokens, e, merge(l1, l2))]
+    if isinstance(e, ast.Dot):
+        t, lvs = analyze(g, e.obj)
+        tokens = t + [".", e.member]
+        return tokens, [g.intern(tokens, e, lvs)]
+    if isinstance(e, ast.Arrow):
+        t, lvs = analyze(g, e.obj)
+        tokens = t + ["->", e.member]
+        return tokens, [g.intern(tokens, e, lvs)]
+    # non-l-value expression forms
+    if isinstance(e, ast.IntLit):
+        return [str(e.value)], []
+    if isinstance(e, ast.BoolLit):
+        return ["true" if e.value else "false"], []
+    if isinstance(e, ast.NullLit):
+        return ["null"], []
+    if isinstance(e, (ast.Unary, ast.AddrOf)):
+        op = "&" if isinstance(e, ast.AddrOf) else e.op
+        t, lvs = analyze(g, e.operand)
+        return [op] + t, lvs
+    if isinstance(e, ast.Binary):
+        t1, l1 = analyze(g, e.left)
+        t2, l2 = analyze(g, e.right)
+        return t1 + [e.op] + t2, merge(l1, l2)
+    # a call: a free function's name is not an l-value (contract.py), a
+    # method's callee denotes its object's cell
+    callee = e.callee
+    if callee.__class__ is ast.Name and callee.binding[0] == "func":
+        tokens, lvs = [callee.name, "("], []
+    else:
+        t, lvs = analyze(g, callee)
+        tokens = t + ["("]
+    for k, a in enumerate(e.args):
+        ta, la = analyze(g, a)
+        if k:
+            tokens.append(",")
+        tokens += ta
+        lvs = merge(lvs, la)
+    tokens.append(")")
+    return tokens, lvs
 
 
 # ------------------------------------------------------------------ building
@@ -189,17 +172,16 @@ def build_graph(unit: ast.Unit) -> RedefGraph:
     constraint application, they never trigger it."""
     g = RedefGraph()
     for c in unit.constructs:
-        an = Analyzer(g, c.scope)
         info = ConstructLvs(c)
         if isinstance(c, ast.Constraint):
-            _, lvs = an.analyze(c.lhs)
+            _, lvs = analyze(g, c.lhs)
             info.lhs = lvs[0]
-            _, info.rhs_lvs = an.analyze(c.rhs)
+            _, info.rhs_lvs = analyze(g, c.rhs)
         elif isinstance(c, ast.Monitor):
-            _, lvs = an.analyze(c.lhs)
+            _, lvs = analyze(g, c.lhs)
             info.lhs = lvs[0]
         elif isinstance(c, ast.Precond):
-            tokens, info.cond_lvs = an.analyze(c.cond)
+            tokens, info.cond_lvs = analyze(g, c.cond)
             info.cond_str = "".join(tokens)
         g.constructs[c.ordinal] = info
     return g

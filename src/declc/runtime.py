@@ -100,17 +100,15 @@ class ObjectHeader:
 class DepEdge:
     """The dependency of constraint `entry` on its constraining l-value
     `ordinal`.  The vm makes it at that registration's first install and
-    keeps it for the owner's life: a cancel unlinks it from its cell and
-    clears `live`, and a reinstall links it to the cell the l-value now
-    denotes and sets `live` again.  `from_cell` is the cell it is, or was
-    last, on."""
+    keeps it for the owner's life: a cancel unlinks it from its cell, and a
+    reinstall links it to the cell the l-value now denotes.  `from_cell` is
+    the cell it is on, None while it is on none."""
 
-    __slots__ = ("from_cell", "entry", "live", "order")
+    __slots__ = ("from_cell", "entry", "order")
 
     def __init__(self, entry: ConstraintEntry, ordinal: int):
         self.from_cell = None
         self.entry = entry
-        self.live = False
         self.order = (entry.seq, ordinal)
 
 
@@ -196,10 +194,9 @@ class Engine:
         """Link the edge (a dependency's registrant) on cell at its place in
         firing order, or unlink it from the cell it is on."""
         if add:
-            if edge.live:
+            if edge.from_cell is not None:
                 raise RuntimeFault(f"dependency edge registered twice ({edge.entry.fn})")
             edge.from_cell = cell
-            edge.live = True
             self.deps.live += 1
             deps = cell.dependencies
             if deps.__class__ is not list:
@@ -209,11 +206,12 @@ class Engine:
             else:  # a reinstall keeps its seq, so the edge may belong mid-list
                 insort(deps, edge, key=_order)
             return
-        if not edge.live:
+        on = edge.from_cell
+        if on is None:
             raise RuntimeFault(f"cancel of unregistered dependency ({edge.entry.fn})")
-        edge.live = False
+        edge.from_cell = None
         self.deps.live -= 1
-        deps = edge.from_cell.dependencies
+        deps = on.dependencies
         if deps[-1] is edge:
             deps.pop()
         elif deps[0] is edge:  # a run cancels its cell's edges in order
@@ -297,7 +295,7 @@ class Engine:
                 todo = iter(list(cell.dependencies))
                 while True:
                     for edge in todo:
-                        if edge.live and edge.from_cell is cell:
+                        if edge.from_cell is cell:
                             target = self.fire(edge.entry, True)
                             if target is not None:
                                 break

@@ -113,17 +113,19 @@ def _array(name: str, size: int, value) -> Block:
     return block
 
 
-def _cells(v, objects: bool):
-    """The cells a stored value holds, with each object's own with `objects`."""
+def _cells(v, objects: bool) -> list:
+    """The cells a stored value holds, with each object's own with `objects`.
+    A list, not a generator: a generator that a `MemoryError` leaves
+    suspended fails again when it is closed, which Python reports on stderr
+    after the `out of memory` fault."""
     if isinstance(v, Cell):
-        yield v
-    elif isinstance(v, Block):
-        yield from v.cells
-    elif isinstance(v, Instance):
-        if objects:
-            yield v.obj_cell
-        for m in v.members.values():
-            yield from _cells(m, objects)
+        return [v]
+    if isinstance(v, Block):
+        return v.cells
+    cells = [v.obj_cell] if objects else []  # an Instance
+    for m in v.members.values():
+        cells += _cells(m, objects)
+    return cells
 
 
 # ------------------------------------------------------------------- machine
@@ -820,7 +822,7 @@ class Machine:
         constrained side is resolved lazily, mirroring fire-time behavior."""
         live = sorted((edge for fr in self._gen_frames.values()
                        for edge in fr.entries.values()
-                       if edge.__class__ is DepEdge and edge.live),
+                       if edge.__class__ is DepEdge and edge.from_cell is not None),
                       key=operator.attrgetter("order"))
         out = []
         for edge in live:

@@ -1,4 +1,5 @@
-"""Print one hash of what the vm does, to compare two checkouts.
+"""Print one hash of what the vm and the command line do, to compare two
+checkouts.
 
     python tests/same_behaviour.py
 
@@ -10,22 +11,29 @@ the `rebind.retarget` program of the benchmark, runs `main`, its prime
 requests and 300 `retarget` requests of a fixed stream, and tears it down.
 The hash covers, per program: every trace event as JSON, the final memory,
 the fault text of the run and of the teardown (if any), and
-`registration_count` after the teardown.  Two checkouts that print the same
-hash did the same on all of them.  The exit status is 0: this is a report,
-not a gate.
+`registration_count` after the teardown.  Last, it runs `declc emit` and
+`declc run --trace -` in-process on every `tests/programs/*.hc` and
+`tests/witnesses/*.hc` and hashes their exit code, stdout and stderr; a run
+that ends in `recursion limit exceeded` contributes its exit code and fault
+line only, since how deep it got depends on the caller's stack.  Two
+checkouts that print the same hash did the same on all of them.  The exit
+status is 0: this is a report, not a gate.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
+import os
 import random
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from declc import trace as tr  # noqa: E402
+from declc import cli, trace as tr  # noqa: E402
 from declc.errors import RuntimeFault  # noqa: E402
 from declc.randgen import GenConfig, generate  # noqa: E402
 from declc.vm import Machine, compile_source  # noqa: E402
@@ -63,6 +71,17 @@ def behaviour(source: str, calls) -> list[str]:
     return lines
 
 
+def cli_lines(*argv: str) -> list[str]:
+    """The lines one `declc` command contributes to the hash."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(list(argv))
+    last = err.getvalue().rstrip("\n").rpartition("\n")[2]
+    if last.endswith("recursion limit exceeded"):
+        return [f"exit:{code}", last]
+    return [f"exit:{code}", out.getvalue(), err.getvalue()]
+
+
 def main() -> int:
     import workloads
 
@@ -75,8 +94,15 @@ def main() -> int:
     calls = program.prime(rng) + [program.request(rng) for _ in range(RETARGET_REQUESTS)]
     for line in behaviour(program.source(), [(fn, [v]) for fn, v in calls]):
         h.update(line.encode() + b"\n")
+    os.chdir(ROOT)  # the commands name each file by its path from the root
+    files = sorted(str(p.relative_to(ROOT)) for d in ("programs", "witnesses")
+                   for p in (ROOT / "tests" / d).glob("*.hc"))
+    for path in files:
+        for line in cli_lines("emit", path) + cli_lines("run", path, "--trace", "-"):
+            h.update(line.encode() + b"\n")
     print(f"same-behaviour hash {h.hexdigest()[:16]} ({2 * len(SEEDS)} randgen programs, "
-          f"rebind.retarget with {RETARGET_REQUESTS} requests)")
+          f"rebind.retarget with {RETARGET_REQUESTS} requests, "
+          f"declc emit and run --trace - on {len(files)} files)")
     return 0
 
 

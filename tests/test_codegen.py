@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from conftest import GOLDEN, OBJECT_CALLEE, program
@@ -15,6 +17,11 @@ def lowered(source):
     unit = parse_source(source)
     check_or_raise(unit)
     return lower(unit, build_graph(unit))
+
+
+def rendered_functions(gen) -> list[str]:
+    """The names of the `void` functions of the rendered listing, sorted."""
+    return sorted(re.findall(r"^void (\w+)\(", render(gen), re.M))
 
 
 def expr(source: str):
@@ -49,7 +56,8 @@ def test_a_suffixed_name_taken_by_another_lvalue_is_skipped():
     `x` probes on to `init_sim_x_2`."""
     gen = lowered("int x; int x_1; int y; int z;\ny := x_1 + x;\nz := x;")
     assert {"init_sim_x", "init_sim_x_1", "init_sim_x_2"} <= set(gen.functions)
-    assert gen.plans[1].init_fns == ["init_sim_z", "init_sim_x_2"]
+    assert [f.name for f in gen.functions.values()
+            if f.kind == codegen.INIT and f.construct == 1] == ["init_sim_z", "init_sim_x_2"]
 
 
 # ----------------------------------------------------- the worked constraint
@@ -70,7 +78,7 @@ void main() {
 
 def test_deep_deref_function_set():
     gen = lowered(DEEP)
-    assert sorted(gen.functions) == [
+    assert rendered_functions(gen) == [
         "assign_0", "init_0",
         "init_p_arr_i", "init_ptr_ptr_x", "init_ptr_x",
         "init_sim_i", "init_sim_x",
@@ -151,10 +159,9 @@ def test_monitor_and_precondition_registrations():
 
 
 def test_guarded_constraint_has_guard_function():
-    gen = lowered("int x; int y;\nx := y + 1 given y > 0;")
-    plan = gen.plans[0]
-    assert plan.guard_fn is not None
-    assert gen.functions[plan.guard_fn].kind == codegen.GUARD_TESTER
+    lines = render(lowered("int x; int y;\nx := y + 1 given y > 0;")).splitlines()
+    assert "bool guard_0(void* owner) {" in lines
+    assert "    if (b && guard_0(owner)) assign_0(owner);" in lines
 
 
 def test_class_constructs_go_to_class_unit_init():

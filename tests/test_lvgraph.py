@@ -2,6 +2,7 @@ import pytest
 
 from declc import ast
 from declc.checker import check_or_raise
+from declc.cli import main
 from declc.lvgraph import LvNode, build_graph, merge, proper_sublist, to_dot
 from declc.parser import parse_source
 from declc.randgen import generate
@@ -18,7 +19,7 @@ def edge_strs(g):
 
 
 def node(*tokens):
-    return LvNode(None, tokens, ast.Name("".join(tokens), pos=None))
+    return LvNode(tokens, ast.Name("".join(tokens), pos=None))
 
 
 # ----------------------------------------------------------------- sublists
@@ -149,6 +150,37 @@ public:
 };
 """)
     assert any("owner" in n.str and "m" in n.str for n in g.nodes.values())
+
+
+def test_a_node_is_keyed_by_its_canonical_string():
+    """Two classes' members `v` are two nodes and a global `v` a third; the
+    global `w`, read from both class scopes and from file scope, is one."""
+    g = graph("""
+int v; int w; int s;
+class A { private: int v; public: int get() { return v; } v := w; };
+class B { private: int v; public: int get() { return v; } v := w + 1; };
+s := v + w;
+""")
+    a, b, f = (g.constructs[k] for k in range(3))
+    v_nodes = [a.lhs, b.lhs, f.rhs_lvs[0]]
+    assert [n.str for n in v_nodes] == ["((A*)owner)->v", "((B*)owner)->v", "v"]
+    assert len(set(map(id, v_nodes))) == 3
+    assert a.rhs_lvs[0] is b.rhs_lvs[0] is f.rhs_lvs[1]
+    assert f.rhs_lvs[1].str == "w"
+
+
+def test_a_global_named_owner_is_one_node_in_every_scope(tmp_path, capsys):
+    """A global `owner` read in a class-scope and a file-scope `p[owner]` is
+    no class member: `declc graph` prints each of its edges once."""
+    path = tmp_path / "owner.hc"
+    path.write_text("""
+int owner; int p[4]; int s;
+class A { private: int v; public: int get() { return v; } v := p[owner]; };
+s := p[owner];
+void main() { }
+""", encoding="utf-8")
+    assert main(["graph", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["p -> p[owner]", "owner -> p[owner]"]
 
 
 # --------------------------------------------------------------- dependents

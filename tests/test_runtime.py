@@ -181,12 +181,12 @@ def test_dependency_reinstall_mid_list_keeps_order():
     old = c.dependencies[5]
     link(e, c, edges[entries[2], 1], False)
     link(e, c, edges[entries[2], 0], False)
-    assert old.live is False
+    assert old.from_cell is None
     link(e, c, edges[entries[2], 1])
     link(e, c, edges[entries[2], 0])
     assert [d.order for d in c.dependencies] == \
         [(k, j) for k in range(5) for j in (0, 1)]
-    assert c.dependencies[5] is old and c.dependencies[5].live
+    assert c.dependencies[5] is old and old.from_cell is c
 
 
 def test_dependency_edge_moved_away_and_back_keeps_its_place():
@@ -201,9 +201,9 @@ def test_dependency_edge_moved_away_and_back_keeps_its_place():
         link(e, a, edges[en, 0])
     edge = a.dependencies[1]
     link(e, a, edges[entries[1], 0], False)
-    assert len(e.deps) == 2 and not edge.live
+    assert len(e.deps) == 2 and edge.from_cell is None
     link(e, b, edges[entries[1], 0])
-    assert b.dependencies == [edge] and edge.from_cell is b and edge.live
+    assert b.dependencies == [edge] and edge.from_cell is b
     assert [d.entry.fn for d in a.dependencies] == ["f0", "f2"]
     link(e, b, edges[entries[1], 0], False)
     link(e, a, edges[entries[2], 0], False)

@@ -1116,13 +1116,13 @@ def test_moves_keep_the_dependency_edges_their_first_install_made():
         now = edges()
         assert now.keys() == first.keys()
         assert all(now[key] is edge for key, edge in first.items())
-        assert all(edge.live and edge.from_cell is m.globals["s"].cells[k]
+        assert all(edge.from_cell is m.globals["s"].cells[k]
                    for edge in now.values())
     m.store(m.globals["s"].cells[k], 7)
     mem = m.memory_snapshot()
     assert (mem[f"f{fan - 1}"], mem["c1.v"], mem["c2.v"]) == (str(7 + fan - 1), "8", "8")
     m.teardown()
-    assert not any(edge.live for edge in first.values())
+    assert all(edge.from_cell is None for edge in first.values())
     assert len(m.engine.deps) == 0
 
 
